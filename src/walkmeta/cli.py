@@ -133,9 +133,10 @@ def cmd_sweep(args) -> int:
         un = np.array([o[5] for o in ok])
         cm = np.array([o[6] for o in ok], dtype=float)
         if ok:
+            stats = (tr.mean(), tr.std(), un.mean(), un.std(), cm.mean())
+            # numpy 2 reprs its scalars as np.float64(x); write plain floats
             lines.append(f"{value},{len(cells)},{len(cells) - len(ok)},"
-                         f"{tr.mean()!r},{tr.std()!r},"
-                         f"{un.mean()!r},{un.std()!r},{cm.mean()!r}")
+                         + ",".join(repr(float(x)) for x in stats))
         else:
             lines.append(f"{value},{len(cells)},{len(cells)},nan,nan,nan,nan,nan")
     with open(summary_path, "w", encoding="utf-8") as f:

@@ -25,45 +25,72 @@ class InnerTrajectory:
     K: int
 
 
-def inner_loop(w: ParamVector, support, alpha: float, K: int) -> InnerTrajectory:
-    """K full-batch gradient steps on the support set, starting from w."""
+def trajectory(w: np.ndarray, arch: model.Arch, support, alpha: float,
+               K: int) -> list[np.ndarray]:
+    """u_0 .. u_K as raw arrays: K full-batch gradient steps on the checked
+    support batch, starting from w (..., d), one row per client."""
     if K < 1:
         raise ParameterError(f"K must be >= 1, got {K}")
     if alpha < 0:
         raise ParameterError(f"alpha must be >= 0, got {alpha}")
-    states = [w.copy()]
-    u = w
+    states = [w]
     for k in range(K):
-        g = model.grad(u, support)
-        u = u.with_values(u.values - alpha * g.values)
-        if not np.all(np.isfinite(u.values)):
+        u = model.grads(states[-1], arch, *support)
+        u *= alpha
+        np.subtract(states[-1], u, out=u)
+        if not np.isfinite(u).all():
             raise NumericalError(f"non-finite inner state at step {k + 1}")
         states.append(u)
-    return InnerTrajectory(states=states, alpha=alpha, K=K)
+    return states
+
+
+def exact_from_trajectory(states: list[np.ndarray], arch: model.Arch, support,
+                          query, alpha: float) -> np.ndarray:
+    """Exact meta-gradient rows: the query gradient at u_K pulled back
+    through the (I - alpha * Hessian) factors of the trajectory."""
+    g = model.grads(states[-1], arch, *query)
+    for u in reversed(states[:-1]):
+        g -= alpha * model.hvps(u, arch, *support, g)
+    return g
+
+
+def inner_loop(w: ParamVector, support, alpha: float, K: int) -> InnerTrajectory:
+    """K full-batch gradient steps on the support set, starting from w."""
+    support = model.check_batch(w.arch, support)
+    with model.quiet():
+        states = trajectory(w.values, w.arch, support, alpha, K)
+    return InnerTrajectory(states=[w.copy()] + [w.with_values(u) for u in states[1:]],
+                           alpha=alpha, K=K)
 
 
 def meta_gradient_exact(w: ParamVector, task: TaskInstance, alpha: float,
                         K: int) -> ParamVector:
     """Exact derivative of the adapted query loss with respect to w."""
-    traj = inner_loop(w, task.support, alpha, K)
-    g = model.grad(traj.states[K], task.query)
-    for k in range(K - 1, -1, -1):
-        hv = model.hvp(traj.states[k], task.support, g)
-        g = g.with_values(g.values - alpha * hv.values)
-    return g
+    support = model.check_batch(w.arch, task.support)
+    query = model.check_batch(w.arch, task.query)
+    with model.quiet():
+        states = trajectory(w.values, w.arch, support, alpha, K)
+        return w.with_values(exact_from_trajectory(states, w.arch, support, query,
+                                                   alpha))
 
 
 def meta_gradient_fo(w: ParamVector, task: TaskInstance, alpha: float,
                      K: int) -> ParamVector:
     """First-order approximation: query gradient at the adapted parameters."""
-    traj = inner_loop(w, task.support, alpha, K)
-    return model.grad(traj.states[K], task.query)
+    support = model.check_batch(w.arch, task.support)
+    query = model.check_batch(w.arch, task.query)
+    with model.quiet():
+        states = trajectory(w.values, w.arch, support, alpha, K)
+        return w.with_values(model.grads(states[-1], w.arch, *query))
 
 
 def meta_loss(w: ParamVector, task: TaskInstance, alpha: float, K: int) -> float:
     """Query loss after inner adaptation on the support set."""
-    traj = inner_loop(w, task.support, alpha, K)
-    return model.loss(traj.states[K], task.query)
+    support = model.check_batch(w.arch, task.support)
+    query = model.check_batch(w.arch, task.query)
+    with model.quiet():
+        states = trajectory(w.values, w.arch, support, alpha, K)
+        return model.losses(states[-1], w.arch, *query)[0]
 
 
 def adapt_unseen(w_final: ParamVector, support, alpha: float, K: int) -> ParamVector:

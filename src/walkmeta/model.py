@@ -9,7 +9,7 @@ ignoring the batch contents).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,15 +26,25 @@ class Arch:
     hidden: tuple[int, ...]
     output_dim: int
     head: str = HEAD_MSE
+    # (out, inp, weight slice, bias slice) per layer of the flat vector,
+    # worked out once here so the array core never recomputes them
+    layers: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.head not in (HEAD_MSE, HEAD_XENT, HEAD_QUADRATIC):
             raise ParameterError(f"unknown head {self.head!r}")
+        layers = []
         if self.head != HEAD_QUADRATIC:
             if self.input_dim < 1 or self.output_dim < 1:
                 raise ParameterError("input_dim and output_dim must be >= 1")
             if any(w < 1 for w in self.hidden):
                 raise ParameterError("hidden widths must be positive")
+            pos = 0
+            for out, inp in self.layer_dims():
+                w_end = pos + out * inp
+                layers.append((out, inp, slice(pos, w_end), slice(w_end, w_end + out)))
+                pos = w_end + out
+        object.__setattr__(self, "layers", tuple(layers))
 
     def layer_dims(self) -> list[tuple[int, int]]:
         dims = [self.input_dim, *self.hidden, self.output_dim]
@@ -44,7 +54,7 @@ class Arch:
     def param_count(self) -> int:
         if self.head == HEAD_QUADRATIC:
             return self.output_dim
-        return sum(out * inp + out for out, inp in self.layer_dims())
+        return self.layers[-1][3].stop
 
 
 @dataclass
@@ -66,18 +76,6 @@ class ParamVector:
         return ParamVector(values, self.arch)
 
 
-def _unpack(values: np.ndarray, arch: Arch) -> list[tuple[np.ndarray, np.ndarray]]:
-    layers = []
-    pos = 0
-    for out, inp in arch.layer_dims():
-        W = values[pos:pos + out * inp].reshape(out, inp)
-        pos += out * inp
-        b = values[pos:pos + out]
-        pos += out
-        layers.append((W, b))
-    return layers
-
-
 def init_params(arch: Arch, seed) -> ParamVector:
     """Glorot-uniform weights, zero biases. `seed` may be an int or SeedSequence."""
     rng = np.random.default_rng(seed)
@@ -91,124 +89,195 @@ def init_params(arch: Arch, seed) -> ParamVector:
     return ParamVector(np.concatenate(chunks), arch)
 
 
-def _check_batch(p: ParamVector, batch) -> tuple[np.ndarray, np.ndarray]:
+# ---------------------------------------------------------------------
+# array core
+#
+# Parameters are raw float arrays of shape (..., d) and batches are
+# (x (..., m, input_dim), t) with the same leading axes, one row per client.
+# t is the float target (..., m, output_dim) for mse, the integer labels
+# (..., m) for xent and None for the quadratic head. Every row is computed
+# with the same operations, in the same order, as a lone (d,) vector, so a
+# block of clients gives each client's result bit for bit. Reductions that
+# numpy would order differently along an axis (means, norms) run per row.
+
+def quiet():
+    """Overflow surfaces as NumericalError via the finiteness checks, not
+    as warnings; the array core runs inside this context."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
+def check_batch(arch: Arch, batch) -> tuple[np.ndarray, np.ndarray | None]:
+    """One client's batch, validated and converted to the core's (x, t)."""
     x, y = batch
     x = np.asarray(x, dtype=float)
     y = np.asarray(y)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ParameterError("batch inputs must be a nonempty (m, dim) array")
-    if p.arch.head != HEAD_QUADRATIC and x.shape[1] != p.arch.input_dim:
+    if arch.head != HEAD_QUADRATIC and x.shape[1] != arch.input_dim:
         raise ParameterError(
             f"batch input dim {x.shape[1]} does not match arch input_dim "
-            f"{p.arch.input_dim}"
+            f"{arch.input_dim}"
         )
-    if y.shape[0] != x.shape[0]:
-        raise ParameterError("batch inputs and targets disagree in length")
-    return x, y
-
-
-def _forward(p: ParamVector, x: np.ndarray):
-    """Returns (activations per layer, final pre-activation)."""
-    layers = _unpack(p.values, p.arch)
-    hs = [x]
-    h = x
-    for li, (W, b) in enumerate(layers):
-        z = h @ W.T + b
-        if li < len(layers) - 1:
-            h = np.tanh(z)
-            hs.append(h)
-        else:
-            return hs, z
-    raise AssertionError("unreachable")
-
-
-def _loss_and_grad(p: ParamVector, batch, want_grad: bool):
-    # overflow surfaces as NumericalError via the finiteness checks
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _loss_and_grad_impl(p, batch, want_grad)
-
-
-def _loss_and_grad_impl(p: ParamVector, batch, want_grad: bool):
-    x, y = _check_batch(p, batch)
-    arch = p.arch
-    if arch.head == HEAD_QUADRATIC:
-        loss = 0.5 * float(p.values @ p.values)
-        return loss, p.values.copy() if want_grad else None
-
-    hs, z = _forward(p, x)
-    if not np.all(np.isfinite(z)):
-        raise NumericalError("non-finite forward values")
     m = x.shape[0]
+    if y.shape[:1] != (m,):
+        raise ParameterError("batch inputs and targets disagree in length")
+    if arch.head == HEAD_QUADRATIC:
+        return x, None
     if arch.head == HEAD_MSE:
-        target = y.reshape(m, arch.output_dim).astype(float)
-        resid = z - target
-        loss = float(np.mean(resid ** 2))
-        dz = 2.0 * resid / resid.size
+        return x, y.reshape(m, arch.output_dim).astype(float)
+    labels = y.astype(int)
+    # the gradient builds a one-hot mask, which would skip a bad label silently
+    if labels.ndim != 1 or labels.min() < 0 or labels.max() >= arch.output_dim:
+        raise ParameterError(f"xent labels must be integers in [0, {arch.output_dim})")
+    return x, labels
+
+
+def stack_batches(batches) -> tuple[np.ndarray, np.ndarray | None]:
+    """Checked batches of equal shapes as one batch with a leading client axis."""
+    xs, ts = zip(*batches)
+    return np.stack(xs), None if ts[0] is None else np.stack(ts)
+
+
+def _forward(values: np.ndarray, arch: Arch, x: np.ndarray):
+    """(per-layer (W, b) views, activations entering each layer, final
+    pre-activation z of shape (..., m, output_dim))."""
+    lead = values.shape[:-1]
+    layers = [(values[..., ws].reshape(lead + (out, inp)), values[..., None, bs])
+              for out, inp, ws, bs in arch.layers]
+    hs = [x]
+    for W, b in layers[:-1]:
+        z = hs[-1] @ W.swapaxes(-1, -2)
+        z += b
+        hs.append(np.tanh(z, out=z))
+    W, b = layers[-1]
+    z = hs[-1] @ W.swapaxes(-1, -2)
+    z += b
+    return layers, hs, z
+
+
+def _finite_forward(values, arch, x):
+    out = _forward(values, arch, x)
+    if not np.isfinite(out[2]).all():
+        raise NumericalError("non-finite forward values")
+    return out
+
+
+def _per_row_mean(a: np.ndarray, lead: tuple) -> list[float]:
+    return [float(np.mean(r)) for r in a.reshape((-1,) + a.shape[len(lead):])]
+
+
+def losses(values: np.ndarray, arch: Arch, x, t) -> list[float]:
+    """Mean batch loss of each row of values (flattened leading axes)."""
+    if arch.head == HEAD_QUADRATIC:
+        return [0.5 * float(r @ r) for r in values.reshape(-1, values.shape[-1])]
+    z = _finite_forward(values, arch, x)[2]
+    lead = z.shape[:-2]
+    if arch.head == HEAD_MSE:
+        return _per_row_mean((z - t) ** 2, lead)
+    zs = z - z.max(axis=-1, keepdims=True)
+    logsumexp = np.log(np.exp(zs).sum(axis=-1))
+    picked = np.take_along_axis(zs, t[..., None], axis=-1)[..., 0]
+    return _per_row_mean(logsumexp - picked, lead)
+
+
+def predictions(values: np.ndarray, arch: Arch, x) -> np.ndarray:
+    """Network output z (..., m, output_dim), unchecked."""
+    return _forward(values, arch, x)[2]
+
+
+def grads(values: np.ndarray, arch: Arch, x, t) -> np.ndarray:
+    """Gradient of each row's mean batch loss, shape (..., d)."""
+    if arch.head == HEAD_QUADRATIC:
+        return values.copy()
+    layers, hs, z = _finite_forward(values, arch, x)
+    m = z.shape[-2]
+    if arch.head == HEAD_MSE:
+        resid = z - t
+        delta = 2.0 * resid / (m * arch.output_dim)
     else:  # softmax cross-entropy
-        labels = y.astype(int)
-        zs = z - z.max(axis=1, keepdims=True)
-        logsumexp = np.log(np.exp(zs).sum(axis=1))
-        loss = float(np.mean(logsumexp - zs[np.arange(m), labels]))
-        probs = np.exp(zs - logsumexp[:, None])
-        dz = probs
-        dz[np.arange(m), labels] -= 1.0
-        dz /= m
-    if not want_grad:
-        return loss, None
-
-    layers = _unpack(p.values, p.arch)
-    grads: list[np.ndarray] = []
-    delta = dz
+        zs = z - z.max(axis=-1, keepdims=True)
+        logsumexp = np.log(np.exp(zs).sum(axis=-1))
+        probs = np.exp(zs - logsumexp[..., None])
+        delta = (probs - (t[..., None] == np.arange(arch.output_dim))) / m
+    lead = z.shape[:-2]
+    g = np.empty(lead + values.shape[-1:])
     for li in range(len(layers) - 1, -1, -1):
-        W, _ = layers[li]
+        out, inp, ws, bs = arch.layers[li]
         h_in = hs[li]
-        gW = delta.T @ h_in
-        gb = delta.sum(axis=0)
-        grads.append(gb)
-        grads.append(gW.ravel())
+        # a view of g: the slice's last axis is contiguous, so it splits freely
+        np.matmul(delta.swapaxes(-1, -2), h_in,
+                  out=g[..., ws].reshape(lead + (out, inp)))
+        g[..., bs] = np.add.reduce(delta, axis=-2)
         if li > 0:
-            delta = (delta @ W) * (1.0 - h_in ** 2)
-    flat = np.concatenate(grads[::-1])
-    return loss, flat
+            # tanh' = 1 - h^2, written over h: its last use was just above
+            dtanh = np.square(h_in, out=h_in)
+            np.subtract(1.0, dtanh, out=dtanh)
+            delta = delta @ layers[li][0]
+            delta *= dtanh
+    return g
 
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    # np.linalg.norm per row: a norm along an axis sums in another order
+    return np.array([np.linalg.norm(r) for r in a.reshape(-1, a.shape[-1])]
+                    ).reshape(a.shape[:-1])
+
+
+def hvps(values: np.ndarray, arch: Arch, x, t, v: np.ndarray,
+         fd_step: float = 1e-4) -> np.ndarray:
+    """Hessian-vector product of each row by central differences of the
+    analytic gradient, both sides in one stacked gradient call.
+
+    Each direction is normalized before differencing so the step size is
+    independent of ||v||; the result is rescaled afterwards. A zero
+    direction gives zeros.
+    """
+    vnorm = _row_norms(v)
+    if not np.isfinite(vnorm).all():
+        raise ParameterError("direction has non-finite norm")
+    if not vnorm.any():
+        return np.zeros(v.shape)
+    h = (fd_step * np.maximum(1.0, _row_norms(values)))[..., None]
+    vnorm = vnorm[..., None]
+    step = v / np.where(vnorm == 0.0, 1.0, vnorm)
+    step *= h
+    both = np.empty((2,) + step.shape)
+    np.add(values, step, out=both[0])
+    np.subtract(values, step, out=both[1])
+    del step   # not held through the gradient call, where a block peaks in memory
+    g = grads(both, arch, x, t)
+    return (g[0] - g[1]) / (2.0 * h) * vnorm
+
+
+# ---------------------------------------------------------------------
+# ParamVector edges: check the batch once, then run the core
 
 def loss(p: ParamVector, batch) -> float:
     """Mean loss over the batch."""
-    val, _ = _loss_and_grad(p, batch, want_grad=False)
-    return val
+    x, t = check_batch(p.arch, batch)
+    with quiet():
+        return losses(p.values, p.arch, x, t)[0]
 
 
 def grad(p: ParamVector, batch) -> ParamVector:
     """Gradient of the mean batch loss with respect to the flat parameters."""
-    _, g = _loss_and_grad(p, batch, want_grad=True)
-    return p.with_values(g)
+    x, t = check_batch(p.arch, batch)
+    with quiet():
+        return p.with_values(grads(p.values, p.arch, x, t))
 
 
 def predict(p: ParamVector, x: np.ndarray) -> np.ndarray:
     """Network output (logits for xent, raw values for mse)."""
-    x = np.asarray(x, dtype=float)
-    _, z = _forward(p, x)
-    return z
+    return predictions(p.values, p.arch, np.asarray(x, dtype=float))
 
 
 def hvp(p: ParamVector, batch, v: ParamVector, fd_step: float = 1e-4) -> ParamVector:
-    """Hessian-vector product by central differences of the analytic gradient.
-
-    The direction is normalized before differencing so the step size is
-    independent of ||v||; the result is rescaled afterwards.
-    """
+    """Hessian-vector product by central differences of the analytic gradient."""
     if fd_step <= 0:
         raise ParameterError("fd_step must be positive")
-    vnorm = float(np.linalg.norm(v.values))
-    if not np.isfinite(vnorm):
-        raise ParameterError("direction has non-finite norm")
-    if vnorm == 0.0:
-        return p.with_values(np.zeros_like(p.values))
-    vhat = v.values / vnorm
-    h = fd_step * max(1.0, float(np.linalg.norm(p.values)))
-    gp = grad(p.with_values(p.values + h * vhat), batch).values
-    gm = grad(p.with_values(p.values - h * vhat), batch).values
-    return p.with_values((gp - gm) / (2.0 * h) * vnorm)
+    x, t = check_batch(p.arch, batch)
+    with quiet():
+        return p.with_values(hvps(p.values, p.arch, x, t, v.values, fd_step))
 
 
 def serialize_params(p: ParamVector) -> str:

@@ -115,30 +115,76 @@ def read_run_csv(text: str) -> tuple[dict, list[EvalRow]]:
 # ---------------------------------------------------------------------
 # evaluation
 
-def _query_metric(p: ParamVector, task) -> float:
-    if p.arch.head == HEAD_XENT:
-        x, y = task.query
-        preds = model.predict(p, x).argmax(axis=1)
-        return float(np.mean(preds == y.astype(int)))
-    return model.loss(p, task.query)
+# Clients adapted side by side in evaluation and centralized rounds. The
+# per-client arithmetic is unchanged. Larger blocks save little more time but
+# raise peak memory: over three default runs, +2% peak RSS at 4, +4% at 8 and
+# +10% with all 26 clients in one block.
+_CLIENT_BLOCK = 4
+
+
+def _client_blocks(tasks, arch: model.Arch):
+    """Checked batches of tasks stacked in runs of at most _CLIENT_BLOCK
+    clients whose batch shapes agree; yields (support, query) per run."""
+    checked = [(model.check_batch(arch, t.support), model.check_batch(arch, t.query))
+               for t in tasks]
+
+    def shapes(c):
+        return [a.shape for batch in c for a in batch if a is not None]
+
+    start = 0
+    while start < len(checked):
+        stop = start + 1
+        while (stop < len(checked) and stop - start < _CLIENT_BLOCK
+               and shapes(checked[stop]) == shapes(checked[start])):
+            stop += 1
+        yield (model.stack_batches([c[0] for c in checked[start:stop]]),
+               model.stack_batches([c[1] for c in checked[start:stop]]))
+        start = stop
+
+
+def _adapt_block(w: ParamVector, support, query, h: optimizer.HyperParams,
+                 metrics: list | None = None, gsum: np.ndarray | None = None):
+    """Adapts a block of clients from w. When given, appends each client's
+    adapted query metric to `metrics` and adds each client's exact
+    meta-gradient to `gsum`, in client order; one inner trajectory per
+    client serves both. Nothing of the block outlives the call, so two
+    blocks never hold memory at once."""
+    n = len(support[0])
+    states = metalearn.trajectory(np.broadcast_to(w.values, (n, w.values.size)),
+                                  w.arch, support, h.alpha, h.K)
+    if metrics is not None:
+        metrics += _query_metrics(states[-1], w.arch, query)
+    if gsum is not None:
+        for row in metalearn.exact_from_trajectory(states, w.arch, support, query,
+                                                   h.alpha):
+            gsum += row
+
+
+def _query_metrics(u: np.ndarray, arch: model.Arch, query) -> list[float]:
+    """Adapted query metric per row of u: accuracy for xent, else the loss."""
+    x, t = query
+    if arch.head == HEAD_XENT:
+        preds = model.predictions(u, arch, x).argmax(axis=-1)
+        return [float(np.mean(p == labels)) for p, labels in zip(preds, t)]
+    return model.losses(u, arch, x, t)
 
 
 def evaluate(w: ParamVector, assignment: ClientAssignment,
              h: optimizer.HyperParams) -> tuple[float, float, float]:
     """(mean adapted query metric on training clients, same on unseen
     clients, squared norm of the averaged exact meta-gradient)."""
-    def group_metric(tasks):
-        vals = [_query_metric(metalearn.adapt_unseen(w, t.support, h.alpha, h.K), t)
-                for t in tasks.values()]
+    def mean(vals):
         return float(np.mean(vals)) if vals else float("nan")
 
-    train_metric = group_metric(assignment.training)
-    unseen_metric = group_metric(assignment.unseen)
+    train, unseen = [], []
     gsum = np.zeros_like(w.values)
-    for t in assignment.training.values():
-        gsum += metalearn.meta_gradient_exact(w, t, h.alpha, h.K).values
+    with model.quiet():
+        for support, query in _client_blocks(assignment.training.values(), w.arch):
+            _adapt_block(w, support, query, h, train, gsum)
+        for support, query in _client_blocks(assignment.unseen.values(), w.arch):
+            _adapt_block(w, support, query, h, unseen)
     gmean = gsum / assignment.n_training
-    return train_metric, unseen_metric, float(gmean @ gmean)
+    return mean(train), mean(unseen), float(gmean @ gmean)
 
 
 # ---------------------------------------------------------------------
@@ -223,7 +269,7 @@ def _run_walk(cfg: ExperimentConfig, method: str,
         if trace is not None:
             trace.active.append(i)
             trace.w.append(w.values.copy())
-        if (t + 1) % cfg.eval_every == 0:
+        if (t + 1) % cfg.eval_every == 0 or t + 1 == cfg.T:
             try:
                 rows.append(EvalRow(t + 1, comm, i, *evaluate(w, assignment, h)))
             except NumericalError as e:
@@ -284,9 +330,10 @@ def run_centralized_maml(cfg: ExperimentConfig,
                                  replace=False)
         try:
             gsum = np.zeros(d)
-            for i in chosen:
-                task = assignment.training[int(i)]
-                gsum += metalearn.meta_gradient_exact(w, task, h.alpha, h.K).values
+            with model.quiet():
+                for support, query in _client_blocks(
+                        [assignment.training[int(i)] for i in chosen], w.arch):
+                    _adapt_block(w, support, query, h, gsum=gsum)
             g = gsum / cfg.n_active
             aux, delta = optimizer.adam_step(aux, g, np.zeros(d), h)
             w = w.with_values(w.values + delta)
@@ -302,7 +349,7 @@ def run_centralized_maml(cfg: ExperimentConfig,
         if trace is not None:
             trace.active.append(-1)
             trace.w.append(w.values.copy())
-        if (t + 1) % cfg.eval_every == 0:
+        if (t + 1) % cfg.eval_every == 0 or t + 1 == cfg.T:
             try:
                 rows.append(EvalRow(t + 1, comm, -1, *evaluate(w, assignment, h)))
             except NumericalError as e:

@@ -130,6 +130,18 @@ class TestCmdSweep:
         assert "lodmeta," in summary and "lodmeta_sgd," in summary
         assert summary.splitlines()[0].startswith("value,n_seeds")
 
+    def test_summary_fields_parse_as_floats(self, tmp_path):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(FAST_CFG)
+        assert cli.main(["sweep", str(cfg_path), "--axis", "method",
+                         "--values", "lodmeta,centralized_maml", "--seeds", "2",
+                         "--outdir", str(tmp_path / "sw")]) == 0
+        lines = (tmp_path / "sw" / "exp_method_summary.csv").read_text().splitlines()
+        assert len(lines) == 3
+        for line in lines[1:]:
+            for field in line.split(",")[1:]:
+                float(field)
+
     def test_epsilon_sweep_enables_privacy(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(FAST_CFG + "\n[hyper]\nlambda = 1.0\n")

@@ -102,8 +102,8 @@ class TestMetaGradient:
 
     def test_fo_never_calls_hvp(self, monkeypatch):
         calls = []
-        real = model.hvp
-        monkeypatch.setattr(metalearn.model, "hvp",
+        real = model.hvps
+        monkeypatch.setattr(metalearn.model, "hvps",
                             lambda *a, **k: calls.append(1) or real(*a, **k))
         w, task = sine_setup(6)
         metalearn.meta_gradient_fo(w, task, 0.05, K=3)

@@ -43,9 +43,8 @@ class TestInit:
     def test_biases_zero(self):
         arch = model.Arch(3, (5,), 2)
         p = model.init_params(arch, seed=0)
-        layers = model._unpack(p.values, arch)
-        for _, b in layers:
-            assert np.all(b == 0)
+        for _, _, _, b in arch.layers:
+            assert np.all(p.values[b] == 0)
 
     def test_deterministic(self):
         arch = model.Arch(2, (8,), 1)
@@ -56,7 +55,9 @@ class TestInit:
     def test_glorot_bounds(self):
         arch = model.Arch(4, (10,), 3)
         p = model.init_params(arch, seed=2)
-        W1 = model._unpack(p.values, arch)[0][0]
+        out, inp, w_slice, _ = arch.layers[0]
+        assert (out, inp) == (10, 4)
+        W1 = p.values[w_slice]
         bound = np.sqrt(6.0 / (4 + 10))
         assert np.all(np.abs(W1) <= bound)
 

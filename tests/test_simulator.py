@@ -68,6 +68,14 @@ class TestRunBasics:
         cfg = small_cfg(method="centralized_maml", n_active=3)
         assert simulator.run_centralized_maml(cfg).rows[-1].comm_units == 240
 
+    @pytest.mark.parametrize("method", ["lodmeta", "centralized_maml"])
+    def test_last_row_is_iteration_t(self, method):
+        cfg = small_cfg(method=method, n_active=2, T=120, eval_every=50)
+        rec = simulator.run(cfg)
+        assert [r.iteration for r in rec.rows] == [0, 50, 100, 120]
+        units = comm_cost(MethodKind(method, 2))
+        assert rec.rows[-1].comm_units == 120 * units
+
     def test_reproducible_bitwise(self):
         a = simulator.run_lodmeta(small_cfg(T=60))
         b = simulator.run_lodmeta(small_cfg(T=60))
