@@ -9,7 +9,9 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -77,6 +79,16 @@ def _run_cell(job):
             last.train_metric, last.unseen_metric, last.comm_units)
 
 
+def _cell_outcome(job, result):
+    """result() for one cell, or a failed outcome when the cell raises a
+    library error or its worker process died."""
+    try:
+        return result()
+    except (WalkmetaError, BrokenProcessPool) as e:
+        print(f"cell {job[3]} failed: {e}", file=sys.stderr)
+        return (job[0], job[1], job[3], True, float("nan"), float("nan"), 0)
+
+
 def cmd_sweep(args) -> int:
     cfg = parse_config(args.config)
     values = [v for v in args.values.split(",") if v]
@@ -102,26 +114,11 @@ def cmd_sweep(args) -> int:
 
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = []
-            for job in jobs:
-                results.append(pool.submit(_run_cell, job))
-            outcomes = []
-            for job, fut in zip(jobs, results):
-                try:
-                    outcomes.append(fut.result())
-                except WalkmetaError as e:
-                    outcomes.append((job[0], job[1], job[3], True,
-                                     float("nan"), float("nan"), 0))
-                    print(f"cell {job[3]} failed: {e}", file=sys.stderr)
+            futures = [pool.submit(_run_cell, job) for job in jobs]
+            outcomes = [_cell_outcome(job, fut.result)
+                        for job, fut in zip(jobs, futures)]
     else:
-        outcomes = []
-        for job in jobs:
-            try:
-                outcomes.append(_run_cell(job))
-            except WalkmetaError as e:
-                outcomes.append((job[0], job[1], job[3], True,
-                                 float("nan"), float("nan"), 0))
-                print(f"cell {job[3]} failed: {e}", file=sys.stderr)
+        outcomes = [_cell_outcome(job, partial(_run_cell, job)) for job in jobs]
 
     summary_path = os.path.join(outdir, f"{stem}_{args.axis}_summary.csv")
     lines = ["value,n_seeds,n_failed,train_mean,train_std,"

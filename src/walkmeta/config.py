@@ -8,7 +8,7 @@ file is a complete, runnable configuration. Unknown keys are a hard error.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import topology as topo
 from .errors import ConfigError
@@ -242,66 +242,27 @@ def parse_config_text(text: str) -> ExperimentConfig:
     return _build(raw).validate()
 
 
+# keys whose field has another name or sits at the top level, and the
+# sections that are dataclasses of their own
+_FIELDS = {"hyper.lambda": "hyper.lam", "privacy.delta_hat": "delta_hat",
+           "method.kind": "method"}
+_NESTED = ("topology", "task", "hyper", "privacy")
+
+
 def _build(raw: dict[str, object]) -> ExperimentConfig:
+    """The default config with each parsed key set on its field."""
+    top: dict[str, object] = {}
+    nested: dict[str, dict] = {section: {} for section in _NESTED}
+    for key, value in raw.items():
+        section, _, name = _FIELDS.get(key, key).rpartition(".")
+        if section in nested:
+            nested[section][name] = value
+        else:
+            top[name] = value
     defaults = ExperimentConfig()
-
-    def get(key, fallback):
-        return raw.get(key, fallback)
-
-    t = defaults.topology
-    topo_spec = TopologySpec(
-        family=get("topology.family", t.family),
-        n=get("topology.n", t.n),
-        k=get("topology.k", t.k),
-        degree=get("topology.degree", t.degree),
-        p_rewire=get("topology.p_rewire", t.p_rewire),
-        laziness=get("topology.laziness", t.laziness),
-        scheme=get("topology.scheme", t.scheme),
-    )
-    tk = defaults.task
-    task = TaskConfig(
-        kind=get("task.kind", tk.kind),
-        shots=get("task.shots", tk.shots),
-        query_size=get("task.query_size", tk.query_size),
-        ways=get("task.ways", tk.ways),
-        query_per_class=get("task.query_per_class", tk.query_per_class),
-        dim=get("task.dim", tk.dim),
-        spread=get("task.spread", tk.spread),
-    )
-    hd = defaults.hyper
-    hyper = HyperParams(
-        eta=get("hyper.eta", hd.eta),
-        theta=get("hyper.theta", hd.theta),
-        beta=get("hyper.beta", hd.beta),
-        lam=get("hyper.lambda", hd.lam),
-        alpha=get("hyper.alpha", hd.alpha),
-        K=get("hyper.K", hd.K),
-    )
-    pd = defaults.privacy
-    privacy = PrivacyParams(
-        epsilon=get("privacy.epsilon", pd.epsilon),
-        delta=get("privacy.delta", pd.delta),
-        m_meta=get("privacy.m_meta", pd.m_meta),
-        enabled=get("privacy.enabled", pd.enabled),
-    )
-    return ExperimentConfig(
-        topology=topo_spec,
-        task=task,
-        n_training=get("clients.n_training", defaults.n_training),
-        n_unseen=get("clients.n_unseen", defaults.n_unseen),
-        method=get("method.kind", defaults.method),
-        n_active=get("method.n_active", defaults.n_active),
-        hidden=get("model.hidden", defaults.hidden),
-        head=get("model.head", defaults.head),
-        hyper=hyper,
-        privacy=privacy,
-        delta_hat=get("privacy.delta_hat", defaults.delta_hat),
-        T=get("run.T", defaults.T),
-        eval_every=get("run.eval_every", defaults.eval_every),
-        seed=get("run.seed", defaults.seed),
-        output=get("run.output", defaults.output),
-        record_trace=get("run.record_trace", defaults.record_trace),
-    )
+    for section, fields in nested.items():
+        top[section] = replace(getattr(defaults, section), **fields)
+    return replace(defaults, **top)
 
 
 def parse_config(path: str) -> ExperimentConfig:

@@ -2,8 +2,12 @@
 
 The meta-gradient of the adapted query loss is the product of
 (I - alpha * Hessian) factors along the inner trajectory applied to the
-query gradient. It is accumulated right-to-left as K Hessian-vector
-products, so no Hessian is ever materialized.
+query gradient. Each inner step's gradient call leaves a tape (the
+activations and backward products of its forward and backward passes), and
+the query gradient is pulled back through the trajectory right-to-left as K
+exact Hessian-vector products, one R-operator pass over each tape
+(Pearlmutter 1994). No Hessian is materialized, and the pull-back makes no
+new forward pass.
 """
 
 from __future__ import annotations
@@ -26,31 +30,36 @@ class InnerTrajectory:
 
 
 def trajectory(w: np.ndarray, arch: model.Arch, support, alpha: float,
-               K: int) -> list[np.ndarray]:
+               K: int) -> tuple[list[np.ndarray], list[model.Tape]]:
     """u_0 .. u_K as raw arrays: K full-batch gradient steps on the checked
-    support batch, starting from w (..., d), one row per client."""
+    support batch, starting from w (..., d), one row per client; and the
+    gradient tapes at u_0 .. u_{K-1}."""
     if K < 1:
         raise ParameterError(f"K must be >= 1, got {K}")
     if alpha < 0:
         raise ParameterError(f"alpha must be >= 0, got {alpha}")
-    states = [w]
+    states, tapes = [w], []
     for k in range(K):
-        u = model.grads(states[-1], arch, *support)
+        u, tape = model.taped_grads(states[-1], arch, *support)
+        tapes.append(tape)
         u *= alpha
         np.subtract(states[-1], u, out=u)
         if not np.isfinite(u).all():
             raise NumericalError(f"non-finite inner state at step {k + 1}")
         states.append(u)
-    return states
+    return states, tapes
 
 
-def exact_from_trajectory(states: list[np.ndarray], arch: model.Arch, support,
+def exact_from_trajectory(states: list[np.ndarray], tapes: list, arch: model.Arch,
                           query, alpha: float) -> np.ndarray:
     """Exact meta-gradient rows: the query gradient at u_K pulled back
-    through the (I - alpha * Hessian) factors of the trajectory."""
+    through the (I - alpha * Hessian) factors of the trajectory, one exact
+    HVP over each of its tapes."""
     g = model.grads(states[-1], arch, *query)
-    for u in reversed(states[:-1]):
-        g -= alpha * model.hvps(u, arch, *support, g)
+    for tape in reversed(tapes):
+        g -= alpha * model.hvps(tape, g)
+    if not np.isfinite(g).all():
+        raise NumericalError("non-finite meta-gradient")
     return g
 
 
@@ -58,7 +67,7 @@ def inner_loop(w: ParamVector, support, alpha: float, K: int) -> InnerTrajectory
     """K full-batch gradient steps on the support set, starting from w."""
     support = model.check_batch(w.arch, support)
     with model.quiet():
-        states = trajectory(w.values, w.arch, support, alpha, K)
+        states = trajectory(w.values, w.arch, support, alpha, K)[0]
     return InnerTrajectory(states=[w.copy()] + [w.with_values(u) for u in states[1:]],
                            alpha=alpha, K=K)
 
@@ -69,8 +78,8 @@ def meta_gradient_exact(w: ParamVector, task: TaskInstance, alpha: float,
     support = model.check_batch(w.arch, task.support)
     query = model.check_batch(w.arch, task.query)
     with model.quiet():
-        states = trajectory(w.values, w.arch, support, alpha, K)
-        return w.with_values(exact_from_trajectory(states, w.arch, support, query,
+        states, tapes = trajectory(w.values, w.arch, support, alpha, K)
+        return w.with_values(exact_from_trajectory(states, tapes, w.arch, query,
                                                    alpha))
 
 
@@ -80,7 +89,7 @@ def meta_gradient_fo(w: ParamVector, task: TaskInstance, alpha: float,
     support = model.check_batch(w.arch, task.support)
     query = model.check_batch(w.arch, task.query)
     with model.quiet():
-        states = trajectory(w.values, w.arch, support, alpha, K)
+        states = trajectory(w.values, w.arch, support, alpha, K)[0]
         return w.with_values(model.grads(states[-1], w.arch, *query))
 
 
@@ -89,7 +98,7 @@ def meta_loss(w: ParamVector, task: TaskInstance, alpha: float, K: int) -> float
     support = model.check_batch(w.arch, task.support)
     query = model.check_batch(w.arch, task.query)
     with model.quiet():
-        states = trajectory(w.values, w.arch, support, alpha, K)
+        states = trajectory(w.values, w.arch, support, alpha, K)[0]
         return model.losses(states[-1], w.arch, *query)[0]
 
 

@@ -1,4 +1,5 @@
-"""Flat-parameter MLP with analytic gradients.
+"""Flat-parameter MLP with analytic gradients and exact Hessian-vector
+products.
 
 Parameters live in a single flat vector so the meta-optimizer can treat the
 model as a point in R^d. Hidden layers use tanh; the head is either mean
@@ -10,6 +11,7 @@ ignoring the batch contents).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -138,12 +140,17 @@ def stack_batches(batches) -> tuple[np.ndarray, np.ndarray | None]:
     return np.stack(xs), None if ts[0] is None else np.stack(ts)
 
 
+def _layer_views(values: np.ndarray, arch: Arch) -> list:
+    """Per-layer (W (..., out, inp), b (..., 1, out)) views of values (..., d)."""
+    lead = values.shape[:-1]
+    return [(values[..., ws].reshape(lead + (out, inp)), values[..., None, bs])
+            for out, inp, ws, bs in arch.layers]
+
+
 def _forward(values: np.ndarray, arch: Arch, x: np.ndarray):
     """(per-layer (W, b) views, activations entering each layer, final
     pre-activation z of shape (..., m, output_dim))."""
-    lead = values.shape[:-1]
-    layers = [(values[..., ws].reshape(lead + (out, inp)), values[..., None, bs])
-              for out, inp, ws, bs in arch.layers]
+    layers = _layer_views(values, arch)
     hs = [x]
     for W, b in layers[:-1]:
         z = hs[-1] @ W.swapaxes(-1, -2)
@@ -185,12 +192,26 @@ def predictions(values: np.ndarray, arch: Arch, x) -> np.ndarray:
     return _forward(values, arch, x)[2]
 
 
-def grads(values: np.ndarray, arch: Arch, x, t) -> np.ndarray:
-    """Gradient of each row's mean batch loss, shape (..., d)."""
+class Tape(NamedTuple):
+    """What one gradient call leaves for Hessian-vector products at the same
+    point and batch: the (W, b) views, the activations entering each layer,
+    the output delta, the softmax probabilities (xent) and, per hidden layer
+    from the top, the backward product delta @ W before tanh'."""
+    arch: Arch
+    layers: Sequence = ()
+    hs: Sequence = ()
+    delta: np.ndarray | None = None
+    probs: np.ndarray | None = None
+    backs: Sequence = ()
+
+
+def taped_grads(values: np.ndarray, arch: Arch, x, t) -> tuple[np.ndarray, Tape]:
+    """Gradient of each row's mean batch loss, shape (..., d), and its tape."""
     if arch.head == HEAD_QUADRATIC:
-        return values.copy()
+        return values.copy(), Tape(arch)
     layers, hs, z = _finite_forward(values, arch, x)
     m = z.shape[-2]
+    probs = None
     if arch.head == HEAD_MSE:
         resid = z - t
         delta = 2.0 * resid / (m * arch.output_dim)
@@ -199,54 +220,72 @@ def grads(values: np.ndarray, arch: Arch, x, t) -> np.ndarray:
         logsumexp = np.log(np.exp(zs).sum(axis=-1))
         probs = np.exp(zs - logsumexp[..., None])
         delta = (probs - (t[..., None] == np.arange(arch.output_dim))) / m
+    tape = Tape(arch, layers, hs, delta, probs, [])
     lead = z.shape[:-2]
     g = np.empty(lead + values.shape[-1:])
     for li in range(len(layers) - 1, -1, -1):
         out, inp, ws, bs = arch.layers[li]
-        h_in = hs[li]
         # a view of g: the slice's last axis is contiguous, so it splits freely
-        np.matmul(delta.swapaxes(-1, -2), h_in,
+        np.matmul(delta.swapaxes(-1, -2), hs[li],
                   out=g[..., ws].reshape(lead + (out, inp)))
         g[..., bs] = np.add.reduce(delta, axis=-2)
         if li > 0:
-            # tanh' = 1 - h^2, written over h: its last use was just above
-            dtanh = np.square(h_in, out=h_in)
-            np.subtract(1.0, dtanh, out=dtanh)
-            delta = delta @ layers[li][0]
-            delta *= dtanh
-    return g
+            back = delta @ layers[li][0]
+            tape.backs.append(back)
+            delta = back * (1.0 - np.square(hs[li]))   # tanh' = 1 - h^2
+    return g, tape
 
 
-def _row_norms(a: np.ndarray) -> np.ndarray:
-    # np.linalg.norm per row: a norm along an axis sums in another order
-    return np.array([np.linalg.norm(r) for r in a.reshape(-1, a.shape[-1])]
-                    ).reshape(a.shape[:-1])
+def grads(values: np.ndarray, arch: Arch, x, t) -> np.ndarray:
+    """Gradient of each row's mean batch loss, shape (..., d)."""
+    return taped_grads(values, arch, x, t)[0]
 
 
-def hvps(values: np.ndarray, arch: Arch, x, t, v: np.ndarray,
-         fd_step: float = 1e-4) -> np.ndarray:
-    """Hessian-vector product of each row by central differences of the
-    analytic gradient, both sides in one stacked gradient call.
-
-    Each direction is normalized before differencing so the step size is
-    independent of ||v||; the result is rescaled afterwards. A zero
-    direction gives zeros.
-    """
-    vnorm = _row_norms(v)
-    if not np.isfinite(vnorm).all():
-        raise ParameterError("direction has non-finite norm")
-    if not vnorm.any():
-        return np.zeros(v.shape)
-    h = (fd_step * np.maximum(1.0, _row_norms(values)))[..., None]
-    vnorm = vnorm[..., None]
-    step = v / np.where(vnorm == 0.0, 1.0, vnorm)
-    step *= h
-    both = np.empty((2,) + step.shape)
-    np.add(values, step, out=both[0])
-    np.subtract(values, step, out=both[1])
-    del step   # not held through the gradient call, where a block peaks in memory
-    g = grads(both, arch, x, t)
-    return (g[0] - g[1]) / (2.0 * h) * vnorm
+def hvps(tape: Tape, v: np.ndarray) -> np.ndarray:
+    """Exact Hessian-vector product of each row (Pearlmutter's R-operator):
+    the directional derivative along v (..., d) of the taped forward and
+    backward passes, computed from the tape without a new gradient call."""
+    arch = tape.arch
+    if arch.head == HEAD_QUADRATIC:
+        return v.copy()
+    lead = v.shape[:-1]
+    dirs = _layer_views(v, arch)
+    hs, layers = tape.hs, tape.layers
+    dtanhs = [None] + [1.0 - np.square(h) for h in hs[1:]]
+    # R-forward: rhs[li] = R(h) entering layer li; the input x has none
+    rhs = [None]
+    for li, ((W, _), (VW, Vb)) in enumerate(zip(layers, dirs)):
+        rz = hs[li] @ VW.swapaxes(-1, -2)
+        rz += Vb
+        if li > 0:
+            rz += rhs[li] @ W.swapaxes(-1, -2)
+        if li + 1 < len(layers):
+            rz *= dtanhs[li + 1]
+            rhs.append(rz)
+    m = rz.shape[-2]
+    if arch.head == HEAD_MSE:
+        rdelta = 2.0 * rz / (m * arch.output_dim)
+    else:  # R(softmax) = p * (Rz - <p, Rz>)
+        p = tape.probs
+        rdelta = p * (rz - np.sum(p * rz, axis=-1, keepdims=True)) / m
+    # R-backward over the taped deltas
+    delta = tape.delta
+    hv = np.empty(lead + v.shape[-1:])
+    for li in range(len(layers) - 1, -1, -1):
+        out, inp, ws, bs = arch.layers[li]
+        hw = hv[..., ws].reshape(lead + (out, inp))
+        np.matmul(rdelta.swapaxes(-1, -2), hs[li], out=hw)
+        hv[..., bs] = np.add.reduce(rdelta, axis=-2)
+        if li > 0:
+            hw += delta.swapaxes(-1, -2) @ rhs[li]
+            back = tape.backs[len(layers) - 1 - li]
+            rdelta = rdelta @ layers[li][0]
+            rdelta += delta @ dirs[li][0]
+            rdelta *= dtanhs[li]
+            # R(tanh') = -2 h R(h)
+            rdelta -= 2.0 * hs[li] * rhs[li] * back
+            delta = back * dtanhs[li]
+    return hv
 
 
 # ---------------------------------------------------------------------
@@ -271,13 +310,11 @@ def predict(p: ParamVector, x: np.ndarray) -> np.ndarray:
     return predictions(p.values, p.arch, np.asarray(x, dtype=float))
 
 
-def hvp(p: ParamVector, batch, v: ParamVector, fd_step: float = 1e-4) -> ParamVector:
-    """Hessian-vector product by central differences of the analytic gradient."""
-    if fd_step <= 0:
-        raise ParameterError("fd_step must be positive")
+def hvp(p: ParamVector, batch, v: ParamVector) -> ParamVector:
+    """Exact Hessian-vector product of the mean batch loss at p."""
     x, t = check_batch(p.arch, batch)
     with quiet():
-        return p.with_values(hvps(p.values, p.arch, x, t, v.values, fd_step))
+        return p.with_values(hvps(taped_grads(p.values, p.arch, x, t)[1], v.values))
 
 
 def serialize_params(p: ParamVector) -> str:

@@ -150,12 +150,12 @@ def _adapt_block(w: ParamVector, support, query, h: optimizer.HyperParams,
     client serves both. Nothing of the block outlives the call, so two
     blocks never hold memory at once."""
     n = len(support[0])
-    states = metalearn.trajectory(np.broadcast_to(w.values, (n, w.values.size)),
-                                  w.arch, support, h.alpha, h.K)
+    states, tapes = metalearn.trajectory(
+        np.broadcast_to(w.values, (n, w.values.size)), w.arch, support, h.alpha, h.K)
     if metrics is not None:
         metrics += _query_metrics(states[-1], w.arch, query)
     if gsum is not None:
-        for row in metalearn.exact_from_trajectory(states, w.arch, support, query,
+        for row in metalearn.exact_from_trajectory(states, tapes, w.arch, query,
                                                    h.alpha):
             gsum += row
 
@@ -183,8 +183,11 @@ def evaluate(w: ParamVector, assignment: ClientAssignment,
             _adapt_block(w, support, query, h, train, gsum)
         for support, query in _client_blocks(assignment.unseen.values(), w.arch):
             _adapt_block(w, support, query, h, unseen)
-    gmean = gsum / assignment.n_training
-    return mean(train), mean(unseen), float(gmean @ gmean)
+        gmean = gsum / assignment.n_training
+        gnorm_sq = float(gmean @ gmean)
+    if not np.isfinite(gnorm_sq):
+        raise NumericalError("non-finite meta-gradient norm")
+    return mean(train), mean(unseen), gnorm_sq
 
 
 # ---------------------------------------------------------------------
@@ -202,6 +205,10 @@ def _dp_report(cfg: ExperimentConfig) -> privacy.DpReport | None:
         return None
     return privacy.account_network_dp(cfg.privacy.epsilon, cfg.privacy.delta,
                                       cfg.delta_hat, cfg.T, cfg.n_training)
+
+
+# the metrics of the last row of a run that a numerical failure ended
+_NAN_METRICS = (float("nan"),) * 3
 
 
 def _run_walk(cfg: ExperimentConfig, method: str,
@@ -240,6 +247,7 @@ def _run_walk(cfg: ExperimentConfig, method: str,
     for t in range(cfg.T):
         i = current
         task = assignment.training[i]
+        comm += per_iter
         try:
             g = metalearn.meta_gradient_exact(w, task, h.alpha, h.K).values
             if use_privacy:
@@ -258,26 +266,17 @@ def _run_walk(cfg: ExperimentConfig, method: str,
             w = w.with_values(w.values + delta)
             if not np.all(np.isfinite(w.values)):
                 raise NumericalError(f"non-finite parameters at iteration {t}")
+            current = topology.sample_next(tm, i, walk_rng)
+            if trace is not None:
+                trace.active.append(i)
+                trace.w.append(w.values.copy())
+            if (t + 1) % cfg.eval_every == 0 or t + 1 == cfg.T:
+                rows.append(EvalRow(t + 1, comm, i, *evaluate(w, assignment, h)))
         except NumericalError as e:
             record.aborted = True
             record.abort_reason = str(e)
-            rows.append(EvalRow(t + 1, comm + per_iter, i,
-                                float("nan"), float("nan"), float("nan")))
+            rows.append(EvalRow(t + 1, comm, i, *_NAN_METRICS))
             break
-        current = topology.sample_next(tm, i, walk_rng)
-        comm += per_iter
-        if trace is not None:
-            trace.active.append(i)
-            trace.w.append(w.values.copy())
-        if (t + 1) % cfg.eval_every == 0 or t + 1 == cfg.T:
-            try:
-                rows.append(EvalRow(t + 1, comm, i, *evaluate(w, assignment, h)))
-            except NumericalError as e:
-                record.aborted = True
-                record.abort_reason = str(e)
-                rows.append(EvalRow(t + 1, comm, i,
-                                    float("nan"), float("nan"), float("nan")))
-                break
     record.final_params = w
     return record
 
@@ -328,6 +327,7 @@ def run_centralized_maml(cfg: ExperimentConfig,
     for t in range(cfg.T):
         chosen = walk_rng.choice(assignment.n_training, size=cfg.n_active,
                                  replace=False)
+        comm += per_round
         try:
             gsum = np.zeros(d)
             with model.quiet():
@@ -339,25 +339,16 @@ def run_centralized_maml(cfg: ExperimentConfig,
             w = w.with_values(w.values + delta)
             if not np.all(np.isfinite(w.values)):
                 raise NumericalError(f"non-finite parameters at round {t}")
+            if trace is not None:
+                trace.active.append(-1)
+                trace.w.append(w.values.copy())
+            if (t + 1) % cfg.eval_every == 0 or t + 1 == cfg.T:
+                rows.append(EvalRow(t + 1, comm, -1, *evaluate(w, assignment, h)))
         except NumericalError as e:
             record.aborted = True
             record.abort_reason = str(e)
-            rows.append(EvalRow(t + 1, comm + per_round, -1,
-                                float("nan"), float("nan"), float("nan")))
+            rows.append(EvalRow(t + 1, comm, -1, *_NAN_METRICS))
             break
-        comm += per_round
-        if trace is not None:
-            trace.active.append(-1)
-            trace.w.append(w.values.copy())
-        if (t + 1) % cfg.eval_every == 0 or t + 1 == cfg.T:
-            try:
-                rows.append(EvalRow(t + 1, comm, -1, *evaluate(w, assignment, h)))
-            except NumericalError as e:
-                record.aborted = True
-                record.abort_reason = str(e)
-                rows.append(EvalRow(t + 1, comm, -1,
-                                    float("nan"), float("nan"), float("nan")))
-                break
     record.final_params = w
     return record
 

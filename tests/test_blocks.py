@@ -58,8 +58,8 @@ def test_grad_hvp_loss_rows_equal_single_calls(case):
     dirs[rng.integers(n)] = 0.0   # a zero direction gives zeros, not NaN
     x, t = stacked(arch, batches)
     with model.quiet():
-        g = model.grads(rows, arch, x, t)
-        hv = model.hvps(rows, arch, x, t, dirs)
+        g, tape = model.taped_grads(rows, arch, x, t)
+        hv = model.hvps(tape, dirs)
         losses = model.losses(rows, arch, x, t)
     for i, batch in enumerate(batches):
         p = model.ParamVector(rows[i], arch)
@@ -81,8 +81,8 @@ def test_meta_gradient_rows_equal_single_calls(case, K):
     support = stacked(arch, [tk.support for tk in tasks_])
     query = stacked(arch, [tk.query for tk in tasks_])
     with model.quiet():
-        states = metalearn.trajectory(rows, arch, support, 0.05, K)
-        g = metalearn.exact_from_trajectory(states, arch, support, query, 0.05)
+        states, tapes = metalearn.trajectory(rows, arch, support, 0.05, K)
+        g = metalearn.exact_from_trajectory(states, tapes, arch, query, 0.05)
     for i, tk in enumerate(tasks_):
         p = model.ParamVector(rows[i], arch)
         assert np.array_equal(g[i], metalearn.meta_gradient_exact(p, tk, 0.05, K).values)

@@ -1,5 +1,8 @@
 import os
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
+import numpy as np
 import pytest
 
 from walkmeta import cli, config
@@ -65,6 +68,24 @@ class TestParse:
         again = parse_config_text(serialize_config(cfg))
         assert again == cfg
 
+    def test_round_trip_every_key_off_default(self):
+        # every field differs from its default and from its neighbours, so a
+        # key parsed onto the wrong field shows
+        cfg = ExperimentConfig(
+            topology=config.TopologySpec(family="regular", n=8, k=6, degree=5,
+                                         p_rewire=0.2, laziness=0.2, scheme="uniform"),
+            task=config.TaskConfig(kind="blob", shots=3, query_size=7, ways=4,
+                                   query_per_class=9, dim=3, spread=0.7),
+            n_training=8, n_unseen=2, method="centralized_maml", n_active=1,
+            hidden=(5, 4), head="mse",
+            hyper=config.HyperParams(eta=0.002, theta=0.1, beta=0.9, lam=1e-6,
+                                     alpha=0.02, K=4),
+            privacy=config.PrivacyParams(epsilon=0.4, delta=0.25, m_meta=2.5,
+                                         enabled=True),
+            delta_hat=0.05, T=30, eval_every=11, seed=12, output="x.csv",
+            record_trace=True)
+        assert parse_config_text(serialize_config(cfg)) == cfg.validate()
+
     def test_round_trip_defaults(self):
         cfg = ExperimentConfig()
         assert parse_config_text(serialize_config(cfg)) == cfg
@@ -114,8 +135,54 @@ class TestCmdRun:
                      f"[run]\noutput = {tmp_path}/b.csv\n")
         assert cli.main(["run", str(p)]) == 2
 
+    def test_overflowing_meta_gradient_exit_2_with_csv(self, tmp_path):
+        p = tmp_path / "overflow.cfg"
+        p.write_text("[topology]\nfamily = ring\nn = 6\n"
+                     "[clients]\nn_training = 6\nn_unseen = 2\n"
+                     "[model]\nhidden = 8\n[method]\nkind = lodmeta_sgd\n"
+                     "[hyper]\neta = 1e6\nalpha = 0.5\ntheta = 0.5\n"
+                     f"[run]\nT = 40\neval_every = 2\nseed = 2\n"
+                     f"output = {tmp_path}/o.csv\n")
+        assert cli.main(["run", str(p)]) == 2
+        assert "# aborted=" in (tmp_path / "o.csv").read_text()
+
+
+class _PoolWithDeadWorker:
+    """In-process stand-in for ProcessPoolExecutor whose worker dies on every
+    seed-1 cell."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, job):
+        fut = Future()
+        if job[1] == 1:
+            fut.set_exception(BrokenProcessPool("worker died"))
+        else:
+            fut.set_result(fn(job))
+        return fut
+
 
 class TestCmdSweep:
+    def test_dead_worker_counts_as_failed_cell(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", _PoolWithDeadWorker)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(FAST_CFG)
+        assert cli.main(["sweep", str(cfg_path), "--axis", "method",
+                         "--values", "lodmeta,lodmeta_sgd", "--seeds", "2",
+                         "--jobs", "2", "--outdir", str(tmp_path / "sw")]) == 0
+        lines = (tmp_path / "sw" / "exp_method_summary.csv").read_text().splitlines()
+        assert [line.split(",")[:3] for line in lines[1:]] == [
+            ["lodmeta", "2", "1"], ["lodmeta_sgd", "2", "1"]]
+        for line in lines[1:]:
+            assert all(np.isfinite(float(f)) for f in line.split(",")[3:])
+
     def test_method_sweep(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(FAST_CFG)

@@ -278,6 +278,16 @@ class TestAbort:
         assert math.isnan(rec.rows[-1].train_metric)
         assert "# aborted=" in rec.to_csv()
 
+    @pytest.mark.parametrize("eta,seed", [(1e3, 0), (1e3, 1), (1e6, 2)])
+    def test_overflowing_meta_gradient_aborts(self, eta, seed):
+        # these runs once raised ParameterError from inside the meta-gradient
+        cfg = small_cfg(task=tasks.TaskConfig(), method="lodmeta_sgd", seed=seed,
+                        eval_every=2, hyper=HyperParams(eta=eta, alpha=0.5, theta=0.5))
+        rec = simulator.run(cfg)
+        assert rec.aborted
+        assert math.isnan(rec.rows[-1].grad_norm_sq)
+        assert rec.rows[-1].iteration < cfg.T
+
 
 class TestCsv:
     def test_round_trip(self):
