@@ -80,13 +80,13 @@ def _run_cell(job):
 
 
 def _cell_outcome(job, result):
-    """result() for one cell, or a failed outcome when the cell raises a
-    library error or its worker process died."""
+    """result() for one cell, or a failed outcome with no CSV path when the
+    cell raises a library error or its worker process died."""
     try:
         return result()
     except (WalkmetaError, BrokenProcessPool) as e:
         print(f"cell {job[3]} failed: {e}", file=sys.stderr)
-        return (job[0], job[1], job[3], True, float("nan"), float("nan"), 0)
+        return (job[0], job[1], None, True, float("nan"), float("nan"), 0)
 
 
 def cmd_sweep(args) -> int:
@@ -139,7 +139,8 @@ def cmd_sweep(args) -> int:
     with open(summary_path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
     for _, _, path, *_ in outcomes:
-        print(f"wrote {path}")
+        if path is not None:
+            print(f"wrote {path}")
     print(f"wrote {summary_path}")
     return EXIT_OK
 

@@ -11,14 +11,32 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 from . import topology as topo
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .model import HEAD_MSE, HEAD_QUADRATIC, HEAD_XENT, Arch
 from .optimizer import HyperParams
 from .privacy import PrivacyParams
 from .tasks import KIND_BLOB, KIND_SINE, TaskConfig, assign_clients
 
-METHODS = ("lodmeta", "lodmeta_basic", "lodmeta_sgd", "centralized_maml")
 FAMILIES = ("small_world", "regular", "ring", "star", "complete")
+
+
+@dataclass(frozen=True)
+class Method:
+    """The four facts that set one training protocol apart from another."""
+    units: int         # communication units per iteration, per active client
+                       # when a server samples
+    walks: bool        # a token walks the graph; else a server samples n_active
+    aux: str | None    # who owns the m/v state: "client" (one per client),
+                       # "token" (one that travels, or the server's), None (SGD)
+    noise: bool        # clipped, noised updates and a DP report with privacy on
+
+
+METHOD_TABLE = {
+    "lodmeta": Method(1, walks=True, aux="client", noise=True),
+    "lodmeta_basic": Method(3, walks=True, aux="token", noise=False),
+    "lodmeta_sgd": Method(1, walks=True, aux=None, noise=False),
+    "centralized_maml": Method(2, walks=False, aux="token", noise=False),
+}
 
 
 @dataclass(frozen=True)
@@ -114,11 +132,12 @@ class ExperimentConfig:
         if t.n != self.n_training:
             bad("topology.n", "the walk runs over training clients only, so "
                 f"topology.n ({t.n}) must equal clients.n_training ({self.n_training})")
-        if self.method not in METHODS:
-            bad("method.kind", f"must be one of {METHODS}, got {self.method!r}")
+        if self.method not in METHOD_TABLE:
+            bad("method.kind",
+                f"must be one of {tuple(METHOD_TABLE)}, got {self.method!r}")
         if self.n_active < 1:
             bad("method.n_active", f"must be >= 1, got {self.n_active}")
-        if self.method == "centralized_maml" and self.n_active > self.n_training:
+        if not METHOD_TABLE[self.method].walks and self.n_active > self.n_training:
             bad("method.n_active", f"cannot exceed n_training ({self.n_training})")
         if self.task.kind not in (KIND_SINE, KIND_BLOB):
             bad("task.kind", f"must be sine or blob, got {self.task.kind!r}")
@@ -261,7 +280,10 @@ def _build(raw: dict[str, object]) -> ExperimentConfig:
             top[name] = value
     defaults = ExperimentConfig()
     for section, fields in nested.items():
-        top[section] = replace(getattr(defaults, section), **fields)
+        try:
+            top[section] = replace(getattr(defaults, section), **fields)
+        except ParameterError as e:  # a section that checks its own bounds
+            raise ConfigError(f"{section}: {e}") from None
     return replace(defaults, **top)
 
 

@@ -1,10 +1,11 @@
 """Training protocols over the network, with communication accounting.
 
-Four protocols share one skeleton: a token carrying the meta-parameters
-moves through the graph (walk methods) or between clients and a server
-(centralized rounds). Per-iteration communication is charged in relative
-units: 1 for a bare parameter payload, 3 when momentum and preconditioner
-travel too, 2 per active client for centralized download+upload.
+The four protocols run one loop and differ only in their entry in
+`config.METHOD_TABLE`: a token carrying the meta-parameters moves through
+the graph (walk methods) or a server samples clients each round
+(centralized). Per-iteration communication is charged in relative units:
+1 for a bare parameter payload, 3 when momentum and preconditioner travel
+too, 2 per active client for centralized download+upload.
 """
 
 from __future__ import annotations
@@ -14,15 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metalearn, model, optimizer, privacy, topology
-from .config import ExperimentConfig, config_echo
+from .config import METHOD_TABLE, ExperimentConfig, config_echo
 from .errors import NumericalError, ParameterError
 from .model import HEAD_XENT, ParamVector
 from .tasks import ClientAssignment
-
-METHOD_LODMETA = "lodmeta"
-METHOD_BASIC = "lodmeta_basic"
-METHOD_SGD = "lodmeta_sgd"
-METHOD_CENTRALIZED = "centralized_maml"
 
 _INIT_STREAM, _WALK_STREAM, _NOISE_STREAM = 11, 13, 17
 
@@ -33,8 +29,7 @@ class MethodKind:
     n_active: int = 1
 
     def __post_init__(self):
-        if self.kind not in (METHOD_LODMETA, METHOD_BASIC, METHOD_SGD,
-                             METHOD_CENTRALIZED):
+        if self.kind not in METHOD_TABLE:
             raise ParameterError(f"unknown method {self.kind!r}")
         if self.n_active < 1:
             raise ParameterError("n_active must be >= 1")
@@ -42,11 +37,8 @@ class MethodKind:
 
 def comm_cost(mk: MethodKind) -> int:
     """Relative communication units charged per iteration."""
-    if mk.kind == METHOD_BASIC:
-        return 3
-    if mk.kind == METHOD_CENTRALIZED:
-        return 2 * mk.n_active
-    return 1
+    method = METHOD_TABLE[mk.kind]
+    return method.units if method.walks else method.units * mk.n_active
 
 
 @dataclass(frozen=True)
@@ -160,6 +152,18 @@ def _adapt_block(w: ParamVector, support, query, h: optimizer.HyperParams,
             gsum += row
 
 
+def _mean_meta_gradient(w: ParamVector, tasks, h: optimizer.HyperParams) -> np.ndarray:
+    """The exact meta-gradient averaged over tasks; several tasks run in
+    client blocks, one task without the block's stacking overhead."""
+    if len(tasks) == 1:
+        return metalearn.meta_gradient_exact(w, tasks[0], h.alpha, h.K).values
+    gsum = np.zeros_like(w.values)
+    with model.quiet():
+        for support, query in _client_blocks(tasks, w.arch):
+            _adapt_block(w, support, query, h, gsum=gsum)
+    return gsum / len(tasks)
+
+
 def _query_metrics(u: np.ndarray, arch: model.Arch, query) -> list[float]:
     """Adapted query metric per row of u: accuracy for xent, else the loss."""
     x, t = query
@@ -193,89 +197,78 @@ def evaluate(w: ParamVector, assignment: ClientAssignment,
 # ---------------------------------------------------------------------
 # runs
 
-def _streams(seed: int):
-    init_ss = np.random.SeedSequence([seed, _INIT_STREAM])
-    walk = np.random.default_rng(np.random.SeedSequence([seed, _WALK_STREAM]))
-    noise = np.random.default_rng(np.random.SeedSequence([seed, _NOISE_STREAM]))
-    return init_ss, walk, noise
-
-
-def _dp_report(cfg: ExperimentConfig) -> privacy.DpReport | None:
-    if not cfg.privacy.enabled or cfg.T < 1:
-        return None
-    return privacy.account_network_dp(cfg.privacy.epsilon, cfg.privacy.delta,
-                                      cfg.delta_hat, cfg.T, cfg.n_training)
-
-
-# the metrics of the last row of a run that a numerical failure ended
-_NAN_METRICS = (float("nan"),) * 3
-
-
-def _run_walk(cfg: ExperimentConfig, method: str,
-              assignment: ClientAssignment | None = None,
-              transition: topology.TransitionMatrix | None = None,
-              w0: ParamVector | None = None) -> RunRecord:
-    """Shared skeleton for the three token-passing protocols."""
+def _run(cfg: ExperimentConfig, method: str,
+         assignment: ClientAssignment | None = None,
+         transition: topology.TransitionMatrix | None = None,
+         w0: ParamVector | None = None) -> RunRecord:
+    """The one training loop; `method` picks the protocol's table entry."""
     cfg.validate()
+    spec = METHOD_TABLE[method]
     h = cfg.hyper
     arch = cfg.build_arch()
     assignment = assignment if assignment is not None else cfg.build_assignment()
-    tm = transition if transition is not None else cfg.build_transition()
-    if tm.n != assignment.n_training:
-        raise ParameterError("transition matrix size must equal n_training")
-    init_ss, walk_rng, noise_rng = _streams(cfg.seed)
+    n = assignment.n_training
+    if spec.walks:  # a server-sampled run never builds the graph
+        tm = transition if transition is not None else cfg.build_transition()
+        if tm.n != n:
+            raise ParameterError("transition matrix size must equal n_training")
+    init_ss = np.random.SeedSequence([cfg.seed, _INIT_STREAM])
+    walk_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _WALK_STREAM]))
+    noise_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _NOISE_STREAM]))
     w = w0.copy() if w0 is not None else model.init_params(arch, init_ss)
     d = w.arch.param_count
 
-    mk = MethodKind(method, cfg.n_active)
-    per_iter = comm_cost(mk)
-    use_privacy = method == METHOD_LODMETA and cfg.privacy.enabled
-    sigma2 = privacy.noise_sigma(cfg.privacy) if use_privacy else 0.0
-    local_aux = {i: optimizer.AuxState.zeros(d) for i in assignment.training}
-    token_aux = optimizer.AuxState.zeros(d)  # basic variant only
+    per_iter = comm_cost(MethodKind(method, cfg.n_active))
+    noisy = spec.noise and cfg.privacy.enabled
+    sigma2 = privacy.noise_sigma(cfg.privacy) if noisy else 0.0
+    aux = {}  # m/v state by owner: a client index, or -1 for the token/server
+    zero_aux = optimizer.AuxState.zeros(d)
 
-    current = int(walk_rng.integers(assignment.n_training))
+    current = int(walk_rng.integers(n)) if spec.walks else -1
     comm = 0
-    trace = Trace() if cfg.record_trace else None
-    if trace is not None:
-        trace.w.append(w.values.copy())
+    trace = Trace(w=[w.values.copy()]) if cfg.record_trace else None
     rows = [EvalRow(0, 0, current, *evaluate(w, assignment, h))]
-    record = RunRecord(rows=rows, header=dict(config_echo(cfg)),
-                       dp_report=_dp_report(cfg), trace=trace)
-    record.header["method.resolved"] = method
+    dp_report = None
+    if noisy and cfg.T >= 1:  # the report covers only the chain that adds noise
+        dp_report = privacy.account_network_dp(cfg.privacy.epsilon, cfg.privacy.delta,
+                                               cfg.delta_hat, cfg.T, cfg.n_training)
+    record = RunRecord(rows=rows, header={**config_echo(cfg), "method.resolved": method},
+                       dp_report=dp_report, trace=trace)
 
     for t in range(cfg.T):
-        i = current
-        task = assignment.training[i]
+        if spec.walks:
+            if t > 0:
+                current = topology.sample_next(tm, current, walk_rng)
+            clients = [current]
+        else:
+            clients = walk_rng.choice(n, size=cfg.n_active, replace=False)
         comm += per_iter
         try:
-            g = metalearn.meta_gradient_exact(w, task, h.alpha, h.K).values
-            if use_privacy:
+            g = _mean_meta_gradient(w, [assignment.training[int(i)] for i in clients], h)
+            if noisy:
                 g = optimizer.clip(g, cfg.privacy.m_meta)
                 noise = privacy.sample_perturbation(sigma2, d, noise_rng)
             else:
                 noise = np.zeros(d)
-            if method == METHOD_SGD:
+            if spec.aux is None:
                 delta = optimizer.sgd_step(g, h.eta)
-            elif method == METHOD_BASIC:
-                token_aux, delta = optimizer.adam_step(token_aux, g,
-                                                       np.zeros(d), h)
             else:
-                local_aux[i], delta = optimizer.adam_step(local_aux[i], g,
-                                                          noise, h)
+                owner = current if spec.aux == "client" else -1
+                aux[owner], delta = optimizer.adam_step(aux.get(owner, zero_aux), g,
+                                                        noise, h)
             w = w.with_values(w.values + delta)
             if not np.all(np.isfinite(w.values)):
-                raise NumericalError(f"non-finite parameters at iteration {t}")
-            current = topology.sample_next(tm, i, walk_rng)
+                step = "iteration" if spec.walks else "round"
+                raise NumericalError(f"non-finite parameters at {step} {t}")
             if trace is not None:
-                trace.active.append(i)
+                trace.active.append(current)
                 trace.w.append(w.values.copy())
             if (t + 1) % cfg.eval_every == 0 or t + 1 == cfg.T:
-                rows.append(EvalRow(t + 1, comm, i, *evaluate(w, assignment, h)))
+                rows.append(EvalRow(t + 1, comm, current, *evaluate(w, assignment, h)))
         except NumericalError as e:
             record.aborted = True
             record.abort_reason = str(e)
-            rows.append(EvalRow(t + 1, comm, i, *_NAN_METRICS))
+            rows.append(EvalRow(t + 1, comm, current, *[float("nan")] * 3))
             break
     record.final_params = w
     return record
@@ -285,82 +278,27 @@ def run_lodmeta(cfg: ExperimentConfig, **overrides) -> RunRecord:
     """Token passes the model only; each client keeps its own auxiliary
     state; calibrated Gaussian noise perturbs the clipped meta-gradient
     when privacy is enabled."""
-    return _run_walk(cfg, METHOD_LODMETA, **overrides)
+    return _run(cfg, "lodmeta", **overrides)
 
 
 def run_lodmeta_basic(cfg: ExperimentConfig, **overrides) -> RunRecord:
     """A single auxiliary state travels with the token (3x communication),
     no privacy perturbation."""
-    return _run_walk(cfg, METHOD_BASIC, **overrides)
+    return _run(cfg, "lodmeta_basic", **overrides)
 
 
 def run_lodmeta_sgd(cfg: ExperimentConfig, **overrides) -> RunRecord:
     """Plain SGD outer update, token passes the model only."""
-    return _run_walk(cfg, METHOD_SGD, **overrides)
+    return _run(cfg, "lodmeta_sgd", **overrides)
 
 
-def run_centralized_maml(cfg: ExperimentConfig,
-                         assignment: ClientAssignment | None = None,
-                         w0: ParamVector | None = None) -> RunRecord:
+def run_centralized_maml(cfg: ExperimentConfig, **overrides) -> RunRecord:
     """Server-coordinated baseline: each round samples n_active training
     clients without replacement, averages their exact meta-gradients and
     applies one server-held adaptive update. Costs 2*n_active per round."""
-    cfg.validate()
-    h = cfg.hyper
-    arch = cfg.build_arch()
-    assignment = assignment if assignment is not None else cfg.build_assignment()
-    init_ss, walk_rng, _ = _streams(cfg.seed)
-    w = w0.copy() if w0 is not None else model.init_params(arch, init_ss)
-    d = w.arch.param_count
-
-    mk = MethodKind(METHOD_CENTRALIZED, cfg.n_active)
-    per_round = comm_cost(mk)
-    aux = optimizer.AuxState.zeros(d)
-    comm = 0
-    trace = Trace() if cfg.record_trace else None
-    if trace is not None:
-        trace.w.append(w.values.copy())
-    rows = [EvalRow(0, 0, -1, *evaluate(w, assignment, h))]
-    record = RunRecord(rows=rows, header=dict(config_echo(cfg)), trace=trace)
-    record.header["method.resolved"] = METHOD_CENTRALIZED
-
-    for t in range(cfg.T):
-        chosen = walk_rng.choice(assignment.n_training, size=cfg.n_active,
-                                 replace=False)
-        comm += per_round
-        try:
-            gsum = np.zeros(d)
-            with model.quiet():
-                for support, query in _client_blocks(
-                        [assignment.training[int(i)] for i in chosen], w.arch):
-                    _adapt_block(w, support, query, h, gsum=gsum)
-            g = gsum / cfg.n_active
-            aux, delta = optimizer.adam_step(aux, g, np.zeros(d), h)
-            w = w.with_values(w.values + delta)
-            if not np.all(np.isfinite(w.values)):
-                raise NumericalError(f"non-finite parameters at round {t}")
-            if trace is not None:
-                trace.active.append(-1)
-                trace.w.append(w.values.copy())
-            if (t + 1) % cfg.eval_every == 0 or t + 1 == cfg.T:
-                rows.append(EvalRow(t + 1, comm, -1, *evaluate(w, assignment, h)))
-        except NumericalError as e:
-            record.aborted = True
-            record.abort_reason = str(e)
-            rows.append(EvalRow(t + 1, comm, -1, *_NAN_METRICS))
-            break
-    record.final_params = w
-    return record
-
-
-_RUNNERS = {
-    METHOD_LODMETA: run_lodmeta,
-    METHOD_BASIC: run_lodmeta_basic,
-    METHOD_SGD: run_lodmeta_sgd,
-    METHOD_CENTRALIZED: run_centralized_maml,
-}
+    return _run(cfg, "centralized_maml", **overrides)
 
 
 def run(cfg: ExperimentConfig) -> RunRecord:
     """Dispatch on cfg.method."""
-    return _RUNNERS[cfg.method](cfg)
+    return _run(cfg, cfg.method)

@@ -94,6 +94,10 @@ class TestParse:
         with pytest.raises(ConfigError, match="topology.n"):
             parse_config_text("[topology]\nn = 10\n[clients]\nn_training = 8\n")
 
+    def test_hyper_bound_names_section(self):
+        with pytest.raises(ConfigError, match=r"^hyper: eta must be >= 0"):
+            parse_config_text("[hyper]\neta = -1\n")
+
     def test_eta_warning_when_privacy_tight(self):
         text = "[privacy]\nenabled = true\nm_meta = 10000\n"
         with pytest.warns(UserWarning, match="2/m_meta"):
@@ -170,7 +174,7 @@ class _PoolWithDeadWorker:
 
 
 class TestCmdSweep:
-    def test_dead_worker_counts_as_failed_cell(self, tmp_path, monkeypatch):
+    def test_dead_worker_counts_as_failed_cell(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "ProcessPoolExecutor", _PoolWithDeadWorker)
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(FAST_CFG)
@@ -182,6 +186,23 @@ class TestCmdSweep:
             ["lodmeta", "2", "1"], ["lodmeta_sgd", "2", "1"]]
         for line in lines[1:]:
             assert all(np.isfinite(float(f)) for f in line.split(",")[3:])
+        # "wrote" names exactly the files on disk: the dead cells wrote none
+        wrote = {os.path.basename(line.split(" ", 1)[1])
+                 for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("wrote ")}
+        assert wrote == set(os.listdir(tmp_path / "sw"))
+        assert wrote == {"exp_method-lodmeta_seed0.csv", "exp_method-lodmeta_sgd_seed0.csv",
+                         "exp_method_summary.csv"}
+
+    def test_aborted_cells_still_write(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(FAST_CFG + "\n[hyper]\neta = 1e9\n")
+        assert cli.main(["sweep", str(cfg_path), "--axis", "method",
+                         "--values", "lodmeta_sgd", "--seeds", "1",
+                         "--outdir", str(tmp_path / "sw")]) == 0
+        cell = tmp_path / "sw" / "exp_method-lodmeta_sgd_seed0.csv"
+        assert "# aborted=" in cell.read_text()
+        assert f"wrote {cell}" in capsys.readouterr().out.splitlines()
 
     def test_method_sweep(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"

@@ -254,6 +254,17 @@ class TestPrivacyIntegration:
         csv = rec.to_csv()
         assert "dp.epsilon_prime=" in csv
 
+    @pytest.mark.parametrize("method", ["lodmeta_sgd", "lodmeta_basic",
+                                        "centralized_maml"])
+    def test_no_dp_report_for_noiseless_methods(self, method):
+        # these chains add no noise, so no network-DP guarantee holds for them
+        cfg = small_cfg(method=method, n_active=2, T=4,
+                        privacy=PrivacyParams(epsilon=0.5, delta=0.3,
+                                              m_meta=1.0, enabled=True))
+        rec = simulator.run(cfg)
+        assert rec.dp_report is None
+        assert "# dp." not in rec.to_csv()
+
     def test_noise_changes_trajectory(self):
         quiet = small_cfg(T=10, record_trace=True)
         noisy = small_cfg(T=10, record_trace=True,

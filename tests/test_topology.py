@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from walkmeta import topology as topo
-from walkmeta.errors import DiagnosticError, ParameterError
+from walkmeta.errors import DiagnosticError, GenerationError, ParameterError
 
 
 def bfs_reaches_all(adj):
@@ -199,6 +201,90 @@ class TestStationary:
     def test_periodic_chain_diagnosed(self):
         tm = topo.build_transition_matrix(topo.gen_ring(4),
                                           topo.SCHEME_UNIFORM, 0.0)
+        with pytest.raises(DiagnosticError):
+            topo.stationary_distribution(tm)
+
+    def test_irreversible_kernel_rejected(self):
+        # a directed 3-cycle with laziness: doubly stochastic, so pi is
+        # uniform, but the flow around the cycle breaks detailed balance
+        P = 0.5 * np.eye(3) + 0.5 * np.roll(np.eye(3), 1, axis=1)
+        tm = topo.TransitionMatrix(P, topo.SCHEME_METROPOLIS, 0.5)
+        with pytest.raises(DiagnosticError, match="not reversible"):
+            topo.sigma2(tm)
+        with pytest.raises(DiagnosticError, match="not reversible"):
+            topo.stationary_distribution(tm)
+
+    def test_isolated_node_rejected(self):
+        # balanced, but node 0 has no neighbour, so its degree-given pi is 0
+        P = np.array([[1.0, 0, 0], [0, .5, .5], [0, .5, .5]])
+        tm = topo.TransitionMatrix(P, topo.SCHEME_UNIFORM, 0.0)
+        with pytest.raises(DiagnosticError):
+            topo.sigma2(tm)
+
+
+@st.composite
+def graphs(draw):
+    """A graph of any family the configs can name."""
+    family = draw(st.sampled_from(["ring", "star", "complete", "small_world",
+                                   "regular"]))
+    seed = draw(st.integers(0, 2**16))
+    try:
+        if family == "ring":
+            return topo.gen_ring(draw(st.integers(3, 40)))
+        if family == "star":
+            return topo.gen_star(draw(st.integers(2, 40)))
+        if family == "complete":
+            return topo.gen_complete(draw(st.integers(2, 20)))
+        if family == "small_world":
+            k = draw(st.sampled_from([2, 4, 6]))
+            return topo.gen_small_world(draw(st.integers(k + 1, 40)), k,
+                                        draw(st.floats(0.0, 1.0)), seed)
+        d = draw(st.sampled_from([3, 4]))
+        n = draw(st.integers(d + 1, 40).filter(lambda n: n * d % 2 == 0))
+        return topo.gen_regular_expander(n, d, seed)
+    except GenerationError:
+        reject()
+
+
+kernels = st.builds(topo.build_transition_matrix, graphs(),
+                    st.sampled_from([topo.SCHEME_UNIFORM, topo.SCHEME_METROPOLIS]),
+                    st.floats(0.0, 1.0, exclude_max=True))
+
+
+class TestKernelProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(kernels)
+    def test_rows_sum_to_one(self, tm):
+        assert np.max(np.abs(tm.P.sum(axis=1) - 1.0)) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(kernels)
+    def test_stationary_and_detailed_balance(self, tm):
+        if dense_sigma2(tm.P) >= 1.0 - 1e-12:  # periodic: no stationary limit
+            with pytest.raises(DiagnosticError):
+                topo.stationary_distribution(tm)
+            return
+        pi = topo.stationary_distribution(tm)
+        assert abs(pi.sum() - 1.0) < 1e-12
+        assert np.max(np.abs(pi @ tm.P - pi)) < 1e-12
+        flux = pi[:, None] * tm.P
+        assert np.max(np.abs(flux - flux.T)) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(kernels)
+    def test_sigma2_matches_eigvals_oracle(self, tm):
+        assert abs(topo.sigma2(tm) - dense_sigma2(tm.P)) < 1e-10
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(33, 100),
+           # bipartite kernels without self-loops: even rings under both
+           # schemes, stars under the uniform-neighbour walk only
+           st.sampled_from([(topo.gen_ring, topo.SCHEME_UNIFORM),
+                            (topo.gen_ring, topo.SCHEME_METROPOLIS),
+                            (topo.gen_star, topo.SCHEME_UNIFORM)]))
+    def test_periodic_chain_above_64_nodes_raises(self, half, case):
+        gen, scheme = case
+        tm = topo.build_transition_matrix(gen(2 * half), scheme, 0.0)
         with pytest.raises(DiagnosticError):
             topo.stationary_distribution(tm)
 
