@@ -10,19 +10,20 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import replace
 from functools import partial
 
 import numpy as np
 
 from . import simulator, topology
-from .config import ExperimentConfig, parse_config
+from .config import ExperimentConfig, parse_config, with_keys
 from .errors import ConfigError, NumericalError, ParameterError, WalkmetaError
 from .report import render_svg
 
 EXIT_OK, EXIT_USAGE, EXIT_NUMERICAL = 0, 1, 2
 
-_SWEEP_AXES = ("method", "epsilon", "topology")
+# sweep axis -> the config key its values set
+_SWEEP_KEYS = {"method": "method.kind", "epsilon": "privacy.epsilon",
+               "topology": "topology.family"}
 _METRICS = ("train_metric", "unseen_metric", "grad_norm_sq")
 
 
@@ -58,20 +59,15 @@ def cmd_run(args) -> int:
 
 def _sweep_cell_config(cfg: ExperimentConfig, axis: str, value: str,
                        seed_index: int) -> ExperimentConfig:
-    cfg = replace(cfg, seed=cfg.seed + seed_index)
-    if axis == "method":
-        return replace(cfg, method=value)
+    keys = {"run.seed": cfg.seed + seed_index, _SWEEP_KEYS[axis]: value}
     if axis == "epsilon":
-        return replace(cfg, privacy=replace(cfg.privacy, epsilon=float(value),
-                                            enabled=True))
-    if axis == "topology":
-        return replace(cfg, topology=replace(cfg.topology, family=value))
-    raise ConfigError(f"unknown sweep axis {axis!r}")
+        keys.update({"privacy.epsilon": float(value), "privacy.enabled": True})
+    return with_keys(cfg, keys)
 
 
 def _run_cell(job):
     value, seed_index, cfg, path = job
-    record = simulator.run(cfg.validate())
+    record = simulator.run(cfg)
     with open(path, "w", encoding="utf-8") as f:
         f.write(record.to_csv())
     last = record.rows[-1]
@@ -105,12 +101,10 @@ def cmd_sweep(args) -> int:
     jobs = []
     for value in values:
         for s in range(args.seeds):
-            cell = _sweep_cell_config(cfg, args.axis, value, s)
+            # validated here, before burning compute on any cell
+            cell = _sweep_cell_config(cfg, args.axis, value, s).validate()
             path = os.path.join(outdir, f"{stem}_{args.axis}-{value}_seed{s}.csv")
             jobs.append((value, s, cell, path))
-    # validate every cell before burning compute on any of them
-    for _, _, cell, _ in jobs:
-        cell.validate()
 
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -196,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run a grid over one axis")
     p_sweep.add_argument("config")
-    p_sweep.add_argument("--axis", required=True, choices=_SWEEP_AXES)
+    p_sweep.add_argument("--axis", required=True, choices=tuple(_SWEEP_KEYS))
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated axis values")
     p_sweep.add_argument("--seeds", type=int, default=3)

@@ -8,16 +8,19 @@ file is a complete, runnable configuration. Unknown keys are a hard error.
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import reduce
 
 from . import topology as topo
 from .errors import ConfigError, ParameterError
-from .model import HEAD_MSE, HEAD_QUADRATIC, HEAD_XENT, Arch
+from .model import HEAD_MSE, HEAD_XENT, Arch
 from .optimizer import HyperParams
 from .privacy import PrivacyParams
 from .tasks import KIND_BLOB, KIND_SINE, TaskConfig, assign_clients
 
 FAMILIES = ("small_world", "regular", "ring", "star", "complete")
+_SCHEMES = (topo.SCHEME_UNIFORM, topo.SCHEME_METROPOLIS)
 
 
 @dataclass(frozen=True)
@@ -37,6 +40,26 @@ METHOD_TABLE = {
     "lodmeta_sgd": Method(1, walks=True, aux=None, noise=False),
     "centralized_maml": Method(2, walks=False, aux="token", noise=False),
 }
+
+
+@dataclass(frozen=True)
+class MethodKind:
+    """The [method] section: a METHOD_TABLE name and n_active."""
+    kind: str
+    n_active: int = 1
+
+    def __post_init__(self):
+        if self.kind not in METHOD_TABLE:
+            raise ParameterError(
+                f"kind: must be one of {tuple(METHOD_TABLE)}, got {self.kind!r}")
+        if self.n_active < 1:
+            raise ParameterError(f"n_active: must be >= 1, got {self.n_active}")
+
+
+def comm_cost(mk: MethodKind) -> int:
+    """Relative communication units charged per iteration."""
+    method = METHOD_TABLE[mk.kind]
+    return method.units if method.walks else method.units * mk.n_active
 
 
 @dataclass(frozen=True)
@@ -106,62 +129,55 @@ class ExperimentConfig:
         return Arch(self.task.dim, hidden, out, head)
 
     def validate(self) -> "ExperimentConfig":
-        def bad(key, msg):
-            raise ConfigError(f"{key}: {msg}")
-
+        """Checks _BOUNDS and the rules that tie fields together; section
+        types check their own fields when constructed."""
+        for key, ok, bound in _BOUNDS:
+            value = reduce(getattr, _KEYS[key][0], self)
+            if not ok(value):
+                raise ConfigError(f"{key}: must be {bound}, got {value!r}")
         t = self.topology
-        if t.family not in FAMILIES:
-            bad("topology.family", f"must be one of {FAMILIES}, got {t.family!r}")
-        if t.scheme not in (topo.SCHEME_UNIFORM, topo.SCHEME_METROPOLIS):
-            bad("topology.scheme", f"unknown scheme {t.scheme!r}")
-        if not (0.0 <= t.laziness < 1.0):
-            bad("topology.laziness", f"must be in [0, 1), got {t.laziness}")
         if t.family == "small_world":
             if not (t.n > t.k >= 2):
-                bad("topology.k", f"need n > k >= 2, got n={t.n}, k={t.k}")
+                raise ConfigError(f"topology.k: need n > k >= 2, got n={t.n}, k={t.k}")
             if t.k % 2 != 0:
-                bad("topology.k", f"must be even, got {t.k}")
+                raise ConfigError(f"topology.k: must be even, got {t.k}")
             if not (0.0 <= t.p_rewire <= 1.0):
-                bad("topology.p_rewire", f"must be in [0, 1], got {t.p_rewire}")
+                raise ConfigError(f"topology.p_rewire: must be in [0, 1], got {t.p_rewire}")
         if t.family == "regular" and (t.n * t.degree) % 2 != 0:
-            bad("topology.degree", f"n*degree must be even, got n={t.n}, degree={t.degree}")
-        if self.n_training < 1:
-            bad("clients.n_training", f"must be >= 1, got {self.n_training}")
-        if self.n_unseen < 0:
-            bad("clients.n_unseen", f"must be >= 0, got {self.n_unseen}")
+            raise ConfigError("topology.degree: n*degree must be even, "
+                              f"got n={t.n}, degree={t.degree}")
         if t.n != self.n_training:
-            bad("topology.n", "the walk runs over training clients only, so "
-                f"topology.n ({t.n}) must equal clients.n_training ({self.n_training})")
-        if self.method not in METHOD_TABLE:
-            bad("method.kind",
-                f"must be one of {tuple(METHOD_TABLE)}, got {self.method!r}")
-        if self.n_active < 1:
-            bad("method.n_active", f"must be >= 1, got {self.n_active}")
-        if not METHOD_TABLE[self.method].walks and self.n_active > self.n_training:
-            bad("method.n_active", f"cannot exceed n_training ({self.n_training})")
-        if self.task.kind not in (KIND_SINE, KIND_BLOB):
-            bad("task.kind", f"must be sine or blob, got {self.task.kind!r}")
-        if self.task.shots < 1:
-            bad("task.shots", f"must be >= 1, got {self.task.shots}")
-        h = self.hyper  # HyperParams validates its own bounds on construction
+            raise ConfigError(f"topology.n: must equal clients.n_training ({self.n_training}),"
+                              f" got {t.n}; the walk runs over training clients only")
+        with _keys_of("method"):
+            method = METHOD_TABLE[MethodKind(self.method, self.n_active).kind]
+        if not method.walks and self.n_active > self.n_training:
+            raise ConfigError(f"method.n_active: cannot exceed n_training ({self.n_training})")
+        with _keys_of("model"):
+            self.build_arch()
         p = self.privacy
-        if not (0.0 < p.epsilon < 1.0):
-            bad("privacy.epsilon", f"must be in (0, 1), got {p.epsilon}")
-        if not (0.0 < p.delta < 0.5):
-            bad("privacy.delta", f"must be in (0, 1/2), got {p.delta}")
-        if p.m_meta <= 0:
-            bad("privacy.m_meta", f"must be positive, got {p.m_meta}")
-        if not (0.0 < self.delta_hat < 1.0):
-            bad("privacy.delta_hat", f"must be in (0, 1), got {self.delta_hat}")
-        if self.T < 0:
-            bad("run.T", f"must be >= 0, got {self.T}")
-        if self.eval_every < 1:
-            bad("run.eval_every", f"must be >= 1, got {self.eval_every}")
-        if p.enabled and h.eta > 2.0 / p.m_meta:
+        if p.enabled and method.noise and self.hyper.eta > 2.0 / p.m_meta:
             warnings.warn(
-                f"eta={h.eta} exceeds 2/m_meta={2.0 / p.m_meta:.6g}; the stated "
-                "privacy guarantee assumes eta <= 2/m_meta", stacklevel=2)
+                f"eta={self.hyper.eta} exceeds 2/m_meta={2.0 / p.m_meta:.6g}; the "
+                "stated privacy guarantee assumes eta <= 2/m_meta", stacklevel=2)
         return self
+
+
+# The single-field bounds that no section type checks on construction:
+# (key, test, bound as the error states it).
+_BOUNDS = (
+    ("topology.family", lambda v: v in FAMILIES, f"one of {FAMILIES}"),
+    ("topology.laziness", lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+    ("topology.scheme", lambda v: v in _SCHEMES, f"one of {_SCHEMES}"),
+    ("task.kind", lambda v: v in (KIND_SINE, KIND_BLOB), "sine or blob"),
+    ("task.shots", lambda v: v >= 1, ">= 1"),
+    ("clients.n_training", lambda v: v >= 1, ">= 1"),
+    ("clients.n_unseen", lambda v: v >= 0, ">= 0"),
+    ("privacy.delta_hat", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    ("run.T", lambda v: v >= 0, ">= 0"),
+    ("run.eval_every", lambda v: v >= 1, ">= 1"),
+    ("run.seed", lambda v: v >= 0, ">= 0"),
+)
 
 
 # ---------------------------------------------------------------------
@@ -185,54 +201,66 @@ def _parse_hidden(s: str):
 
 
 def _parse_head(s: str):
-    if s == "auto":
-        return None
-    if s not in (HEAD_MSE, HEAD_XENT, HEAD_QUADRATIC):
-        raise ValueError(f"unknown head {s!r}")
-    return s
+    return None if s == "auto" else s   # the Arch that validate builds checks it
 
 
-# key -> (parser, getter); getter extracts the value from a config for
-# serialization.
-_SCHEMA = {
-    "topology.family": (str, lambda c: c.topology.family),
-    "topology.n": (int, lambda c: c.topology.n),
-    "topology.k": (int, lambda c: c.topology.k),
-    "topology.degree": (int, lambda c: c.topology.degree),
-    "topology.p_rewire": (float, lambda c: c.topology.p_rewire),
-    "topology.laziness": (float, lambda c: c.topology.laziness),
-    "topology.scheme": (str, lambda c: c.topology.scheme),
-    "task.kind": (str, lambda c: c.task.kind),
-    "task.shots": (int, lambda c: c.task.shots),
-    "task.query_size": (int, lambda c: c.task.query_size),
-    "task.ways": (int, lambda c: c.task.ways),
-    "task.query_per_class": (int, lambda c: c.task.query_per_class),
-    "task.dim": (int, lambda c: c.task.dim),
-    "task.spread": (float, lambda c: c.task.spread),
-    "clients.n_training": (int, lambda c: c.n_training),
-    "clients.n_unseen": (int, lambda c: c.n_unseen),
-    "method.kind": (str, lambda c: c.method),
-    "method.n_active": (int, lambda c: c.n_active),
-    "model.hidden": (_parse_hidden, lambda c: "auto" if c.hidden is None
-                     else ",".join(map(str, c.hidden))),
-    "model.head": (_parse_head, lambda c: c.head or "auto"),
-    "hyper.eta": (float, lambda c: c.hyper.eta),
-    "hyper.theta": (float, lambda c: c.hyper.theta),
-    "hyper.beta": (float, lambda c: c.hyper.beta),
-    "hyper.lambda": (float, lambda c: c.hyper.lam),
-    "hyper.alpha": (float, lambda c: c.hyper.alpha),
-    "hyper.K": (int, lambda c: c.hyper.K),
-    "privacy.enabled": (_parse_bool, lambda c: str(c.privacy.enabled).lower()),
-    "privacy.epsilon": (float, lambda c: c.privacy.epsilon),
-    "privacy.delta": (float, lambda c: c.privacy.delta),
-    "privacy.m_meta": (float, lambda c: c.privacy.m_meta),
-    "privacy.delta_hat": (float, lambda c: c.delta_hat),
-    "run.T": (int, lambda c: c.T),
-    "run.eval_every": (int, lambda c: c.eval_every),
-    "run.seed": (int, lambda c: c.seed),
-    "run.output": (str, lambda c: c.output),
-    "run.record_trace": (_parse_bool, lambda c: str(c.record_trace).lower()),
+# The file's keys, section by section in file order. A row's keys set the
+# fields of the dataclass in the ExperimentConfig field it names, or
+# top-level fields when it names none; "key:field" marks a key whose field
+# is named otherwise.
+_SECTIONS = (
+    ("topology", "topology", "family n k degree p_rewire laziness scheme"),
+    ("task", "task", "kind shots query_size ways query_per_class dim spread"),
+    ("clients", "", "n_training n_unseen"),
+    ("method", "", "kind:method n_active"),
+    ("model", "", "hidden head"),
+    ("hyper", "hyper", "eta theta beta lambda:lam alpha K"),
+    ("privacy", "privacy", "enabled epsilon delta m_meta"),
+    ("privacy", "", "delta_hat"),
+    ("run", "", "T eval_every seed output record_trace"),
+)
+
+# (parser, formatter) of the keys whose text is not their field's own type
+_CODECS = {
+    "model.hidden": (_parse_hidden,
+                     lambda v: "auto" if v is None else ",".join(map(str, v))),
+    "model.head": (_parse_head, lambda v: v or "auto"),
 }
+_BOOL_CODEC = (_parse_bool, lambda v: str(v).lower())
+_DEFAULTS = ExperimentConfig()
+
+
+def _key_table() -> dict[str, tuple]:
+    """key -> (field path, parser, formatter) in file order. Except for
+    bools and the keys in _CODECS, the parser is the default's type and the
+    value is written as it is."""
+    keys = {}
+    for section, holder, row in _SECTIONS:
+        for entry in row.split():
+            name, _, fld = entry.partition(":")
+            path = (holder, fld or name) if holder else (fld or name,)
+            default = reduce(getattr, path, _DEFAULTS)
+            key = f"{section}.{name}"
+            codec = _CODECS.get(key) or (_BOOL_CODEC if isinstance(default, bool)
+                                         else (type(default), lambda v: v))
+            keys[key] = (path, *codec)
+    return keys
+
+
+_KEYS = _key_table()
+
+
+@contextmanager
+def _keys_of(section: str):
+    """Turns a section type's "field: reason" error into a ConfigError that
+    names the key as the file writes it."""
+    try:
+        yield
+    except ParameterError as e:
+        name, sep, reason = str(e).partition(": ")
+        key = next((k for k, (path, *_) in _KEYS.items() if path == (section, name)),
+                   f"{section}.{name}")
+        raise ConfigError(f"{key}: {reason}" if sep else f"{section}: {e}") from None
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -251,40 +279,25 @@ def parse_config_text(text: str) -> ExperimentConfig:
         key = key.strip()
         value = value.strip()
         full = f"{section}.{key}" if section and "." not in key else key
-        if full not in _SCHEMA:
+        if full not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {full!r}")
-        parser = _SCHEMA[full][0]
         try:
-            raw[full] = parser(value)
+            raw[full] = _KEYS[full][1](value)
         except ValueError as e:
             raise ConfigError(f"line {lineno}: bad value for {full}: {e}") from None
-    return _build(raw).validate()
+    return with_keys(_DEFAULTS, raw).validate()
 
 
-# keys whose field has another name or sits at the top level, and the
-# sections that are dataclasses of their own
-_FIELDS = {"hyper.lambda": "hyper.lam", "privacy.delta_hat": "delta_hat",
-           "method.kind": "method"}
-_NESTED = ("topology", "task", "hyper", "privacy")
-
-
-def _build(raw: dict[str, object]) -> ExperimentConfig:
-    """The default config with each parsed key set on its field."""
-    top: dict[str, object] = {}
-    nested: dict[str, dict] = {section: {} for section in _NESTED}
-    for key, value in raw.items():
-        section, _, name = _FIELDS.get(key, key).rpartition(".")
-        if section in nested:
-            nested[section][name] = value
-        else:
-            top[name] = value
-    defaults = ExperimentConfig()
-    for section, fields in nested.items():
-        try:
-            top[section] = replace(getattr(defaults, section), **fields)
-        except ParameterError as e:  # a section that checks its own bounds
-            raise ConfigError(f"{section}: {e}") from None
-    return replace(defaults, **top)
+def with_keys(cfg: ExperimentConfig, values: dict[str, object]) -> ExperimentConfig:
+    """cfg with each key's value, as its parser returns it, set on the key's
+    field; a section type's bound error names the key. Not validated."""
+    for key, value in values.items():
+        path = _KEYS[key][0]
+        if len(path) == 2:  # a field of a section's dataclass
+            with _keys_of(path[0]):
+                value = replace(getattr(cfg, path[0]), **{path[1]: value})
+        cfg = replace(cfg, **{path[0]: value})
+    return cfg
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -295,9 +308,8 @@ def parse_config(path: str) -> ExperimentConfig:
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Emit every key grouped by section; reparses to an equal config."""
     sections: dict[str, list[str]] = {}
-    for key, (_, getter) in _SCHEMA.items():
+    for key, val in config_echo(cfg).items():
         section, _, name = key.partition(".")
-        val = getter(cfg)
         sections.setdefault(section, []).append(f"{name} = {val}")
     out = []
     for section, lines in sections.items():
@@ -309,4 +321,4 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 def config_echo(cfg: ExperimentConfig) -> dict[str, object]:
     """Flat key=value view of the full config, for CSV headers."""
-    return {key: getter(cfg) for key, (_, getter) in _SCHEMA.items()}
+    return {key: fmt(reduce(getattr, path, cfg)) for key, (path, _, fmt) in _KEYS.items()}

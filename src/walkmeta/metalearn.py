@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError
 from .model import ParamVector
+from .optimizer import HyperParams
 from .tasks import TaskInstance
 
 
@@ -34,10 +35,7 @@ def trajectory(w: np.ndarray, arch: model.Arch, support, alpha: float,
     """u_0 .. u_K as raw arrays: K full-batch gradient steps on the checked
     support batch, starting from w (..., d), one row per client; and the
     gradient tapes at u_0 .. u_{K-1}."""
-    if K < 1:
-        raise ParameterError(f"K must be >= 1, got {K}")
-    if alpha < 0:
-        raise ParameterError(f"alpha must be >= 0, got {alpha}")
+    HyperParams(alpha=alpha, K=K)  # checks alpha and K
     states, tapes = [w], []
     for k in range(K):
         u, tape = model.taped_grads(states[-1], arch, *support)

@@ -34,13 +34,13 @@ class Arch:
 
     def __post_init__(self):
         if self.head not in (HEAD_MSE, HEAD_XENT, HEAD_QUADRATIC):
-            raise ParameterError(f"unknown head {self.head!r}")
+            raise ParameterError(f"head: unknown head {self.head!r}")
         layers = []
         if self.head != HEAD_QUADRATIC:
             if self.input_dim < 1 or self.output_dim < 1:
                 raise ParameterError("input_dim and output_dim must be >= 1")
             if any(w < 1 for w in self.hidden):
-                raise ParameterError("hidden widths must be positive")
+                raise ParameterError(f"hidden: widths must be positive, got {self.hidden}")
             pos = 0
             for out, inp in self.layer_dims():
                 w_end = pos + out * inp

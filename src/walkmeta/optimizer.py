@@ -26,17 +26,17 @@ class HyperParams:
 
     def __post_init__(self):
         if self.eta < 0:
-            raise ParameterError("eta must be >= 0")
+            raise ParameterError(f"eta: must be >= 0, got {self.eta}")
         if not (0.0 <= self.theta < 1.0):
-            raise ParameterError("theta must be in [0, 1)")
+            raise ParameterError(f"theta: must be in [0, 1), got {self.theta}")
         if not (0.0 <= self.beta < 1.0):
-            raise ParameterError("beta must be in [0, 1)")
+            raise ParameterError(f"beta: must be in [0, 1), got {self.beta}")
         if self.lam <= 0:
-            raise ParameterError("lam must be > 0")
+            raise ParameterError(f"lam: must be > 0, got {self.lam}")
         if self.alpha < 0:
-            raise ParameterError("alpha must be >= 0")
+            raise ParameterError(f"alpha: must be >= 0, got {self.alpha}")
         if self.K < 1:
-            raise ParameterError("K must be >= 1")
+            raise ParameterError(f"K: must be >= 1, got {self.K}")
 
 
 @dataclass(frozen=True)

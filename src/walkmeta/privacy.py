@@ -11,7 +11,7 @@ n clients; it reports, it never gates execution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,13 +25,13 @@ class PrivacyParams:
     m_meta: float = 10.0
     enabled: bool = False
 
-    def validate(self):
+    def __post_init__(self):
         if not (0.0 < self.epsilon < 1.0):
-            raise ParameterError(f"epsilon must be in (0, 1), got {self.epsilon}")
+            raise ParameterError(f"epsilon: must be in (0, 1), got {self.epsilon}")
         if not (0.0 < self.delta < 0.5):
-            raise ParameterError(f"delta must be in (0, 1/2), got {self.delta}")
+            raise ParameterError(f"delta: must be in (0, 1/2), got {self.delta}")
         if self.m_meta <= 0:
-            raise ParameterError(f"m_meta must be positive, got {self.m_meta}")
+            raise ParameterError(f"m_meta: must be positive, got {self.m_meta}")
 
 
 @dataclass(frozen=True)
@@ -45,20 +45,12 @@ class DpReport:
     delta_hat: float
 
     def as_dict(self) -> dict:
-        return {
-            "dp.epsilon_prime": self.epsilon_prime,
-            "dp.delta_total": self.delta_total,
-            "dp.n_u": self.n_u,
-            "dp.q": self.q,
-            "dp.t": self.t,
-            "dp.n": self.n,
-            "dp.delta_hat": self.delta_hat,
-        }
+        """The report's fields as `dp.<field>` CSV header keys, in order."""
+        return {f"dp.{f.name}": getattr(self, f.name) for f in fields(self)}
 
 
 def noise_sigma(pp: PrivacyParams) -> float:
     """Elementwise perturbation variance sigma^2."""
-    pp.validate()
     return 8.0 * pp.m_meta ** 2 * math.log(1.25 / pp.delta) / pp.epsilon ** 2
 
 
@@ -76,10 +68,7 @@ def account_network_dp(epsilon: float, delta: float, delta_hat: float,
                        t: int, n: int) -> DpReport:
     """Network-level (epsilon_prime, delta + delta_hat) guarantee after t
     iterations of the walk among n clients."""
-    if not (0.0 < epsilon < 1.0):
-        raise ParameterError(f"epsilon must be in (0, 1), got {epsilon}")
-    if not (0.0 < delta < 0.5):
-        raise ParameterError(f"delta must be in (0, 1/2), got {delta}")
+    PrivacyParams(epsilon, delta)  # checks epsilon and delta
     if not (0.0 < delta_hat < 1.0):
         raise ParameterError(f"delta_hat must be in (0, 1), got {delta_hat}")
     if t < 1:

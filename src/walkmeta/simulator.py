@@ -10,35 +10,17 @@ too, 2 per active client for centralized download+upload.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import metalearn, model, optimizer, privacy, topology
-from .config import METHOD_TABLE, ExperimentConfig, config_echo
+from .config import METHOD_TABLE, ExperimentConfig, MethodKind, comm_cost, config_echo
 from .errors import NumericalError, ParameterError
 from .model import HEAD_XENT, ParamVector
 from .tasks import ClientAssignment
 
 _INIT_STREAM, _WALK_STREAM, _NOISE_STREAM = 11, 13, 17
-
-
-@dataclass(frozen=True)
-class MethodKind:
-    kind: str
-    n_active: int = 1
-
-    def __post_init__(self):
-        if self.kind not in METHOD_TABLE:
-            raise ParameterError(f"unknown method {self.kind!r}")
-        if self.n_active < 1:
-            raise ParameterError("n_active must be >= 1")
-
-
-def comm_cost(mk: MethodKind) -> int:
-    """Relative communication units charged per iteration."""
-    method = METHOD_TABLE[mk.kind]
-    return method.units if method.walks else method.units * mk.n_active
 
 
 @dataclass(frozen=True)
@@ -201,8 +183,8 @@ def _run(cfg: ExperimentConfig, method: str,
          assignment: ClientAssignment | None = None,
          transition: topology.TransitionMatrix | None = None,
          w0: ParamVector | None = None) -> RunRecord:
-    """The one training loop; `method` picks the protocol's table entry."""
-    cfg.validate()
+    """The one training loop; `method` picks the table entry and is validated."""
+    replace(cfg, method=method).validate()
     spec = METHOD_TABLE[method]
     h = cfg.hyper
     arch = cfg.build_arch()

@@ -1,11 +1,15 @@
 import os
+import re
+import warnings
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from walkmeta import cli, config
+from walkmeta import cli, config, simulator
 from walkmeta.config import ExperimentConfig, parse_config_text, serialize_config
 from walkmeta.errors import ConfigError
 
@@ -31,6 +35,96 @@ T = 20
 eval_every = 10
 seed = 0
 """
+
+
+def file_keys(text: str) -> list[str]:
+    """The section.key names a config text sets, in order."""
+    keys, section = [], ""
+    for line in text.splitlines():
+        if line.startswith("["):
+            section = line[1:-1]
+        elif line:
+            keys.append(f"{section}.{line.split(' = ')[0]}")
+    return keys
+
+
+def unit_floats(lo=0.0, hi=1.0, **kw):
+    return st.floats(lo, hi, allow_nan=False, **kw)
+
+
+@st.composite
+def valid_configs(draw):
+    """Random configs that pass validate, every key drawn."""
+    family = draw(st.sampled_from(config.FAMILIES))
+    n = draw(st.integers(3, 40))
+    degree = draw(st.integers(1, n - 1))
+    assume(family != "regular" or n * degree % 2 == 0)
+    kind = draw(st.sampled_from(["sine", "blob"]))
+    method = draw(st.sampled_from(sorted(config.METHOD_TABLE)))
+    return ExperimentConfig(
+        topology=config.TopologySpec(
+            family=family, n=n, k=2 * draw(st.integers(1, (n - 1) // 2)), degree=degree,
+            p_rewire=draw(unit_floats()), laziness=draw(unit_floats(exclude_max=True)),
+            scheme=draw(st.sampled_from(["uniform", "metropolis"]))),
+        task=config.TaskConfig(
+            kind=kind, shots=draw(st.integers(1, 50)), query_size=draw(st.integers(1, 50)),
+            ways=draw(st.integers(2, 9)), query_per_class=draw(st.integers(1, 50)),
+            dim=draw(st.integers(2, 9)), spread=draw(unit_floats(0.0, 10.0))),
+        n_training=n, n_unseen=draw(st.integers(0, 20)), method=method,
+        n_active=draw(st.integers(1, n if method == "centralized_maml" else 100)),
+        hidden=draw(st.none() | st.lists(st.integers(1, 99), min_size=1, max_size=3)
+                    .map(tuple)),
+        head=draw(st.sampled_from([None, "mse", "xent", "quadratic"])),
+        hyper=config.HyperParams(
+            eta=draw(unit_floats(0.0, 1e3)), theta=draw(unit_floats(exclude_max=True)),
+            beta=draw(unit_floats(exclude_max=True)),
+            lam=draw(unit_floats(0.0, 1.0, exclude_min=True)),
+            alpha=draw(unit_floats(0.0, 10.0)), K=draw(st.integers(1, 20))),
+        privacy=config.PrivacyParams(
+            epsilon=draw(unit_floats(exclude_min=True, exclude_max=True)),
+            delta=draw(unit_floats(0.0, 0.5, exclude_min=True, exclude_max=True)),
+            m_meta=draw(unit_floats(0.0, 1e4, exclude_min=True)),
+            enabled=draw(st.booleans())),
+        delta_hat=draw(unit_floats(exclude_min=True, exclude_max=True)),
+        T=draw(st.integers(0, 10**6)), eval_every=draw(st.integers(1, 10**4)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        output=draw(st.text("abcxyz019_-./", max_size=20)),
+        record_trace=draw(st.booleans()))
+
+
+# one row per bounded key: a file with that key out of range
+OUT_OF_RANGE = [
+    ("topology.family", "[topology]\nfamily = torus\n"),
+    ("topology.laziness", "[topology]\nlaziness = 1.0\n"),
+    ("topology.scheme", "[topology]\nscheme = greedy\n"),
+    ("topology.k", "[topology]\nk = 3\n"),
+    ("topology.p_rewire", "[topology]\np_rewire = 1.5\n"),
+    ("topology.degree",
+     "[topology]\nfamily = regular\nn = 5\ndegree = 3\n[clients]\nn_training = 5\n"),
+    ("topology.n", "[topology]\nn = 10\n"),
+    ("task.kind", "[task]\nkind = spiral\n"),
+    ("task.shots", "[task]\nshots = 0\n"),
+    ("clients.n_training", "[clients]\nn_training = 0\n"),
+    ("clients.n_unseen", "[clients]\nn_unseen = -1\n"),
+    ("method.kind", "[method]\nkind = gossip\n"),
+    ("method.n_active", "[method]\nn_active = 0\n"),
+    ("method.n_active", "[method]\nkind = centralized_maml\nn_active = 21\n"),
+    ("model.hidden", "[model]\nhidden = 0\n"),
+    ("model.head", "[model]\nhead = huber\n"),
+    ("hyper.eta", "[hyper]\neta = -1\n"),
+    ("hyper.theta", "[hyper]\ntheta = 1.0\n"),
+    ("hyper.beta", "[hyper]\nbeta = -0.1\n"),
+    ("hyper.lambda", "[hyper]\nlambda = 0\n"),
+    ("hyper.alpha", "[hyper]\nalpha = -0.1\n"),
+    ("hyper.K", "[hyper]\nK = 0\n"),
+    ("privacy.epsilon", "[privacy]\nepsilon = 1.5\n"),
+    ("privacy.delta", "[privacy]\ndelta = 0.5\n"),
+    ("privacy.m_meta", "[privacy]\nm_meta = 0\n"),
+    ("privacy.delta_hat", "[privacy]\ndelta_hat = 1.0\n"),
+    ("run.T", "[run]\nT = -1\n"),
+    ("run.eval_every", "[run]\neval_every = 0\n"),
+    ("run.seed", "[run]\nseed = -1\n"),
+]
 
 
 class TestParse:
@@ -95,13 +189,36 @@ class TestParse:
             parse_config_text("[topology]\nn = 10\n[clients]\nn_training = 8\n")
 
     def test_hyper_bound_names_section(self):
-        with pytest.raises(ConfigError, match=r"^hyper: eta must be >= 0"):
+        with pytest.raises(ConfigError, match=r"^hyper\.eta: must be >= 0, got -1\.0$"):
             parse_config_text("[hyper]\neta = -1\n")
 
     def test_eta_warning_when_privacy_tight(self):
         text = "[privacy]\nenabled = true\nm_meta = 10000\n"
         with pytest.warns(UserWarning, match="2/m_meta"):
             parse_config_text(text)
+
+    @pytest.mark.parametrize("method", ["lodmeta_sgd", "lodmeta_basic",
+                                        "centralized_maml"])
+    def test_no_eta_warning_for_methods_without_noise(self, method):
+        text = f"[method]\nkind = {method}\n[privacy]\nenabled = true\nm_meta = 10000\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            parse_config_text(text)
+
+    @pytest.mark.parametrize("key,text", OUT_OF_RANGE,
+                             ids=[f"{k}-{i}" for i, (k, _) in enumerate(OUT_OF_RANGE)])
+    def test_out_of_range_names_key(self, key, text):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: "):
+            parse_config_text(text)
+
+    @settings(max_examples=150, deadline=None)
+    @given(valid_configs())
+    def test_round_trip_random_valid_configs(self, cfg):
+        text = serialize_config(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # eta above 2/m_meta is allowed
+            assert parse_config_text(text) == cfg
+        assert list(config.config_echo(cfg)) == file_keys(text)
 
 
 class TestCmdRun:
@@ -131,6 +248,13 @@ class TestCmdRun:
         p = tmp_path / "bad.cfg"
         p.write_text("[privacy]\nepsilon = 2.0\n")
         assert cli.main(["run", str(p)]) == 1
+
+    def test_negative_seed_exit_1(self, tmp_path, capsys):
+        p = tmp_path / "neg.cfg"
+        p.write_text(FAST_CFG + f"\n[run]\nseed = -1\noutput = {tmp_path}/n.csv\n")
+        assert cli.main(["run", str(p)]) == 1
+        assert "run.seed: " in capsys.readouterr().err
+        assert not (tmp_path / "n.csv").exists()
 
     def test_numerical_failure_exit_2(self, tmp_path):
         p = tmp_path / "blowup.cfg"
@@ -241,6 +365,27 @@ class TestCmdSweep:
         assert "privacy.enabled=true" in cell.lower()
         assert "dp.epsilon_prime=" in cell
 
+    def test_negative_seed_runs_no_cell(self, tmp_path, monkeypatch, capsys):
+        def run(cfg):
+            raise AssertionError("a cell ran")
+        monkeypatch.setattr(simulator, "run", run)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(FAST_CFG + "\n[run]\nseed = -1\n")
+        assert cli.main(["sweep", str(cfg_path), "--axis", "method",
+                         "--values", "lodmeta,lodmeta_sgd", "--seeds", "2",
+                         "--outdir", str(tmp_path / "sw")]) == 1
+        assert "run.seed: " in capsys.readouterr().err
+        assert not (tmp_path / "sw").exists()
+
+    def test_bad_epsilon_value_names_key(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(FAST_CFG)
+        assert cli.main(["sweep", str(cfg_path), "--axis", "epsilon",
+                         "--values", "0.5,1.5", "--seeds", "1",
+                         "--outdir", str(tmp_path / "sw")]) == 1
+        assert "error: privacy.epsilon: " in capsys.readouterr().err
+        assert not os.listdir(tmp_path / "sw")
+
     def test_empty_values_usage_error(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(FAST_CFG)
@@ -300,4 +445,7 @@ class TestConfigEcho:
         echo = config.config_echo(cfg)
         assert echo["hyper.eta"] == 0.001
         assert echo["topology.family"] == "small_world"
-        assert set(echo) == set(config._SCHEMA)
+        keys = file_keys(serialize_config(cfg))
+        assert set(echo) == set(keys)
+        for key in keys:  # the parser takes each key on its own
+            assert parse_config_text(f"{key} = {echo[key]}\n") == cfg

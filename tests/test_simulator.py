@@ -5,7 +5,7 @@ import pytest
 
 from walkmeta import model, metalearn, simulator, tasks
 from walkmeta.config import ExperimentConfig, TopologySpec
-from walkmeta.errors import ParameterError
+from walkmeta.errors import ConfigError, ParameterError
 from walkmeta.optimizer import HyperParams
 from walkmeta.privacy import PrivacyParams
 from walkmeta.simulator import MethodKind, comm_cost
@@ -213,6 +213,14 @@ class TestCentralized:
         cfg = small_cfg(method="centralized_maml", n_active=1, T=20)
         rec = simulator.run_centralized_maml(cfg)
         assert rec.rows[-1].comm_units == 40
+
+    def test_validates_the_method_that_runs(self):
+        # cfg names a walk method, for which n_active > n_training is fine;
+        # the server-sampled run must still reject it
+        cfg = small_cfg(n_active=8)
+        assert simulator.run(cfg).rows
+        with pytest.raises(ConfigError, match=r"^method\.n_active: "):
+            simulator.run_centralized_maml(cfg)
 
 
 class TestEvaluate:
