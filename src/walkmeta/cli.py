@@ -15,7 +15,7 @@ from functools import partial
 import numpy as np
 
 from . import simulator, topology
-from .config import ExperimentConfig, parse_config, with_keys
+from .config import ExperimentConfig, parse_config, parse_value, with_keys
 from .errors import ConfigError, NumericalError, ParameterError, WalkmetaError
 from .report import render_svg
 
@@ -59,9 +59,10 @@ def cmd_run(args) -> int:
 
 def _sweep_cell_config(cfg: ExperimentConfig, axis: str, value: str,
                        seed_index: int) -> ExperimentConfig:
-    keys = {"run.seed": cfg.seed + seed_index, _SWEEP_KEYS[axis]: value}
+    key = _SWEEP_KEYS[axis]
+    keys = {"run.seed": cfg.seed + seed_index, key: parse_value(key, value)}
     if axis == "epsilon":
-        keys.update({"privacy.epsilon": float(value), "privacy.enabled": True})
+        keys["privacy.enabled"] = True
     return with_keys(cfg, keys)
 
 
@@ -165,7 +166,7 @@ def cmd_report(args) -> int:
 def cmd_topo(args) -> int:
     cfg = parse_config(args.config)
     g = cfg.build_graph()
-    tm = cfg.build_transition()
+    tm = cfg.build_transition(g)
     print(f"n={g.n} edges={g.num_edges()}")
     print(f"sigma2={topology.sigma2(tm)!r}")
     try:

@@ -108,9 +108,12 @@ class ExperimentConfig:
             return topo.gen_complete(t.n)
         raise ConfigError(f"topology.family: unknown family {t.family!r}")
 
-    def build_transition(self) -> topo.TransitionMatrix:
-        return topo.build_transition_matrix(self.build_graph(),
-                                            scheme=self.topology.scheme,
+    def build_transition(self, graph: topo.Graph | None = None) -> topo.TransitionMatrix:
+        """The walk kernel on `graph`, one that build_graph made, or on a new
+        graph from build_graph."""
+        if graph is None:
+            graph = self.build_graph()
+        return topo.build_transition_matrix(graph, scheme=self.topology.scheme,
                                             laziness=self.topology.laziness)
 
     def build_assignment(self):
@@ -171,6 +174,10 @@ _BOUNDS = (
     ("topology.scheme", lambda v: v in _SCHEMES, f"one of {_SCHEMES}"),
     ("task.kind", lambda v: v in (KIND_SINE, KIND_BLOB), "sine or blob"),
     ("task.shots", lambda v: v >= 1, ">= 1"),
+    ("task.query_size", lambda v: v >= 1, ">= 1"),
+    ("task.ways", lambda v: v >= 2, ">= 2"),
+    ("task.query_per_class", lambda v: v >= 1, ">= 1"),
+    ("task.dim", lambda v: v >= 2, ">= 2"),
     ("clients.n_training", lambda v: v >= 1, ">= 1"),
     ("clients.n_unseen", lambda v: v >= 0, ">= 0"),
     ("privacy.delta_hat", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
@@ -263,6 +270,14 @@ def _keys_of(section: str):
         raise ConfigError(f"{key}: {reason}" if sep else f"{section}: {e}") from None
 
 
+def parse_value(key: str, text: str):
+    """text as the value of key, parsed as a config file's line would be."""
+    try:
+        return _KEYS[key][1](text)
+    except ValueError as e:
+        raise ConfigError(f"{key}: {e}") from None
+
+
 def parse_config_text(text: str) -> ExperimentConfig:
     raw: dict[str, object] = {}
     section = ""
@@ -282,9 +297,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if full not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {full!r}")
         try:
-            raw[full] = _KEYS[full][1](value)
-        except ValueError as e:
-            raise ConfigError(f"line {lineno}: bad value for {full}: {e}") from None
+            raw[full] = parse_value(full, value)
+        except ConfigError as e:   # "<key>: <reason>"
+            raise ConfigError(f"line {lineno}: bad value for {e}") from None
     return with_keys(_DEFAULTS, raw).validate()
 
 

@@ -30,15 +30,45 @@ class InnerTrajectory:
     K: int
 
 
-def trajectory(w: np.ndarray, arch: model.Arch, support, alpha: float,
-               K: int) -> tuple[list[np.ndarray], list[model.Tape]]:
+class Workspace:
+    """The tapes of `trajectory` and `exact_from_trajectory` for one arch,
+    support size, query size and K, with `rows` leading rows: K support
+    tapes and one query tape. Their scratch is used by one pass at a time,
+    so all share the scratch of the tape over the most examples. A call with
+    n <= rows clients uses the first n rows, and a lone (d,) vector uses row
+    0. The owner keeps it for as long as its batches keep their sizes; a
+    tape from it holds until the next call with this workspace."""
+
+    def __init__(self, arch: model.Arch, m_support: int, m_query: int, K: int,
+                 rows: int):
+        sizes = [m_support] * K + [m_query]
+        big = sizes.index(max(sizes))
+        owner = model.Tape(arch, (rows,), sizes[big])
+        tapes = [owner if i == big else model.Tape(arch, (rows,), m, share=owner)
+                 for i, m in enumerate(sizes)]
+        self._tapes, self._query = tapes[:K], tapes[K]
+        self._cuts = {}
+
+    def cut(self, lead: tuple) -> tuple[list[model.Tape], model.Tape]:
+        """(support tapes, query tape) for leading axes `lead`."""
+        cut = self._cuts.get(lead)
+        if cut is None:
+            cut = self._cuts[lead] = ([t.rows(lead) for t in self._tapes],
+                                      self._query.rows(lead))
+        return cut
+
+
+def trajectory(w: np.ndarray, arch: model.Arch, support, alpha: float, K: int,
+               ws: Workspace | None = None) -> tuple[list[np.ndarray], list[model.Tape]]:
     """u_0 .. u_K as raw arrays: K full-batch gradient steps on the checked
     support batch, starting from w (..., d), one row per client; and the
-    gradient tapes at u_0 .. u_{K-1}."""
+    gradient tapes at u_0 .. u_{K-1}, from `ws` when given. The states are
+    new arrays."""
     HyperParams(alpha=alpha, K=K)  # checks alpha and K
+    given = ws.cut(w.shape[:-1])[0] if ws is not None else [None] * K
     states, tapes = [w], []
     for k in range(K):
-        u, tape = model.taped_grads(states[-1], arch, *support)
+        u, tape = model.taped_grads(states[-1], arch, *support, given[k])
         tapes.append(tape)
         u *= alpha
         np.subtract(states[-1], u, out=u)
@@ -49,13 +79,17 @@ def trajectory(w: np.ndarray, arch: model.Arch, support, alpha: float,
 
 
 def exact_from_trajectory(states: list[np.ndarray], tapes: list, arch: model.Arch,
-                          query, alpha: float) -> np.ndarray:
+                          query, alpha: float, ws: Workspace | None = None) -> np.ndarray:
     """Exact meta-gradient rows: the query gradient at u_K pulled back
     through the (I - alpha * Hessian) factors of the trajectory, one exact
-    HVP over each of its tapes."""
-    g = model.grads(states[-1], arch, *query)
+    HVP over each of its tapes. The query pass writes the query tape of
+    `ws` when given; the result is a new array."""
+    qtape = ws.cut(states[-1].shape[:-1])[1] if ws is not None else None
+    g = model.taped_grads(states[-1], arch, *query, qtape)[0]
     for tape in reversed(tapes):
-        g -= alpha * model.hvps(tape, g)
+        hv = model.hvps(tape, g)
+        hv *= alpha
+        g -= hv
     if not np.isfinite(g).all():
         raise NumericalError("non-finite meta-gradient")
     return g

@@ -10,8 +10,8 @@ ignoring the batch contents).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -101,6 +101,9 @@ def init_params(arch: Arch, seed) -> ParamVector:
 # with the same operations, in the same order, as a lone (d,) vector, so a
 # block of clients gives each client's result bit for bit. Reductions that
 # numpy would order differently along an axis (means, norms) run per row.
+# The (..., m, width) arrays of a pass are written through out= into a Tape,
+# which a caller can keep and reuse: the same operations as on fresh arrays,
+# so the same bits, without allocating.
 
 def quiet():
     """Overflow surfaces as NumericalError via the finiteness checks, not
@@ -147,37 +150,95 @@ def _layer_views(values: np.ndarray, arch: Arch) -> list:
             for out, inp, ws, bs in arch.layers]
 
 
-def _forward(values: np.ndarray, arch: Arch, x: np.ndarray):
-    """(per-layer (W, b) views, activations entering each layer, final
-    pre-activation z of shape (..., m, output_dim))."""
-    layers = _layer_views(values, arch)
-    hs = [x]
-    for W, b in layers[:-1]:
-        z = hs[-1] @ W.swapaxes(-1, -2)
+class Tape:
+    """The arrays of one gradient pass over m examples with leading axes
+    `lead`, which `taped_grads` and `hvps` write through `out=` instead of
+    allocating. The tape proper is what an HVP at the same point and batch
+    reads: the (W, b) views of the point, the activations `hs` entering each
+    layer, the output `delta`, the softmax `probs` (xent) and, per hidden
+    layer li, `backs[li]`, the backward product delta @ W before tanh'. The
+    rest is scratch. A tape may take arrays from a source tape with the same
+    leading axes over at least m examples, each as a prefix of the source's
+    array: its scratch from `share`, so tapes never written at the same time
+    pay for one scratch, or all of them from `within` (see `rows`). Contents
+    hold until the next call that writes this tape or one sharing them."""
+
+    def __init__(self, arch: Arch, lead: tuple = (), m: int = 0,
+                 share: Tape | None = None, within: Tape | None = None):
+        share = within or share
+        self.arch, self.m, self.layers = arch, m, ()
+        self._own, self._scratch = [], []
+
+        def taker(store, source):
+            """Makes each array new, or as the next array of source cut to
+            its shape, and records it in store."""
+            def take(*shape, dtype=float):
+                shape = lead + shape
+                store.append(np.empty(shape, dtype) if source is None else
+                             next(source).reshape(-1)[:math.prod(shape)].reshape(shape))
+                return store[-1]
+            return take
+
+        own = taker(self._own, iter(within._own) if within is not None else None)
+        scratch = taker(self._scratch, iter(share._scratch) if share is not None else None)
+        outs = [out for out, *_ in arch.layers]
+        hidden = outs[:-1]
+        xent = arch.head == HEAD_XENT
+        self.hs = [None] + [own(m, w) for w in hidden]   # hs[0] is the batch input
+        self.backs = [None] + [own(m, w) for w in hidden]
+        self.delta = own(m, arch.output_dim)
+        self.probs = own(m, arch.output_dim) if xent else None
+        self.z = scratch(m, arch.output_dim)
+        self.tmp = [scratch(m, w) for w in outs]               # one per layer output
+        self.dtanh = [None] + [scratch(m, w) for w in hidden]  # 1 - h^2 of hs[li]
+        self.rhs = [None] + [scratch(m, w) for w in outs]      # R(h) entering li; R(z)
+        self.rdelta = [None] + [scratch(m, w) for w in hidden]
+        self.wtmp = [None] + [scratch(out, inp) for out, inp, *_ in arch.layers[1:]]
+        self.mask = scratch(m, arch.output_dim, dtype=bool) if xent else None
+        self.outs = self.hs[1:] + [self.z]   # where each layer's pre-activation goes
+
+    @classmethod
+    def fresh(cls, arch: Arch, x: np.ndarray) -> Tape:
+        """A tape for the batch input x (..., m, input_dim)."""
+        return cls(arch, x.shape[:-2], x.shape[-2])
+
+    def rows(self, lead: tuple) -> Tape:
+        """A view of this (rows, ...) tape's first lead[0] rows, or of row 0
+        when lead is ()."""
+        return Tape(self.arch, lead, self.m, within=self)
+
+
+def _forward(values: np.ndarray, arch: Arch, x: np.ndarray, tape: Tape) -> np.ndarray:
+    """Runs the forward pass into the tape: its (W, b) views of values and
+    the activations entering each layer; returns the final pre-activation z
+    (..., m, output_dim), which is scratch."""
+    tape.layers = _layer_views(values, arch)
+    tape.hs[0] = x
+    for li, ((W, b), z) in enumerate(zip(tape.layers, tape.outs)):
+        np.matmul(tape.hs[li], W.swapaxes(-1, -2), out=z)
         z += b
-        hs.append(np.tanh(z, out=z))
-    W, b = layers[-1]
-    z = hs[-1] @ W.swapaxes(-1, -2)
-    z += b
-    return layers, hs, z
+        if li + 1 < len(tape.hs):
+            np.tanh(z, out=z)
+    return z
 
 
-def _finite_forward(values, arch, x):
-    out = _forward(values, arch, x)
-    if not np.isfinite(out[2]).all():
+def _finite_forward(values, arch, x, tape):
+    z = _forward(values, arch, x, tape)
+    if not np.isfinite(z).all():
         raise NumericalError("non-finite forward values")
-    return out
+    return z
 
 
 def _per_row_mean(a: np.ndarray, lead: tuple) -> list[float]:
     return [float(np.mean(r)) for r in a.reshape((-1,) + a.shape[len(lead):])]
 
 
-def losses(values: np.ndarray, arch: Arch, x, t) -> list[float]:
-    """Mean batch loss of each row of values (flattened leading axes)."""
+def losses(values: np.ndarray, arch: Arch, x, t, tape: Tape | None = None) -> list[float]:
+    """Mean batch loss of each row of values (flattened leading axes); the
+    forward pass writes `tape` when given."""
     if arch.head == HEAD_QUADRATIC:
         return [0.5 * float(r @ r) for r in values.reshape(-1, values.shape[-1])]
-    z = _finite_forward(values, arch, x)[2]
+    z = _finite_forward(values, arch, x, tape or Tape.fresh(arch, x))
     lead = z.shape[:-2]
     if arch.head == HEAD_MSE:
         return _per_row_mean((z - t) ** 2, lead)
@@ -187,40 +248,35 @@ def losses(values: np.ndarray, arch: Arch, x, t) -> list[float]:
     return _per_row_mean(logsumexp - picked, lead)
 
 
-def predictions(values: np.ndarray, arch: Arch, x) -> np.ndarray:
-    """Network output z (..., m, output_dim), unchecked."""
-    return _forward(values, arch, x)[2]
+def predictions(values: np.ndarray, arch: Arch, x, tape: Tape | None = None) -> np.ndarray:
+    """Network output z (..., m, output_dim), unchecked; with `tape` given,
+    z is its scratch and holds until the tape is next written."""
+    return _forward(values, arch, x, tape or Tape.fresh(arch, x))
 
 
-class Tape(NamedTuple):
-    """What one gradient call leaves for Hessian-vector products at the same
-    point and batch: the (W, b) views, the activations entering each layer,
-    the output delta, the softmax probabilities (xent) and, per hidden layer
-    from the top, the backward product delta @ W before tanh'."""
-    arch: Arch
-    layers: Sequence = ()
-    hs: Sequence = ()
-    delta: np.ndarray | None = None
-    probs: np.ndarray | None = None
-    backs: Sequence = ()
-
-
-def taped_grads(values: np.ndarray, arch: Arch, x, t) -> tuple[np.ndarray, Tape]:
-    """Gradient of each row's mean batch loss, shape (..., d), and its tape."""
+def taped_grads(values: np.ndarray, arch: Arch, x, t,
+                tape: Tape | None = None) -> tuple[np.ndarray, Tape]:
+    """Gradient of each row's mean batch loss, shape (..., d), and the tape,
+    written into `tape` when given. The gradient is a new array."""
     if arch.head == HEAD_QUADRATIC:
-        return values.copy(), Tape(arch)
-    layers, hs, z = _finite_forward(values, arch, x)
+        return values.copy(), tape or Tape(arch)
+    tape = tape or Tape.fresh(arch, x)
+    z = _finite_forward(values, arch, x, tape)
+    hs, layers = tape.hs, tape.layers
     m = z.shape[-2]
-    probs = None
+    delta = tape.delta
     if arch.head == HEAD_MSE:
-        resid = z - t
-        delta = 2.0 * resid / (m * arch.output_dim)
+        np.subtract(z, t, out=delta)
+        delta *= 2.0
+        delta /= m * arch.output_dim
     else:  # softmax cross-entropy
-        zs = z - z.max(axis=-1, keepdims=True)
-        logsumexp = np.log(np.exp(zs).sum(axis=-1))
-        probs = np.exp(zs - logsumexp[..., None])
-        delta = (probs - (t[..., None] == np.arange(arch.output_dim))) / m
-    tape = Tape(arch, layers, hs, delta, probs, [])
+        np.subtract(z, z.max(axis=-1, keepdims=True), out=z)
+        logsumexp = np.log(np.exp(z, out=tape.probs).sum(axis=-1))
+        probs = np.subtract(z, logsumexp[..., None], out=tape.probs)
+        np.exp(probs, out=probs)
+        np.subtract(probs, np.equal(t[..., None], np.arange(arch.output_dim),
+                                    out=tape.mask), out=delta)
+        delta /= m
     lead = z.shape[:-2]
     g = np.empty(lead + values.shape[-1:])
     for li in range(len(layers) - 1, -1, -1):
@@ -230,9 +286,10 @@ def taped_grads(values: np.ndarray, arch: Arch, x, t) -> tuple[np.ndarray, Tape]
                   out=g[..., ws].reshape(lead + (out, inp)))
         g[..., bs] = np.add.reduce(delta, axis=-2)
         if li > 0:
-            back = delta @ layers[li][0]
-            tape.backs.append(back)
-            delta = back * (1.0 - np.square(hs[li]))   # tanh' = 1 - h^2
+            back = np.matmul(delta, layers[li][0], out=tape.backs[li])
+            dtanh = np.square(hs[li], out=tape.dtanh[li])
+            np.subtract(1.0, dtanh, out=dtanh)                # tanh' = 1 - h^2
+            delta = np.multiply(back, dtanh, out=dtanh)
     return g, tape
 
 
@@ -244,30 +301,35 @@ def grads(values: np.ndarray, arch: Arch, x, t) -> np.ndarray:
 def hvps(tape: Tape, v: np.ndarray) -> np.ndarray:
     """Exact Hessian-vector product of each row (Pearlmutter's R-operator):
     the directional derivative along v (..., d) of the taped forward and
-    backward passes, computed from the tape without a new gradient call."""
+    backward passes, computed from the tape without a new gradient call. The
+    product is a new array; the tape's scratch is overwritten."""
     arch = tape.arch
     if arch.head == HEAD_QUADRATIC:
         return v.copy()
     lead = v.shape[:-1]
     dirs = _layer_views(v, arch)
-    hs, layers = tape.hs, tape.layers
-    dtanhs = [None] + [1.0 - np.square(h) for h in hs[1:]]
+    hs, layers, rhs, tmp = tape.hs, tape.layers, tape.rhs, tape.tmp
+    dtanhs = [None] + [np.subtract(1.0, np.square(h, out=d), out=d)
+                       for h, d in zip(hs[1:], tape.dtanh[1:])]
     # R-forward: rhs[li] = R(h) entering layer li; the input x has none
-    rhs = [None]
     for li, ((W, _), (VW, Vb)) in enumerate(zip(layers, dirs)):
-        rz = hs[li] @ VW.swapaxes(-1, -2)
+        rz = np.matmul(hs[li], VW.swapaxes(-1, -2), out=rhs[li + 1])
         rz += Vb
         if li > 0:
-            rz += rhs[li] @ W.swapaxes(-1, -2)
+            rz += np.matmul(rhs[li], W.swapaxes(-1, -2), out=tmp[li])
         if li + 1 < len(layers):
             rz *= dtanhs[li + 1]
-            rhs.append(rz)
     m = rz.shape[-2]
+    rdelta = rz
     if arch.head == HEAD_MSE:
-        rdelta = 2.0 * rz / (m * arch.output_dim)
+        rdelta *= 2.0
+        rdelta /= m * arch.output_dim
     else:  # R(softmax) = p * (Rz - <p, Rz>)
         p = tape.probs
-        rdelta = p * (rz - np.sum(p * rz, axis=-1, keepdims=True)) / m
+        pr = np.sum(np.multiply(p, rz, out=tmp[-1]), axis=-1, keepdims=True)
+        rdelta -= pr
+        rdelta *= p
+        rdelta /= m
     # R-backward over the taped deltas
     delta = tape.delta
     hv = np.empty(lead + v.shape[-1:])
@@ -277,14 +339,18 @@ def hvps(tape: Tape, v: np.ndarray) -> np.ndarray:
         np.matmul(rdelta.swapaxes(-1, -2), hs[li], out=hw)
         hv[..., bs] = np.add.reduce(rdelta, axis=-2)
         if li > 0:
-            hw += delta.swapaxes(-1, -2) @ rhs[li]
-            back = tape.backs[len(layers) - 1 - li]
-            rdelta = rdelta @ layers[li][0]
-            rdelta += delta @ dirs[li][0]
+            hw += np.matmul(delta.swapaxes(-1, -2), rhs[li], out=tape.wtmp[li])
+            back = tape.backs[li]
+            rdelta = np.matmul(rdelta, layers[li][0], out=tape.rdelta[li])
+            rdelta += np.matmul(delta, dirs[li][0], out=tmp[li - 1])
             rdelta *= dtanhs[li]
             # R(tanh') = -2 h R(h)
-            rdelta -= 2.0 * hs[li] * rhs[li] * back
-            delta = back * dtanhs[li]
+            r = np.multiply(2.0, hs[li], out=tmp[li - 1])
+            r *= rhs[li]
+            r *= back
+            rdelta -= r
+            # tanh' at li is not read again
+            delta = np.multiply(back, dtanhs[li], out=dtanhs[li])
     return hv
 
 

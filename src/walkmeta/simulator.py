@@ -96,79 +96,109 @@ def read_run_csv(text: str) -> tuple[dict, list[EvalRow]]:
 _CLIENT_BLOCK = 4
 
 
-def _client_blocks(tasks, arch: model.Arch):
-    """Checked batches of tasks stacked in runs of at most _CLIENT_BLOCK
-    clients whose batch shapes agree; yields (support, query) per run."""
-    checked = [(model.check_batch(arch, t.support), model.check_batch(arch, t.query))
-               for t in tasks]
+class _Clients:
+    """A set of clients prepared once for many adaptations: each client's
+    checked (support, query) batches and the workspace for their sizes (one
+    per distinct pair of sizes, normally one), keyed by client id, and the
+    evaluation blocks."""
 
+    def __init__(self, assignment: ClientAssignment, arch: model.Arch, K: int):
+        workspaces = {}
+
+        def prepare(task):
+            support = model.check_batch(arch, task.support)
+            query = model.check_batch(arch, task.query)
+            sizes = (len(support[0]), len(query[0]))
+            if sizes not in workspaces:
+                workspaces[sizes] = metalearn.Workspace(arch, *sizes, K, _CLIENT_BLOCK)
+            return support, query, workspaces[sizes]
+
+        self.training = {cid: prepare(t) for cid, t in assignment.training.items()}
+        self.training_blocks = list(_client_blocks(list(self.training.values())))
+        self.unseen_blocks = list(_client_blocks([prepare(t) for t in
+                                                  assignment.unseen.values()]))
+
+
+def _client_blocks(clients: list):
+    """Prepared clients stacked in runs of at most _CLIENT_BLOCK whose batch
+    shapes agree; yields (support, query, workspace) per run."""
     def shapes(c):
-        return [a.shape for batch in c for a in batch if a is not None]
+        return [a.shape for batch in c[:2] for a in batch if a is not None]
 
     start = 0
-    while start < len(checked):
+    while start < len(clients):
         stop = start + 1
-        while (stop < len(checked) and stop - start < _CLIENT_BLOCK
-               and shapes(checked[stop]) == shapes(checked[start])):
+        while (stop < len(clients) and stop - start < _CLIENT_BLOCK
+               and shapes(clients[stop]) == shapes(clients[start])):
             stop += 1
-        yield (model.stack_batches([c[0] for c in checked[start:stop]]),
-               model.stack_batches([c[1] for c in checked[start:stop]]))
+        yield (model.stack_batches([c[0] for c in clients[start:stop]]),
+               model.stack_batches([c[1] for c in clients[start:stop]]),
+               clients[start][2])
         start = stop
 
 
-def _adapt_block(w: ParamVector, support, query, h: optimizer.HyperParams,
-                 metrics: list | None = None, gsum: np.ndarray | None = None):
+def _adapt_block(w: ParamVector, support, query, ws: metalearn.Workspace,
+                 h: optimizer.HyperParams, metrics: list | None = None,
+                 gsum: np.ndarray | None = None):
     """Adapts a block of clients from w. When given, appends each client's
     adapted query metric to `metrics` and adds each client's exact
     meta-gradient to `gsum`, in client order; one inner trajectory per
-    client serves both. Nothing of the block outlives the call, so two
-    blocks never hold memory at once."""
+    client serves both."""
     n = len(support[0])
     states, tapes = metalearn.trajectory(
-        np.broadcast_to(w.values, (n, w.values.size)), w.arch, support, h.alpha, h.K)
+        np.broadcast_to(w.values, (n, w.values.size)), w.arch, support, h.alpha, h.K, ws)
     if metrics is not None:
-        metrics += _query_metrics(states[-1], w.arch, query)
+        metrics += _query_metrics(states[-1], w.arch, query, ws.cut((n,))[1])
     if gsum is not None:
         for row in metalearn.exact_from_trajectory(states, tapes, w.arch, query,
-                                                   h.alpha):
+                                                   h.alpha, ws):
             gsum += row
 
 
-def _mean_meta_gradient(w: ParamVector, tasks, h: optimizer.HyperParams) -> np.ndarray:
-    """The exact meta-gradient averaged over tasks; several tasks run in
-    client blocks, one task without the block's stacking overhead."""
-    if len(tasks) == 1:
-        return metalearn.meta_gradient_exact(w, tasks[0], h.alpha, h.K).values
-    gsum = np.zeros_like(w.values)
+def _mean_meta_gradient(w: ParamVector, clients: list,
+                        h: optimizer.HyperParams) -> np.ndarray:
+    """The exact meta-gradient averaged over prepared clients; several run
+    in client blocks, one as a lone vector without the block's stacking."""
     with model.quiet():
-        for support, query in _client_blocks(tasks, w.arch):
-            _adapt_block(w, support, query, h, gsum=gsum)
-    return gsum / len(tasks)
+        if len(clients) == 1:
+            support, query, ws = clients[0]
+            states, tapes = metalearn.trajectory(w.values, w.arch, support,
+                                                 h.alpha, h.K, ws)
+            return metalearn.exact_from_trajectory(states, tapes, w.arch, query,
+                                                   h.alpha, ws)
+        gsum = np.zeros_like(w.values)
+        for block in _client_blocks(clients):
+            _adapt_block(w, *block, h, gsum=gsum)
+    return gsum / len(clients)
 
 
-def _query_metrics(u: np.ndarray, arch: model.Arch, query) -> list[float]:
+def _query_metrics(u: np.ndarray, arch: model.Arch, query, tape: model.Tape) -> list[float]:
     """Adapted query metric per row of u: accuracy for xent, else the loss."""
     x, t = query
     if arch.head == HEAD_XENT:
-        preds = model.predictions(u, arch, x).argmax(axis=-1)
+        preds = model.predictions(u, arch, x, tape).argmax(axis=-1)
         return [float(np.mean(p == labels)) for p, labels in zip(preds, t)]
-    return model.losses(u, arch, x, t)
+    return model.losses(u, arch, x, t, tape)
 
 
 def evaluate(w: ParamVector, assignment: ClientAssignment,
-             h: optimizer.HyperParams) -> tuple[float, float, float]:
+             h: optimizer.HyperParams, clients: _Clients | None = None
+             ) -> tuple[float, float, float]:
     """(mean adapted query metric on training clients, same on unseen
-    clients, squared norm of the averaged exact meta-gradient)."""
+    clients, squared norm of the averaged exact meta-gradient). `clients`
+    is assignment prepared once by the caller; without it the batches are
+    checked and a workspace made for this call."""
     def mean(vals):
         return float(np.mean(vals)) if vals else float("nan")
 
+    clients = clients or _Clients(assignment, w.arch, h.K)
     train, unseen = [], []
     gsum = np.zeros_like(w.values)
     with model.quiet():
-        for support, query in _client_blocks(assignment.training.values(), w.arch):
-            _adapt_block(w, support, query, h, train, gsum)
-        for support, query in _client_blocks(assignment.unseen.values(), w.arch):
-            _adapt_block(w, support, query, h, unseen)
+        for block in clients.training_blocks:
+            _adapt_block(w, *block, h, train, gsum)
+        for block in clients.unseen_blocks:
+            _adapt_block(w, *block, h, unseen)
         gmean = gsum / assignment.n_training
         gnorm_sq = float(gmean @ gmean)
     if not np.isfinite(gnorm_sq):
@@ -199,6 +229,7 @@ def _run(cfg: ExperimentConfig, method: str,
     noise_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _NOISE_STREAM]))
     w = w0.copy() if w0 is not None else model.init_params(arch, init_ss)
     d = w.arch.param_count
+    prepared = _Clients(assignment, w.arch, h.K)
 
     per_iter = comm_cost(MethodKind(method, cfg.n_active))
     noisy = spec.noise and cfg.privacy.enabled
@@ -209,7 +240,7 @@ def _run(cfg: ExperimentConfig, method: str,
     current = int(walk_rng.integers(n)) if spec.walks else -1
     comm = 0
     trace = Trace(w=[w.values.copy()]) if cfg.record_trace else None
-    rows = [EvalRow(0, 0, current, *evaluate(w, assignment, h))]
+    rows = [EvalRow(0, 0, current, *evaluate(w, assignment, h, prepared))]
     dp_report = None
     if noisy and cfg.T >= 1:  # the report covers only the chain that adds noise
         dp_report = privacy.account_network_dp(cfg.privacy.epsilon, cfg.privacy.delta,
@@ -226,7 +257,7 @@ def _run(cfg: ExperimentConfig, method: str,
             clients = walk_rng.choice(n, size=cfg.n_active, replace=False)
         comm += per_iter
         try:
-            g = _mean_meta_gradient(w, [assignment.training[int(i)] for i in clients], h)
+            g = _mean_meta_gradient(w, [prepared.training[int(i)] for i in clients], h)
             if noisy:
                 g = optimizer.clip(g, cfg.privacy.m_meta)
                 noise = privacy.sample_perturbation(sigma2, d, noise_rng)
@@ -246,7 +277,8 @@ def _run(cfg: ExperimentConfig, method: str,
                 trace.active.append(current)
                 trace.w.append(w.values.copy())
             if (t + 1) % cfg.eval_every == 0 or t + 1 == cfg.T:
-                rows.append(EvalRow(t + 1, comm, current, *evaluate(w, assignment, h)))
+                rows.append(EvalRow(t + 1, comm, current,
+                                    *evaluate(w, assignment, h, prepared)))
         except NumericalError as e:
             record.aborted = True
             record.abort_reason = str(e)

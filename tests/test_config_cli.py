@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from walkmeta import cli, config, simulator
+from walkmeta import cli, config, simulator, topology
 from walkmeta.config import ExperimentConfig, parse_config_text, serialize_config
 from walkmeta.errors import ConfigError
 
@@ -124,6 +124,10 @@ OUT_OF_RANGE = [
     ("run.T", "[run]\nT = -1\n"),
     ("run.eval_every", "[run]\neval_every = 0\n"),
     ("run.seed", "[run]\nseed = -1\n"),
+    ("task.query_size", "[task]\nquery_size = 0\n"),
+    ("task.ways", "[task]\nkind = blob\nways = 1\n"),
+    ("task.query_per_class", "[task]\nkind = blob\nquery_per_class = 0\n"),
+    ("task.dim", "[task]\nkind = blob\ndim = 1\n"),
 ]
 
 
@@ -386,6 +390,28 @@ class TestCmdSweep:
         assert "error: privacy.epsilon: " in capsys.readouterr().err
         assert not os.listdir(tmp_path / "sw")
 
+    def test_non_number_epsilon_names_key(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(FAST_CFG)
+        assert cli.main(["sweep", str(cfg_path), "--axis", "epsilon",
+                         "--values", "0.5,abc", "--seeds", "1",
+                         "--outdir", str(tmp_path / "sw")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: privacy.epsilon: ") and "Traceback" not in err
+        assert not os.listdir(tmp_path / "sw")
+
+    def test_bad_task_value_runs_no_cell(self, tmp_path, monkeypatch, capsys):
+        def run(cfg):
+            raise AssertionError("a cell ran")
+        monkeypatch.setattr(simulator, "run", run)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(FAST_CFG + "\n[task]\nquery_size = 0\n")
+        assert cli.main(["sweep", str(cfg_path), "--axis", "method",
+                         "--values", "lodmeta,lodmeta_sgd", "--seeds", "2",
+                         "--outdir", str(tmp_path / "sw")]) == 1
+        assert "error: task.query_size: " in capsys.readouterr().err
+        assert not (tmp_path / "sw").exists()
+
     def test_empty_values_usage_error(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(FAST_CFG)
@@ -437,6 +463,17 @@ class TestCmdTopo:
         assert "n=6 edges=6" in out
         assert "sigma2=" in out
         assert "stationary=" in out
+
+    def test_builds_graph_once(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        real = topology.gen_small_world
+        monkeypatch.setattr(topology, "gen_small_world",
+                            lambda *a: calls.append(a) or real(*a))
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text("[topology]\nfamily = small_world\nn = 8\nk = 4\n"
+                            "[clients]\nn_training = 8\n")
+        assert cli.main(["topo", str(cfg_path)]) == 0
+        assert len(calls) == 1
 
 
 class TestConfigEcho:
