@@ -9,15 +9,12 @@ differential privacy, with a closed-form accountant.
 """
 
 from .config import ExperimentConfig, TopologySpec, parse_config, serialize_config
-from .metalearn import (adapt_unseen, inner_loop, meta_gradient_exact,
-                        meta_gradient_fo, meta_loss)
+from .metalearn import adapt_unseen, inner_loop, meta_gradient_exact, meta_loss
 from .model import Arch, ParamVector, grad, hvp, init_params, loss
 from .optimizer import AuxState, HyperParams, adam_step, clip, sgd_step
 from .privacy import (DpReport, PrivacyParams, account_network_dp, noise_sigma,
                       sample_perturbation)
-from .simulator import (MethodKind, RunRecord, comm_cost, evaluate, run,
-                        run_centralized_maml, run_lodmeta, run_lodmeta_basic,
-                        run_lodmeta_sgd)
+from .simulator import MethodKind, RunRecord, comm_cost, evaluate, run
 from .tasks import (ClientAssignment, TaskConfig, TaskInstance, assign_clients,
                     gen_blob_task, gen_sine_task)
 from .topology import (Graph, TransitionMatrix, build_transition_matrix,

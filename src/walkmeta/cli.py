@@ -1,6 +1,6 @@
 """Command-line entry points: run, sweep, report, topo.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 numerical failure.
+Exit codes: 0 success, 1 usage or library error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from . import simulator, topology
 from .config import ExperimentConfig, parse_config, parse_value, with_keys
-from .errors import ConfigError, NumericalError, ParameterError, WalkmetaError
+from .errors import NumericalError, WalkmetaError
 from .report import render_svg
 
 EXIT_OK, EXIT_USAGE, EXIT_NUMERICAL = 0, 1, 2
@@ -149,7 +149,7 @@ def cmd_report(args) -> int:
         try:
             with open(path, "r", encoding="utf-8") as f:
                 _, rows = simulator.read_run_csv(f.read())
-        except (OSError, ValueError, ParameterError) as e:
+        except (OSError, ValueError) as e:
             print(f"report: cannot read {path}: {e}", file=sys.stderr)
             return EXIT_USAGE
         label = os.path.splitext(os.path.basename(path))[0]
@@ -215,12 +215,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ParameterError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
     except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except (WalkmetaError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

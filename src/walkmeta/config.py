@@ -139,16 +139,8 @@ class ExperimentConfig:
             if not ok(value):
                 raise ConfigError(f"{key}: must be {bound}, got {value!r}")
         t = self.topology
-        if t.family == "small_world":
-            if not (t.n > t.k >= 2):
-                raise ConfigError(f"topology.k: need n > k >= 2, got n={t.n}, k={t.k}")
-            if t.k % 2 != 0:
-                raise ConfigError(f"topology.k: must be even, got {t.k}")
-            if not (0.0 <= t.p_rewire <= 1.0):
-                raise ConfigError(f"topology.p_rewire: must be in [0, 1], got {t.p_rewire}")
-        if t.family == "regular" and (t.n * t.degree) % 2 != 0:
-            raise ConfigError("topology.degree: n*degree must be even, "
-                              f"got n={t.n}, degree={t.degree}")
+        with _keys_of("topology"):
+            topo.check_family(t.family, t.n, t.k, t.degree, t.p_rewire)
         if t.n != self.n_training:
             raise ConfigError(f"topology.n: must equal clients.n_training ({self.n_training}),"
                               f" got {t.n}; the walk runs over training clients only")

@@ -12,7 +12,7 @@ new forward pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -21,13 +21,6 @@ from .errors import NumericalError
 from .model import ParamVector
 from .optimizer import HyperParams
 from .tasks import TaskInstance
-
-
-@dataclass(frozen=True)
-class InnerTrajectory:
-    states: list[ParamVector]  # u_0 .. u_K
-    alpha: float
-    K: int
 
 
 class Workspace:
@@ -95,45 +88,37 @@ def exact_from_trajectory(states: list[np.ndarray], tapes: list, arch: model.Arc
     return g
 
 
-def inner_loop(w: ParamVector, support, alpha: float, K: int) -> InnerTrajectory:
-    """K full-batch gradient steps on the support set, starting from w."""
+@contextmanager
+def _adapting(w: ParamVector, support, alpha: float, K: int):
+    """Checks the support batch and yields `trajectory` from w, (states,
+    tapes); the array core stays quiet until the block ends."""
     support = model.check_batch(w.arch, support)
     with model.quiet():
-        states = trajectory(w.values, w.arch, support, alpha, K)[0]
-    return InnerTrajectory(states=[w.copy()] + [w.with_values(u) for u in states[1:]],
-                           alpha=alpha, K=K)
+        yield trajectory(w.values, w.arch, support, alpha, K)
+
+
+def inner_loop(w: ParamVector, support, alpha: float, K: int) -> list[ParamVector]:
+    """u_0 .. u_K: K full-batch gradient steps on the support set from w."""
+    with _adapting(w, support, alpha, K) as (states, _):
+        return [w.copy()] + [w.with_values(u) for u in states[1:]]
 
 
 def meta_gradient_exact(w: ParamVector, task: TaskInstance, alpha: float,
                         K: int) -> ParamVector:
     """Exact derivative of the adapted query loss with respect to w."""
-    support = model.check_batch(w.arch, task.support)
     query = model.check_batch(w.arch, task.query)
-    with model.quiet():
-        states, tapes = trajectory(w.values, w.arch, support, alpha, K)
-        return w.with_values(exact_from_trajectory(states, tapes, w.arch, query,
-                                                   alpha))
-
-
-def meta_gradient_fo(w: ParamVector, task: TaskInstance, alpha: float,
-                     K: int) -> ParamVector:
-    """First-order approximation: query gradient at the adapted parameters."""
-    support = model.check_batch(w.arch, task.support)
-    query = model.check_batch(w.arch, task.query)
-    with model.quiet():
-        states = trajectory(w.values, w.arch, support, alpha, K)[0]
-        return w.with_values(model.grads(states[-1], w.arch, *query))
+    with _adapting(w, task.support, alpha, K) as (states, tapes):
+        return w.with_values(exact_from_trajectory(states, tapes, w.arch, query, alpha))
 
 
 def meta_loss(w: ParamVector, task: TaskInstance, alpha: float, K: int) -> float:
     """Query loss after inner adaptation on the support set."""
-    support = model.check_batch(w.arch, task.support)
     query = model.check_batch(w.arch, task.query)
-    with model.quiet():
-        states = trajectory(w.values, w.arch, support, alpha, K)[0]
+    with _adapting(w, task.support, alpha, K) as (states, _):
         return model.losses(states[-1], w.arch, *query)[0]
 
 
 def adapt_unseen(w_final: ParamVector, support, alpha: float, K: int) -> ParamVector:
     """Local adaptation for a client that never took part in meta-training."""
-    return inner_loop(w_final, support, alpha, K).states[K]
+    with _adapting(w_final, support, alpha, K) as (states, _):
+        return w_final.with_values(states[-1])

@@ -251,6 +251,8 @@ def losses(values: np.ndarray, arch: Arch, x, t, tape: Tape | None = None) -> li
 def predictions(values: np.ndarray, arch: Arch, x, tape: Tape | None = None) -> np.ndarray:
     """Network output z (..., m, output_dim), unchecked; with `tape` given,
     z is its scratch and holds until the tape is next written."""
+    if arch.head == HEAD_QUADRATIC:
+        raise ParameterError(f"head {HEAD_QUADRATIC!r} has no network output to predict")
     return _forward(values, arch, x, tape or Tape.fresh(arch, x))
 
 

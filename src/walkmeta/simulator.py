@@ -10,7 +10,7 @@ too, 2 per active client for centralized download+upload.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -209,29 +209,27 @@ def evaluate(w: ParamVector, assignment: ClientAssignment,
 # ---------------------------------------------------------------------
 # runs
 
-def _run(cfg: ExperimentConfig, method: str,
-         assignment: ClientAssignment | None = None,
-         transition: topology.TransitionMatrix | None = None,
-         w0: ParamVector | None = None) -> RunRecord:
-    """The one training loop; `method` picks the table entry and is validated."""
-    replace(cfg, method=method).validate()
-    spec = METHOD_TABLE[method]
+def run(cfg: ExperimentConfig, assignment: ClientAssignment | None = None) -> RunRecord:
+    """The one training loop: validates cfg and runs cfg.method, on
+    `assignment` when given, else on the one cfg builds."""
+    cfg.validate()
+    spec = METHOD_TABLE[cfg.method]
     h = cfg.hyper
     arch = cfg.build_arch()
     assignment = assignment if assignment is not None else cfg.build_assignment()
     n = assignment.n_training
     if spec.walks:  # a server-sampled run never builds the graph
-        tm = transition if transition is not None else cfg.build_transition()
+        tm = cfg.build_transition()
         if tm.n != n:
             raise ParameterError("transition matrix size must equal n_training")
     init_ss = np.random.SeedSequence([cfg.seed, _INIT_STREAM])
     walk_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _WALK_STREAM]))
     noise_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _NOISE_STREAM]))
-    w = w0.copy() if w0 is not None else model.init_params(arch, init_ss)
-    d = w.arch.param_count
-    prepared = _Clients(assignment, w.arch, h.K)
+    w = model.init_params(arch, init_ss)
+    d = arch.param_count
+    prepared = _Clients(assignment, arch, h.K)
 
-    per_iter = comm_cost(MethodKind(method, cfg.n_active))
+    per_iter = comm_cost(MethodKind(cfg.method, cfg.n_active))
     noisy = spec.noise and cfg.privacy.enabled
     sigma2 = privacy.noise_sigma(cfg.privacy) if noisy else 0.0
     aux = {}  # m/v state by owner: a client index, or -1 for the token/server
@@ -245,7 +243,8 @@ def _run(cfg: ExperimentConfig, method: str,
     if noisy and cfg.T >= 1:  # the report covers only the chain that adds noise
         dp_report = privacy.account_network_dp(cfg.privacy.epsilon, cfg.privacy.delta,
                                                cfg.delta_hat, cfg.T, cfg.n_training)
-    record = RunRecord(rows=rows, header={**config_echo(cfg), "method.resolved": method},
+    # method.resolved repeats method.kind; kept so run CSVs keep their bytes
+    record = RunRecord(rows=rows, header={**config_echo(cfg), "method.resolved": cfg.method},
                        dp_report=dp_report, trace=trace)
 
     for t in range(cfg.T):
@@ -287,32 +286,3 @@ def _run(cfg: ExperimentConfig, method: str,
     record.final_params = w
     return record
 
-
-def run_lodmeta(cfg: ExperimentConfig, **overrides) -> RunRecord:
-    """Token passes the model only; each client keeps its own auxiliary
-    state; calibrated Gaussian noise perturbs the clipped meta-gradient
-    when privacy is enabled."""
-    return _run(cfg, "lodmeta", **overrides)
-
-
-def run_lodmeta_basic(cfg: ExperimentConfig, **overrides) -> RunRecord:
-    """A single auxiliary state travels with the token (3x communication),
-    no privacy perturbation."""
-    return _run(cfg, "lodmeta_basic", **overrides)
-
-
-def run_lodmeta_sgd(cfg: ExperimentConfig, **overrides) -> RunRecord:
-    """Plain SGD outer update, token passes the model only."""
-    return _run(cfg, "lodmeta_sgd", **overrides)
-
-
-def run_centralized_maml(cfg: ExperimentConfig, **overrides) -> RunRecord:
-    """Server-coordinated baseline: each round samples n_active training
-    clients without replacement, averages their exact meta-gradients and
-    applies one server-held adaptive update. Costs 2*n_active per round."""
-    return _run(cfg, "centralized_maml", **overrides)
-
-
-def run(cfg: ExperimentConfig) -> RunRecord:
-    """Dispatch on cfg.method."""
-    return _run(cfg, cfg.method)

@@ -49,9 +49,6 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return self.adj.sum(axis=1)
 
-    def neighbors(self, i: int) -> np.ndarray:
-        return np.flatnonzero(self.adj[i])
-
     def edges(self) -> list[tuple[int, int]]:
         ii, jj = np.nonzero(np.triu(self.adj))
         return list(zip(ii.tolist(), jj.tolist()))
@@ -109,6 +106,31 @@ def _bfs_connected(adj: np.ndarray) -> bool:
     return bool(seen.all())
 
 
+# the least n of each family whose generator takes only n
+_MIN_N = {"ring": 3, "star": 2, "complete": 2}
+
+
+def check_family(family: str, n: int, k: int = 2, degree: int = 1,
+                 p_rewire: float = 0.0) -> None:
+    """The bounds of a family's generator, declared once for the generators
+    and the config: raises ParameterError "<key>: <reason>", naming the
+    [topology] key at fault. Keys the family does not use go unchecked."""
+    if family == "small_world":
+        if not (n > k >= 2):
+            raise ParameterError(f"k: need n > k >= 2, got n={n}, k={k}")
+        if k % 2 != 0:
+            raise ParameterError(f"k: must be even, got {k}")
+        if not (0.0 <= p_rewire <= 1.0):
+            raise ParameterError(f"p_rewire: must be in [0, 1], got {p_rewire}")
+    elif family == "regular":
+        if not (1 <= degree < n):
+            raise ParameterError(f"degree: need 1 <= degree < n, got n={n}, degree={degree}")
+        if (n * degree) % 2 != 0:
+            raise ParameterError(f"degree: n*degree must be even, got n={n}, degree={degree}")
+    elif n < _MIN_N[family]:
+        raise ParameterError(f"n: {family} needs n >= {_MIN_N[family]}, got {n}")
+
+
 def _attempt_rng(seed: int, attempt: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, attempt]))
 
@@ -117,13 +139,7 @@ def gen_small_world(n: int, k: int, p_rewire: float, seed: int) -> Graph:
     """Watts-Strogatz small-world graph: ring lattice with k neighbors per
     node, each edge rewired with probability p_rewire. Regenerated with a
     fresh derived seed until connected."""
-    if not (n > k >= 2):
-        raise ParameterError(f"need n > k >= 2, got n={n}, k={k}")
-    if k % 2 != 0:
-        raise ParameterError(f"k must be even, got {k}")
-    if not (0.0 <= p_rewire <= 1.0):
-        raise ParameterError(f"p_rewire must be in [0, 1], got {p_rewire}")
-
+    check_family("small_world", n, k=k, p_rewire=p_rewire)
     for attempt in range(_MAX_GEN_ATTEMPTS):
         rng = _attempt_rng(seed, attempt)
         adj = np.zeros((n, n), dtype=bool)
@@ -154,11 +170,7 @@ def gen_small_world(n: int, k: int, p_rewire: float, seed: int) -> Graph:
 def gen_regular_expander(n: int, d: int, seed: int) -> Graph:
     """Random d-regular simple graph by the pairing model, retried until the
     pairing is simple and the graph connected."""
-    if d >= n:
-        raise ParameterError(f"need d < n, got d={d}, n={n}")
-    if (n * d) % 2 != 0:
-        raise ParameterError(f"n*d must be even, got n={n}, d={d}")
-
+    check_family("regular", n, degree=d)
     for attempt in range(_MAX_GEN_ATTEMPTS):
         rng = _attempt_rng(seed, attempt)
         stubs = np.repeat(np.arange(n), d)
@@ -180,8 +192,7 @@ def gen_regular_expander(n: int, d: int, seed: int) -> Graph:
 
 
 def gen_ring(n: int) -> Graph:
-    if n < 3:
-        raise ParameterError(f"ring needs n >= 3, got {n}")
+    check_family("ring", n)
     adj = np.zeros((n, n), dtype=bool)
     for i in range(n):
         j = (i + 1) % n
@@ -191,16 +202,14 @@ def gen_ring(n: int) -> Graph:
 
 def gen_star(n: int) -> Graph:
     """Star with node 0 as hub."""
-    if n < 2:
-        raise ParameterError(f"star needs n >= 2, got {n}")
+    check_family("star", n)
     adj = np.zeros((n, n), dtype=bool)
     adj[0, 1:] = adj[1:, 0] = True
     return Graph(n, adj)
 
 
 def gen_complete(n: int) -> Graph:
-    if n < 2:
-        raise ParameterError(f"complete graph needs n >= 2, got {n}")
+    check_family("complete", n)
     adj = ~np.eye(n, dtype=bool)
     return Graph(n, adj)
 

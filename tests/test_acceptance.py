@@ -37,13 +37,13 @@ def first_at(rows, target, field):
 def default_runs():
     """Five seeds of the reference sine setup, token-walk method."""
     cfg = ExperimentConfig(T=2000, eval_every=50)
-    return {s: simulator.run_lodmeta(replace(cfg, seed=s)) for s in range(5)}
+    return {s: simulator.run(replace(cfg, seed=s, method="lodmeta")) for s in range(5)}
 
 
 @pytest.fixture(scope="module")
 def basic_runs():
     cfg = ExperimentConfig(T=2000, eval_every=50, method="lodmeta_basic")
-    return {s: simulator.run_lodmeta_basic(replace(cfg, seed=s))
+    return {s: simulator.run(replace(cfg, seed=s, method="lodmeta_basic"))
             for s in range(5)}
 
 
@@ -180,11 +180,15 @@ def test_c05_communication_ledger():
         n_training=6, n_unseen=0, hidden=(8,),
         task=tasks.TaskConfig(kind="sine", shots=5, query_size=10),
         T=1000, eval_every=1000, n_active=4)
+
+    def units(method):
+        return simulator.run(replace(cfg, method=method)).rows[-1].comm_units
+
     got = {
-        "lodmeta": simulator.run_lodmeta(cfg).rows[-1].comm_units,
-        "lodmeta_sgd": simulator.run_lodmeta_sgd(cfg).rows[-1].comm_units,
-        "lodmeta_basic": simulator.run_lodmeta_basic(cfg).rows[-1].comm_units,
-        "centralized": simulator.run_centralized_maml(cfg).rows[-1].comm_units,
+        "lodmeta": units("lodmeta"),
+        "lodmeta_sgd": units("lodmeta_sgd"),
+        "lodmeta_basic": units("lodmeta_basic"),
+        "centralized": units("centralized_maml"),
     }
     want = {"lodmeta": 1000, "lodmeta_sgd": 1000, "lodmeta_basic": 3000,
             "centralized": 2 * 4 * 1000}
@@ -243,8 +247,8 @@ def test_c08_local_aux_fidelity():
         hyper=HyperParams(eta=0.1, theta=0.0, beta=0.99, lam=1e-8,
                           alpha=0.1, K=2),
         T=6, eval_every=100, seed=1, record_trace=True)
-    local = simulator.run_lodmeta(cfg)
-    basic = simulator.run_lodmeta_basic(cfg)
+    local = simulator.run(replace(cfg, method="lodmeta"))
+    basic = simulator.run(replace(cfg, method="lodmeta_basic"))
     h = cfg.hyper
     c = (1.0 - h.alpha) ** (2 * h.K)
     w0 = float(local.trace.w[0][0])
@@ -272,8 +276,8 @@ def test_c08_local_aux_fidelity():
 
     stateless = replace(cfg, hyper=HyperParams(eta=0.01, theta=0.0, beta=0.0),
                         T=100)
-    a = simulator.run_lodmeta(stateless)
-    b = simulator.run_lodmeta_basic(stateless)
+    a = simulator.run(replace(stateless, method="lodmeta"))
+    b = simulator.run(replace(stateless, method="lodmeta_basic"))
     bitwise = all(np.array_equal(x, y) for x, y in zip(a.trace.w, b.trace.w))
     report(8, "local-aux fidelity",
            table_err < 1e-12 and split_ok and bitwise,
@@ -291,7 +295,8 @@ def test_c09_privacy_utility_direction():
                 hyper=HyperParams(eta=0.001, lam=1.0),
                 privacy=PrivacyParams(epsilon=eps, delta=0.3, m_meta=1.0,
                                       enabled=True))
-            vals.append(simulator.run_lodmeta(cfg).rows[-1].train_metric)
+            rec = simulator.run(replace(cfg, method="lodmeta"))
+            vals.append(rec.rows[-1].train_metric)
         finals[eps] = float(np.mean(vals))
     report(9, "privacy-utility direction", finals[0.8] <= finals[0.5],
            f"mean final meta-loss eps=0.8: {finals[0.8]:.4f} "
@@ -324,7 +329,7 @@ def test_c11_topology_effect():
                                      scheme="metropolis")
             cfg = ExperimentConfig(topology=topo_spec, seed=seed,
                                    T=600, eval_every=25)
-            recs[fam] = simulator.run_lodmeta(cfg)
+            recs[fam] = simulator.run(replace(cfg, method="lodmeta"))
         target = 0.5 * recs["complete"].rows[0].train_metric
         for fam in recs:
             it = first_at(recs[fam].rows, target, "iteration")

@@ -128,6 +128,9 @@ OUT_OF_RANGE = [
     ("task.ways", "[task]\nkind = blob\nways = 1\n"),
     ("task.query_per_class", "[task]\nkind = blob\nquery_per_class = 0\n"),
     ("task.dim", "[task]\nkind = blob\ndim = 1\n"),
+    ("topology.degree", "[topology]\nfamily = regular\ndegree = 0\n"),
+    ("topology.degree", "[topology]\nfamily = regular\ndegree = 20\n"),
+    ("topology.n", "[topology]\nfamily = ring\nn = 2\n[clients]\nn_training = 2\n"),
 ]
 
 
@@ -474,6 +477,15 @@ class TestCmdTopo:
                             "[clients]\nn_training = 8\n")
         assert cli.main(["topo", str(cfg_path)]) == 0
         assert len(calls) == 1
+
+    def test_generation_failure_exit_1(self, tmp_path, capsys):
+        # valid, but no 1-regular graph on 20 nodes is connected
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text("[topology]\nfamily = regular\ndegree = 1\n")
+        assert cli.main(["topo", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: no connected simple 1-regular graph")
+        assert "Traceback" not in err
 
 
 class TestConfigEcho:

@@ -34,26 +34,26 @@ class TestInnerLoop:
     def test_alpha_zero_keeps_states(self):
         w, task = sine_setup(0)
         traj = metalearn.inner_loop(w, task.support, alpha=0.0, K=3)
-        for u in traj.states:
+        for u in traj:
             assert np.array_equal(u.values, w.values)
 
     def test_scalar_quadratic_one_step(self):
         task, arch = scalar_quadratic_task()
         w = model.ParamVector(np.array([1.0]), arch)
         traj = metalearn.inner_loop(w, task.support, alpha=0.1, K=1)
-        assert abs(traj.states[1].values[0] - 0.9) < 1e-15
+        assert abs(traj[1].values[0] - 0.9) < 1e-15
 
     def test_initial_state_is_input(self):
         w, task = sine_setup(1)
         traj = metalearn.inner_loop(w, task.support, alpha=0.01, K=2)
-        assert np.array_equal(traj.states[0].values, w.values)
+        assert np.array_equal(traj[0].values, w.values)
 
     def test_descent_on_support(self):
         for seed in range(20):
             w, task = sine_setup(seed)
             traj = metalearn.inner_loop(w, task.support, alpha=0.01, K=5)
-            assert (model.loss(traj.states[5], task.support)
-                    <= model.loss(traj.states[0], task.support) + 1e-12)
+            assert (model.loss(traj[5], task.support)
+                    <= model.loss(traj[0], task.support) + 1e-12)
 
     def test_k_zero_rejected(self):
         w, task = sine_setup(2)
@@ -64,7 +64,7 @@ class TestInnerLoop:
         w, task = sine_setup(3)
         t1 = metalearn.inner_loop(w, task.support, alpha=0.01, K=4)
         t2 = metalearn.inner_loop(w, task.support, alpha=0.01, K=4)
-        for a, b in zip(t1.states, t2.states):
+        for a, b in zip(t1, t2):
             assert np.array_equal(a.values, b.values)
 
 
@@ -72,10 +72,8 @@ class TestMetaGradient:
     def test_alpha_zero_collapse(self):
         w, task = sine_setup(4)
         exact = metalearn.meta_gradient_exact(w, task, 0.0, K=2).values
-        fo = metalearn.meta_gradient_fo(w, task, 0.0, K=2).values
         plain = model.grad(w, task.query).values
         assert np.array_equal(exact, plain)
-        assert np.array_equal(fo, plain)
 
     def test_scalar_quadratic_closed_form(self):
         task, arch = scalar_quadratic_task()
@@ -85,13 +83,6 @@ class TestMetaGradient:
         u_K = (1 - alpha) ** K * 1.3
         assert abs(g - (1 - alpha) ** K * u_K) < 1e-10
 
-    def test_fo_ratio_scalar_quadratic(self):
-        task, arch = scalar_quadratic_task()
-        w = model.ParamVector(np.array([2.0]), arch)
-        exact = metalearn.meta_gradient_exact(w, task, 0.1, K=1).values
-        fo = metalearn.meta_gradient_fo(w, task, 0.1, K=1).values
-        assert np.allclose(exact / fo, 0.9, atol=1e-12)
-
     @pytest.mark.parametrize("K", [1, 2])
     def test_matches_fd_oracle(self, K):
         for seed in range(5):
@@ -100,14 +91,12 @@ class TestMetaGradient:
             fd = fd_meta_grad(w, task, 0.1, K)
             assert np.linalg.norm(g - fd) / np.linalg.norm(fd) < 1e-3
 
-    def test_fo_never_calls_hvp(self, monkeypatch):
+    def test_exact_calls_hvp_k_times(self, monkeypatch):
         calls = []
         real = model.hvps
         monkeypatch.setattr(metalearn.model, "hvps",
                             lambda *a, **k: calls.append(1) or real(*a, **k))
         w, task = sine_setup(6)
-        metalearn.meta_gradient_fo(w, task, 0.05, K=3)
-        assert calls == []
         metalearn.meta_gradient_exact(w, task, 0.05, K=3)
         assert len(calls) == 3
 
@@ -140,4 +129,4 @@ class TestAdaptUnseen:
         w, task = sine_setup(10)
         adapted = metalearn.adapt_unseen(w, task.support, 0.01, 5)
         traj = metalearn.inner_loop(w, task.support, 0.01, 5)
-        assert np.array_equal(adapted.values, traj.states[5].values)
+        assert np.array_equal(adapted.values, traj[5].values)

@@ -130,6 +130,14 @@ class TestQuadraticHead:
         hv = model.hvp(p, self.BATCH, v)
         assert np.max(np.abs(hv.values - v.values)) < 1e-8
 
+    def test_predict_names_head(self):
+        p = model.init_params(self.ARCH, 0)
+        x = np.zeros((2, 1))
+        with pytest.raises(ParameterError, match="quadratic"):
+            model.predict(p, x)
+        with pytest.raises(ParameterError, match="quadratic"):
+            model.predictions(p.values, self.ARCH, x)
+
 
 class TestHvp:
     def setup_method(self):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -50,23 +51,25 @@ class TestCommCost:
 
 class TestRunBasics:
     def test_t_zero_single_row(self):
-        rec = simulator.run_lodmeta(small_cfg(T=0))
+        rec = simulator.run(replace(small_cfg(T=0), method="lodmeta"))
         assert len(rec.rows) == 1
         assert rec.rows[0].iteration == 0
         assert rec.rows[0].comm_units == 0
 
     def test_eta_zero_freezes_w(self):
         cfg = small_cfg(hyper=HyperParams(eta=0.0), record_trace=True)
-        rec = simulator.run_lodmeta(cfg)
+        rec = simulator.run(replace(cfg, method="lodmeta"))
         for w in rec.trace.w:
             assert np.array_equal(w, rec.trace.w[0])
 
     def test_comm_ledger(self):
-        assert simulator.run_lodmeta(small_cfg()).rows[-1].comm_units == 40
-        assert simulator.run_lodmeta_sgd(small_cfg()).rows[-1].comm_units == 40
-        assert simulator.run_lodmeta_basic(small_cfg()).rows[-1].comm_units == 120
+        def units(cfg, method):
+            return simulator.run(replace(cfg, method=method)).rows[-1].comm_units
+        assert units(small_cfg(), "lodmeta") == 40
+        assert units(small_cfg(), "lodmeta_sgd") == 40
+        assert units(small_cfg(), "lodmeta_basic") == 120
         cfg = small_cfg(method="centralized_maml", n_active=3)
-        assert simulator.run_centralized_maml(cfg).rows[-1].comm_units == 240
+        assert units(cfg, "centralized_maml") == 240
 
     @pytest.mark.parametrize("method", ["lodmeta", "centralized_maml"])
     def test_last_row_is_iteration_t(self, method):
@@ -77,14 +80,14 @@ class TestRunBasics:
         assert rec.rows[-1].comm_units == 120 * units
 
     def test_reproducible_bitwise(self):
-        a = simulator.run_lodmeta(small_cfg(T=60))
-        b = simulator.run_lodmeta(small_cfg(T=60))
+        a = simulator.run(replace(small_cfg(T=60), method="lodmeta"))
+        b = simulator.run(replace(small_cfg(T=60), method="lodmeta"))
         assert a.rows == b.rows
         assert np.array_equal(a.final_params.values, b.final_params.values)
 
     def test_seed_changes_run(self):
-        a = simulator.run_lodmeta(small_cfg(T=30))
-        b = simulator.run_lodmeta(small_cfg(T=30, seed=1))
+        a = simulator.run(replace(small_cfg(T=30), method="lodmeta"))
+        b = simulator.run(replace(small_cfg(T=30, seed=1), method="lodmeta"))
         assert not np.array_equal(a.final_params.values, b.final_params.values)
 
 
@@ -93,7 +96,7 @@ class TestWalkValidity:
         cfg = small_cfg(topology=TopologySpec(family="small_world", n=6, k=2,
                                               p_rewire=0.3, laziness=0.1),
                         T=300, record_trace=True)
-        rec = simulator.run_lodmeta(cfg)
+        rec = simulator.run(replace(cfg, method="lodmeta"))
         g = cfg.build_graph()
         seq = rec.trace.active
         assert len(seq) == 300
@@ -105,16 +108,16 @@ class TestAuxLocality:
     def test_stateless_variants_coincide_bitwise(self):
         hp = HyperParams(eta=0.01, theta=0.0, beta=0.0)
         cfg = small_cfg(hyper=hp, T=100, record_trace=True)
-        local = simulator.run_lodmeta(cfg)
-        basic = simulator.run_lodmeta_basic(cfg)
+        local = simulator.run(replace(cfg, method="lodmeta"))
+        basic = simulator.run(replace(cfg, method="lodmeta_basic"))
         assert len(local.trace.w) == len(basic.trace.w) == 101
         for wa, wb in zip(local.trace.w, basic.trace.w):
             assert np.array_equal(wa, wb)
 
     def test_two_client_alternating_hand_trace(self):
         cfg = quadratic_cfg()
-        local = simulator.run_lodmeta(cfg)
-        basic = simulator.run_lodmeta_basic(cfg)
+        local = simulator.run(replace(cfg, method="lodmeta"))
+        basic = simulator.run(replace(cfg, method="lodmeta_basic"))
         h = cfg.hyper
         # quadratic surrogate: meta-gradient is (1-alpha)^(2K) * w, exactly
         c = (1.0 - h.alpha) ** (2 * h.K)
@@ -157,7 +160,7 @@ class TestProtocolCollapse:
                         T=25, record_trace=True)
         task = tasks.gen_sine_task(np.random.default_rng(42), 5, 10)
         assignment = tasks.ClientAssignment({0: task, 1: task, 2: task}, {})
-        rec = simulator.run_lodmeta(cfg, assignment=assignment)
+        rec = simulator.run(replace(cfg, method="lodmeta"), assignment=assignment)
 
         h = cfg.hyper
         w = model.ParamVector(rec.trace.w[0].copy(), cfg.build_arch())
@@ -173,8 +176,8 @@ class TestProtocolCollapse:
                              T=50, record_trace=True)
         cfg_sgd = small_cfg(hyper=HyperParams(eta=0.001 / math.sqrt(lam)),
                             T=50, record_trace=True)
-        a = simulator.run_lodmeta(cfg_adam)
-        b = simulator.run_lodmeta_sgd(cfg_sgd)
+        a = simulator.run(replace(cfg_adam, method="lodmeta"))
+        b = simulator.run(replace(cfg_sgd, method="lodmeta_sgd"))
         for wa, wb in zip(a.trace.w, b.trace.w):
             assert np.max(np.abs(wa - wb)) < 1e-9
 
@@ -183,7 +186,7 @@ class TestSgd:
     def test_one_step_is_plain_gradient(self):
         cfg = small_cfg(T=1, record_trace=True,
                         hyper=HyperParams(eta=0.05, theta=0.0, beta=0.0))
-        rec = simulator.run_lodmeta_sgd(cfg)
+        rec = simulator.run(replace(cfg, method="lodmeta_sgd"))
         i0 = rec.trace.active[0]
         task = cfg.build_assignment().training[i0]
         w0 = model.ParamVector(rec.trace.w[0].copy(), cfg.build_arch())
@@ -198,7 +201,7 @@ class TestCentralized:
                         n_training=4, n_unseen=0, method="centralized_maml",
                         n_active=4, T=1, record_trace=True,
                         hyper=HyperParams(eta=0.01, theta=0.0, beta=0.0))
-        rec = simulator.run_centralized_maml(cfg)
+        rec = simulator.run(replace(cfg, method="centralized_maml"))
         assignment = cfg.build_assignment()
         w0 = model.ParamVector(rec.trace.w[0].copy(), cfg.build_arch())
         gsum = np.zeros_like(w0.values)
@@ -211,7 +214,7 @@ class TestCentralized:
 
     def test_single_active_client_cost(self):
         cfg = small_cfg(method="centralized_maml", n_active=1, T=20)
-        rec = simulator.run_centralized_maml(cfg)
+        rec = simulator.run(replace(cfg, method="centralized_maml"))
         assert rec.rows[-1].comm_units == 40
 
     def test_validates_the_method_that_runs(self):
@@ -220,7 +223,7 @@ class TestCentralized:
         cfg = small_cfg(n_active=8)
         assert simulator.run(cfg).rows
         with pytest.raises(ConfigError, match=r"^method\.n_active: "):
-            simulator.run_centralized_maml(cfg)
+            simulator.run(replace(cfg, method="centralized_maml"))
 
 
 class TestEvaluate:
@@ -247,7 +250,7 @@ class TestEvaluate:
                                               query_per_class=5, dim=2,
                                               spread=0.1),
                         hidden=(8,), T=0)
-        rec = simulator.run_lodmeta(cfg)
+        rec = simulator.run(replace(cfg, method="lodmeta"))
         assert 0.0 <= rec.rows[0].train_metric <= 1.0
 
 
@@ -256,7 +259,7 @@ class TestPrivacyIntegration:
         cfg = small_cfg(privacy=PrivacyParams(epsilon=0.5, delta=0.3,
                                               m_meta=1.0, enabled=True),
                         hyper=HyperParams(lam=1.0), T=10)
-        rec = simulator.run_lodmeta(cfg)
+        rec = simulator.run(replace(cfg, method="lodmeta"))
         assert rec.dp_report is not None
         assert rec.dp_report.t == 10 and rec.dp_report.n == 6
         csv = rec.to_csv()
@@ -278,20 +281,20 @@ class TestPrivacyIntegration:
         noisy = small_cfg(T=10, record_trace=True,
                           privacy=PrivacyParams(epsilon=0.5, delta=0.3,
                                                 m_meta=1.0, enabled=True))
-        a = simulator.run_lodmeta(quiet)
-        b = simulator.run_lodmeta(noisy)
+        a = simulator.run(replace(quiet, method="lodmeta"))
+        b = simulator.run(replace(noisy, method="lodmeta"))
         assert not np.array_equal(a.trace.w[-1], b.trace.w[-1])
 
     def test_disabled_privacy_never_draws_noise(self):
-        a = simulator.run_lodmeta(small_cfg(T=10))
-        b = simulator.run_lodmeta(small_cfg(T=10))
+        a = simulator.run(replace(small_cfg(T=10), method="lodmeta"))
+        b = simulator.run(replace(small_cfg(T=10), method="lodmeta"))
         assert np.array_equal(a.final_params.values, b.final_params.values)
 
 
 class TestAbort:
     def test_divergence_aborts_with_partial_record(self):
         cfg = small_cfg(hyper=HyperParams(eta=1e8), T=30, eval_every=10)
-        rec = simulator.run_lodmeta_sgd(cfg)
+        rec = simulator.run(replace(cfg, method="lodmeta_sgd"))
         assert rec.aborted
         assert rec.abort_reason
         assert math.isnan(rec.rows[-1].train_metric)
@@ -310,7 +313,7 @@ class TestAbort:
 
 class TestCsv:
     def test_round_trip(self):
-        rec = simulator.run_lodmeta(small_cfg(T=20, eval_every=10))
+        rec = simulator.run(replace(small_cfg(T=20, eval_every=10), method="lodmeta"))
         header, rows = simulator.read_run_csv(rec.to_csv())
         assert header["run.T"] == "20"
         assert len(rows) == len(rec.rows)
@@ -318,6 +321,6 @@ class TestCsv:
         assert rows[-1].train_metric == rec.rows[-1].train_metric
 
     def test_comm_strictly_increasing(self):
-        rec = simulator.run_lodmeta(small_cfg(T=60, eval_every=20))
+        rec = simulator.run(replace(small_cfg(T=60, eval_every=20), method="lodmeta"))
         comms = [r.comm_units for r in rec.rows]
         assert all(a < b for a, b in zip(comms, comms[1:]))
