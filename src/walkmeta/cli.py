@@ -89,11 +89,14 @@ def _cell_outcome(job, result):
 def cmd_sweep(args) -> int:
     cfg = parse_config(args.config)
     values = [v for v in args.values.split(",") if v]
-    if not values:
-        print("sweep: --values must list at least one value", file=sys.stderr)
-        return EXIT_USAGE
-    if args.seeds < 1:
-        print("sweep: --seeds must be >= 1", file=sys.stderr)
+    # a repeated value would run its cells twice into the same CSVs
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    problem = ("--values must list at least one value" if not values else
+               f"--values repeats {','.join(repeated)}" if repeated else
+               "--seeds must be >= 1" if args.seeds < 1 else
+               "--jobs must be >= 1" if args.jobs < 1 else "")
+    if problem:
+        print(f"sweep: {problem}", file=sys.stderr)
         return EXIT_USAGE
     outdir = args.outdir
     os.makedirs(outdir, exist_ok=True)

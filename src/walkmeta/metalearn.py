@@ -29,8 +29,9 @@ class Workspace:
     tapes and one query tape. Their scratch is used by one pass at a time,
     so all share the scratch of the tape over the most examples. A call with
     n <= rows clients uses the first n rows, and a lone (d,) vector uses row
-    0. The owner keeps it for as long as its batches keep their sizes; a
-    tape from it holds until the next call with this workspace."""
+    0; the tapes of every such cut, with their views, are made here. The
+    owner keeps it for as long as its batches keep their sizes; a tape from
+    it holds until the next call with this workspace."""
 
     def __init__(self, arch: model.Arch, m_support: int, m_query: int, K: int,
                  rows: int):
@@ -39,16 +40,12 @@ class Workspace:
         owner = model.Tape(arch, (rows,), sizes[big])
         tapes = [owner if i == big else model.Tape(arch, (rows,), m, share=owner)
                  for i, m in enumerate(sizes)]
-        self._tapes, self._query = tapes[:K], tapes[K]
-        self._cuts = {}
+        self._cuts = {lead: ([t.rows(lead) for t in tapes[:K]], tapes[K].rows(lead))
+                      for lead in [()] + [(n,) for n in range(1, rows + 1)]}
 
     def cut(self, lead: tuple) -> tuple[list[model.Tape], model.Tape]:
         """(support tapes, query tape) for leading axes `lead`."""
-        cut = self._cuts.get(lead)
-        if cut is None:
-            cut = self._cuts[lead] = ([t.rows(lead) for t in self._tapes],
-                                      self._query.rows(lead))
-        return cut
+        return self._cuts[lead]
 
 
 def trajectory(w: np.ndarray, arch: model.Arch, support, alpha: float, K: int,
@@ -65,7 +62,7 @@ def trajectory(w: np.ndarray, arch: model.Arch, support, alpha: float, K: int,
         tapes.append(tape)
         u *= alpha
         np.subtract(states[-1], u, out=u)
-        if not np.isfinite(u).all():
+        if not np.logical_and.reduce(np.isfinite(u), axis=None):
             raise NumericalError(f"non-finite inner state at step {k + 1}")
         states.append(u)
     return states, tapes
@@ -83,7 +80,7 @@ def exact_from_trajectory(states: list[np.ndarray], tapes: list, arch: model.Arc
         hv = model.hvps(tape, g)
         hv *= alpha
         g -= hv
-    if not np.isfinite(g).all():
+    if not np.logical_and.reduce(np.isfinite(g), axis=None):
         raise NumericalError("non-finite meta-gradient")
     return g
 

@@ -101,9 +101,11 @@ def init_params(arch: Arch, seed) -> ParamVector:
 # with the same operations, in the same order, as a lone (d,) vector, so a
 # block of clients gives each client's result bit for bit. Reductions that
 # numpy would order differently along an axis (means, norms) run per row.
-# The (..., m, width) arrays of a pass are written through out= into a Tape,
-# which a caller can keep and reuse: the same operations as on fresh arrays,
-# so the same bits, without allocating.
+# The arrays of a pass live in a Tape, which a caller can keep and reuse: a
+# call copies its input point in, writes through out= and reads through
+# views the tape made when it was built. The same operations as on fresh
+# arrays, so the same bits, without allocating or building a view; results
+# are copied out as new arrays.
 
 def quiet():
     """Overflow surfaces as NumericalError via the finiteness checks, not
@@ -143,30 +145,41 @@ def stack_batches(batches) -> tuple[np.ndarray, np.ndarray | None]:
     return np.stack(xs), None if ts[0] is None else np.stack(ts)
 
 
-def _layer_views(values: np.ndarray, arch: Arch) -> list:
-    """Per-layer (W (..., out, inp), b (..., 1, out)) views of values (..., d)."""
-    lead = values.shape[:-1]
-    return [(values[..., ws].reshape(lead + (out, inp)), values[..., None, bs])
-            for out, inp, ws, bs in arch.layers]
+def _layer_views(a: np.ndarray, arch: Arch) -> tuple[list, list]:
+    """Per-layer weight views (..., out, inp) and bias views (..., 1, out)
+    of a (..., d): the core's one view builder, called when a tape is built."""
+    lead = a.shape[:-1]
+    # the slice's last axis is contiguous, so it splits without a copy
+    return ([a[..., ws].reshape(lead + (out, inp)) for out, inp, ws, _ in arch.layers],
+            [a[..., None, bs] for *_, bs in arch.layers])
+
+
+def _transposed(arrays: list) -> list:
+    return [None if a is None else a.swapaxes(-1, -2) for a in arrays]
 
 
 class Tape:
-    """The arrays of one gradient pass over m examples with leading axes
-    `lead`, which `taped_grads` and `hvps` write through `out=` instead of
-    allocating. The tape proper is what an HVP at the same point and batch
-    reads: the (W, b) views of the point, the activations `hs` entering each
-    layer, the output `delta`, the softmax `probs` (xent) and, per hidden
-    layer li, `backs[li]`, the backward product delta @ W before tanh'. The
-    rest is scratch. A tape may take arrays from a source tape with the same
-    leading axes over at least m examples, each as a prefix of the source's
-    array: its scratch from `share`, so tapes never written at the same time
-    pay for one scratch, or all of them from `within` (see `rows`). Contents
-    hold until the next call that writes this tape or one sharing them."""
+    """The arrays of one gradient pass at one point over m examples with
+    leading axes `lead`, and their views, all made when the tape is built.
+    The tape proper is what an HVP at the same point and batch reads: the
+    `point` with its per-layer views W, Wt (transposed) and b; the
+    activations `hs` entering each layer; `deltas[li]`, the loss derivative
+    at layer li's pre-activation (the last is the output delta); the
+    softmax `probs` (xent); and, per hidden layer input li, `backs[li]`, the
+    backward product deltas[li] @ W before tanh', and `dtanh[li]`, tanh' =
+    1 - hs[li]^2. The rest is scratch: deltas[0], which no HVP reads; the
+    HVP direction `dir` and the vector `res` a gradient or HVP is written to
+    before it is copied out, each with its views; and the R-pass arrays. A
+    tape may take arrays from a source tape with the same leading axes over
+    at least m examples, each as a prefix of the source's array: its scratch
+    from `share`, so tapes never written at the same time pay for one
+    scratch, or all of them from `within` (see `rows`). Contents hold until
+    the next call that writes this tape or one sharing them."""
 
     def __init__(self, arch: Arch, lead: tuple = (), m: int = 0,
                  share: Tape | None = None, within: Tape | None = None):
         share = within or share
-        self.arch, self.m, self.layers = arch, m, ()
+        self.arch, self.m = arch, m
         self._own, self._scratch = [], []
 
         def taker(store, source):
@@ -181,21 +194,30 @@ class Tape:
 
         own = taker(self._own, iter(within._own) if within is not None else None)
         scratch = taker(self._scratch, iter(share._scratch) if share is not None else None)
+        d = arch.param_count
         outs = [out for out, *_ in arch.layers]
         hidden = outs[:-1]
         xent = arch.head == HEAD_XENT
+        self.point = own(d)
         self.hs = [None] + [own(m, w) for w in hidden]   # hs[0] is the batch input
         self.backs = [None] + [own(m, w) for w in hidden]
-        self.delta = own(m, arch.output_dim)
+        self.dtanh = [None] + [own(m, w) for w in hidden]
+        self.deltas = [scratch(m, w) for w in outs[:1]] + [own(m, w) for w in outs[1:]]
         self.probs = own(m, arch.output_dim) if xent else None
+        self.dir, self.res = scratch(d), scratch(d)
         self.z = scratch(m, arch.output_dim)
         self.tmp = [scratch(m, w) for w in outs]               # one per layer output
-        self.dtanh = [None] + [scratch(m, w) for w in hidden]  # 1 - h^2 of hs[li]
         self.rhs = [None] + [scratch(m, w) for w in outs]      # R(h) entering li; R(z)
-        self.rdelta = [None] + [scratch(m, w) for w in hidden]
+        self.rdeltas = [scratch(m, w) for w in hidden] + self.rhs[-1:]  # R(deltas)
         self.wtmp = [None] + [scratch(out, inp) for out, inp, *_ in arch.layers[1:]]
         self.mask = scratch(m, arch.output_dim, dtype=bool) if xent else None
+        self.classes = np.arange(arch.output_dim)
         self.outs = self.hs[1:] + [self.z]   # where each layer's pre-activation goes
+        self.W, self.b = _layer_views(self.point, arch)
+        self.VW, self.Vb = _layer_views(self.dir, arch)
+        self.resW, self.resb = _layer_views(self.res, arch)
+        self.Wt, self.VWt = _transposed(self.W), _transposed(self.VW)
+        self.deltasT, self.rdeltasT = _transposed(self.deltas), _transposed(self.rdeltas)
 
     @classmethod
     def fresh(cls, arch: Arch, x: np.ndarray) -> Tape:
@@ -208,23 +230,24 @@ class Tape:
         return Tape(self.arch, lead, self.m, within=self)
 
 
-def _forward(values: np.ndarray, arch: Arch, x: np.ndarray, tape: Tape) -> np.ndarray:
-    """Runs the forward pass into the tape: its (W, b) views of values and
-    the activations entering each layer; returns the final pre-activation z
+def _forward(values: np.ndarray, x: np.ndarray, tape: Tape) -> np.ndarray:
+    """Runs the forward pass at values into the tape: its point and the
+    activations entering each layer; returns the final pre-activation z
     (..., m, output_dim), which is scratch."""
-    tape.layers = _layer_views(values, arch)
-    tape.hs[0] = x
-    for li, ((W, b), z) in enumerate(zip(tape.layers, tape.outs)):
-        np.matmul(tape.hs[li], W.swapaxes(-1, -2), out=z)
+    np.copyto(tape.point, values)
+    hs = tape.hs
+    hs[0] = x
+    for li, (Wt, b, z) in enumerate(zip(tape.Wt, tape.b, tape.outs)):
+        np.matmul(hs[li], Wt, out=z)
         z += b
-        if li + 1 < len(tape.hs):
+        if li + 1 < len(hs):
             np.tanh(z, out=z)
     return z
 
 
-def _finite_forward(values, arch, x, tape):
-    z = _forward(values, arch, x, tape)
-    if not np.isfinite(z).all():
+def _finite_forward(values, x, tape):
+    z = _forward(values, x, tape)
+    if not np.logical_and.reduce(np.isfinite(z), axis=None):
         raise NumericalError("non-finite forward values")
     return z
 
@@ -238,7 +261,7 @@ def losses(values: np.ndarray, arch: Arch, x, t, tape: Tape | None = None) -> li
     forward pass writes `tape` when given."""
     if arch.head == HEAD_QUADRATIC:
         return [0.5 * float(r @ r) for r in values.reshape(-1, values.shape[-1])]
-    z = _finite_forward(values, arch, x, tape or Tape.fresh(arch, x))
+    z = _finite_forward(values, x, tape or Tape.fresh(arch, x))
     lead = z.shape[:-2]
     if arch.head == HEAD_MSE:
         return _per_row_mean((z - t) ** 2, lead)
@@ -253,7 +276,7 @@ def predictions(values: np.ndarray, arch: Arch, x, tape: Tape | None = None) -> 
     z is its scratch and holds until the tape is next written."""
     if arch.head == HEAD_QUADRATIC:
         raise ParameterError(f"head {HEAD_QUADRATIC!r} has no network output to predict")
-    return _forward(values, arch, x, tape or Tape.fresh(arch, x))
+    return _forward(values, x, tape or Tape.fresh(arch, x))
 
 
 def taped_grads(values: np.ndarray, arch: Arch, x, t,
@@ -263,36 +286,29 @@ def taped_grads(values: np.ndarray, arch: Arch, x, t,
     if arch.head == HEAD_QUADRATIC:
         return values.copy(), tape or Tape(arch)
     tape = tape or Tape.fresh(arch, x)
-    z = _finite_forward(values, arch, x, tape)
-    hs, layers = tape.hs, tape.layers
-    m = z.shape[-2]
-    delta = tape.delta
+    z = _finite_forward(values, x, tape)
+    hs, deltas, m = tape.hs, tape.deltas, tape.m
+    delta = deltas[-1]
     if arch.head == HEAD_MSE:
         np.subtract(z, t, out=delta)
         delta *= 2.0
         delta /= m * arch.output_dim
     else:  # softmax cross-entropy
-        np.subtract(z, z.max(axis=-1, keepdims=True), out=z)
-        logsumexp = np.log(np.exp(z, out=tape.probs).sum(axis=-1))
-        probs = np.subtract(z, logsumexp[..., None], out=tape.probs)
+        np.subtract(z, np.maximum.reduce(z, axis=-1, keepdims=True), out=z)
+        logsumexp = np.log(np.add.reduce(np.exp(z, out=tape.probs), axis=-1, keepdims=True))
+        probs = np.subtract(z, logsumexp, out=tape.probs)
         np.exp(probs, out=probs)
-        np.subtract(probs, np.equal(t[..., None], np.arange(arch.output_dim),
-                                    out=tape.mask), out=delta)
+        np.subtract(probs, np.equal(t[..., None], tape.classes, out=tape.mask), out=delta)
         delta /= m
-    lead = z.shape[:-2]
-    g = np.empty(lead + values.shape[-1:])
-    for li in range(len(layers) - 1, -1, -1):
-        out, inp, ws, bs = arch.layers[li]
-        # a view of g: the slice's last axis is contiguous, so it splits freely
-        np.matmul(delta.swapaxes(-1, -2), hs[li],
-                  out=g[..., ws].reshape(lead + (out, inp)))
-        g[..., bs] = np.add.reduce(delta, axis=-2)
+    for li in range(len(deltas) - 1, -1, -1):
+        np.matmul(tape.deltasT[li], hs[li], out=tape.resW[li])
+        np.add.reduce(deltas[li], axis=-2, keepdims=True, out=tape.resb[li])
         if li > 0:
-            back = np.matmul(delta, layers[li][0], out=tape.backs[li])
+            back = np.matmul(deltas[li], tape.W[li], out=tape.backs[li])
             dtanh = np.square(hs[li], out=tape.dtanh[li])
             np.subtract(1.0, dtanh, out=dtanh)                # tanh' = 1 - h^2
-            delta = np.multiply(back, dtanh, out=dtanh)
-    return g, tape
+            np.multiply(back, dtanh, out=deltas[li - 1])
+    return tape.res.copy(), tape
 
 
 def grads(values: np.ndarray, arch: Arch, x, t) -> np.ndarray:
@@ -303,57 +319,48 @@ def grads(values: np.ndarray, arch: Arch, x, t) -> np.ndarray:
 def hvps(tape: Tape, v: np.ndarray) -> np.ndarray:
     """Exact Hessian-vector product of each row (Pearlmutter's R-operator):
     the directional derivative along v (..., d) of the taped forward and
-    backward passes, computed from the tape without a new gradient call. The
-    product is a new array; the tape's scratch is overwritten."""
+    backward passes, computed from the tape without a new gradient call. v
+    is copied into the tape's direction; the product is a new array, and
+    the tape's scratch is overwritten."""
     arch = tape.arch
     if arch.head == HEAD_QUADRATIC:
         return v.copy()
-    lead = v.shape[:-1]
-    dirs = _layer_views(v, arch)
-    hs, layers, rhs, tmp = tape.hs, tape.layers, tape.rhs, tape.tmp
-    dtanhs = [None] + [np.subtract(1.0, np.square(h, out=d), out=d)
-                       for h, d in zip(hs[1:], tape.dtanh[1:])]
+    np.copyto(tape.dir, v)
+    hs, dtanh, rhs, tmp, W = tape.hs, tape.dtanh, tape.rhs, tape.tmp, tape.W
+    n_layers = len(W)
     # R-forward: rhs[li] = R(h) entering layer li; the input x has none
-    for li, ((W, _), (VW, Vb)) in enumerate(zip(layers, dirs)):
-        rz = np.matmul(hs[li], VW.swapaxes(-1, -2), out=rhs[li + 1])
-        rz += Vb
+    for li in range(n_layers):
+        rz = np.matmul(hs[li], tape.VWt[li], out=rhs[li + 1])
+        rz += tape.Vb[li]
         if li > 0:
-            rz += np.matmul(rhs[li], W.swapaxes(-1, -2), out=tmp[li])
-        if li + 1 < len(layers):
-            rz *= dtanhs[li + 1]
-    m = rz.shape[-2]
-    rdelta = rz
+            rz += np.matmul(rhs[li], tape.Wt[li], out=tmp[li])
+        if li + 1 < n_layers:
+            rz *= dtanh[li + 1]
+    # R(z) becomes R(output delta) in place
     if arch.head == HEAD_MSE:
-        rdelta *= 2.0
-        rdelta /= m * arch.output_dim
+        rz *= 2.0
+        rz /= tape.m * arch.output_dim
     else:  # R(softmax) = p * (Rz - <p, Rz>)
         p = tape.probs
-        pr = np.sum(np.multiply(p, rz, out=tmp[-1]), axis=-1, keepdims=True)
-        rdelta -= pr
-        rdelta *= p
-        rdelta /= m
+        rz -= np.add.reduce(np.multiply(p, rz, out=tmp[-1]), axis=-1, keepdims=True)
+        rz *= p
+        rz /= tape.m
     # R-backward over the taped deltas
-    delta = tape.delta
-    hv = np.empty(lead + v.shape[-1:])
-    for li in range(len(layers) - 1, -1, -1):
-        out, inp, ws, bs = arch.layers[li]
-        hw = hv[..., ws].reshape(lead + (out, inp))
-        np.matmul(rdelta.swapaxes(-1, -2), hs[li], out=hw)
-        hv[..., bs] = np.add.reduce(rdelta, axis=-2)
+    deltas, rdeltas = tape.deltas, tape.rdeltas
+    for li in range(n_layers - 1, -1, -1):
+        hw = np.matmul(tape.rdeltasT[li], hs[li], out=tape.resW[li])
+        np.add.reduce(rdeltas[li], axis=-2, keepdims=True, out=tape.resb[li])
         if li > 0:
-            hw += np.matmul(delta.swapaxes(-1, -2), rhs[li], out=tape.wtmp[li])
-            back = tape.backs[li]
-            rdelta = np.matmul(rdelta, layers[li][0], out=tape.rdelta[li])
-            rdelta += np.matmul(delta, dirs[li][0], out=tmp[li - 1])
-            rdelta *= dtanhs[li]
+            hw += np.matmul(tape.deltasT[li], rhs[li], out=tape.wtmp[li])
+            rdelta = np.matmul(rdeltas[li], W[li], out=rdeltas[li - 1])
+            rdelta += np.matmul(deltas[li], tape.VW[li], out=tmp[li - 1])
+            rdelta *= dtanh[li]
             # R(tanh') = -2 h R(h)
             r = np.multiply(2.0, hs[li], out=tmp[li - 1])
             r *= rhs[li]
-            r *= back
+            r *= tape.backs[li]
             rdelta -= r
-            # tanh' at li is not read again
-            delta = np.multiply(back, dtanhs[li], out=dtanhs[li])
-    return hv
+    return tape.res.copy()
 
 
 # ---------------------------------------------------------------------

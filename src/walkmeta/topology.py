@@ -15,6 +15,7 @@ is then symmetric, so the spectrum comes from one `eigvalsh`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -86,6 +87,12 @@ class TransitionMatrix:
     P: np.ndarray
     scheme: str
     laziness: float
+
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """Each row's running sum, worked out on the first walk step and kept
+        for sample_next; a kernel that never walks never pays for it."""
+        return np.cumsum(self.P, axis=1)
 
     @property
     def n(self) -> int:
@@ -280,8 +287,5 @@ def stationary_distribution(tm: TransitionMatrix) -> np.ndarray:
 
 def sample_next(tm: TransitionMatrix, current: int, rng: np.random.Generator) -> int:
     """Draw the next walk position from row `current` by inverse CDF."""
-    row = tm.P[current]
-    cdf = np.cumsum(row)
-    u = rng.random()
-    idx = int(np.searchsorted(cdf, u, side="right"))
+    idx = int(np.searchsorted(tm.cdf[current], rng.random(), side="right"))
     return min(idx, tm.n - 1)

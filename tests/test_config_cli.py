@@ -421,6 +421,22 @@ class TestCmdSweep:
         assert cli.main(["sweep", str(cfg_path), "--axis", "method",
                          "--values", "", "--outdir", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--values", "lodmeta,lodmeta_sgd,lodmeta", "--seeds", "2"],
+         "sweep: --values repeats lodmeta"),
+        (["--values", "lodmeta", "--jobs", "0"], "sweep: --jobs must be >= 1"),
+    ])
+    def test_bad_flags_run_no_cell(self, tmp_path, monkeypatch, capsys, flags, message):
+        def run(cfg):
+            raise AssertionError("a cell ran")
+        monkeypatch.setattr(simulator, "run", run)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(FAST_CFG)
+        assert cli.main(["sweep", str(cfg_path), "--axis", "method", *flags,
+                         "--outdir", str(tmp_path / "sw")]) == 1
+        assert capsys.readouterr().err == message + "\n"
+        assert not (tmp_path / "sw").exists()
+
 
 class TestCmdReport:
     @pytest.fixture

@@ -130,3 +130,37 @@ class TestAdaptUnseen:
         adapted = metalearn.adapt_unseen(w, task.support, 0.01, 5)
         traj = metalearn.inner_loop(w, task.support, 0.01, 5)
         assert np.array_equal(adapted.values, traj[5].values)
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("head", [model.HEAD_MSE, model.HEAD_XENT])
+    @pytest.mark.parametrize("hidden", [(6,), (5, 7)])
+    @pytest.mark.parametrize("lead", [(), (4,)])
+    def test_taped_hvp_survives_later_passes(self, head, hidden, lead):
+        """tanh' and the hidden deltas belong to each tape: after the rest of
+        a trajectory, the query pass and K HVPs over one workspace wrote the
+        scratch its tapes share, an HVP over tape 0 equals, bit for bit, one
+        over a fresh tape at the same point and batch."""
+        out = 3 if head == model.HEAD_XENT else 1
+        arch = model.Arch(2, hidden, out, head)
+        rng = np.random.default_rng(5)
+        K, m_support, m_query = 3, 5, 7
+        n = lead[0] if lead else 1
+        w = np.stack([model.init_params(arch, s).values for s in range(n)]
+                     ).reshape(lead + (-1,))
+
+        def batch(m):
+            x = rng.uniform(-2, 2, size=lead + (m, 2))
+            if head == model.HEAD_XENT:
+                return x, rng.integers(0, out, size=lead + (m,))
+            return x, rng.standard_normal(lead + (m, out))
+
+        support, query = batch(m_support), batch(m_query)
+        v = rng.standard_normal(w.shape)
+        ws = metalearn.Workspace(arch, m_support, m_query, K, 4)
+        with model.quiet():
+            states, tapes = metalearn.trajectory(w, arch, support, 0.1, K, ws)
+            metalearn.exact_from_trajectory(states, tapes, arch, query, 0.1, ws)
+            taped = model.hvps(tapes[0], v)
+            fresh = model.hvps(model.taped_grads(w, arch, *support)[1], v)
+        assert np.array_equal(taped, fresh)

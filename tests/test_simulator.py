@@ -254,6 +254,27 @@ class TestEvaluate:
         assert 0.0 <= rec.rows[0].train_metric <= 1.0
 
 
+class TestMeanMetaGradient:
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_warm_call_builds_no_views(self, monkeypatch, n):
+        """A run's tapes make their per-layer views when its workspaces are
+        built; a walk step or a client block then builds none."""
+        cfg = small_cfg()
+        arch = cfg.build_arch()
+        clients = simulator._Clients(cfg.build_assignment(), arch, cfg.hyper.K)
+        block = list(clients.training.values())[:n]
+        w = model.init_params(arch, seed=0)
+        simulator._mean_meta_gradient(w, block, cfg.hyper)
+        calls = []
+        real = model._layer_views
+        monkeypatch.setattr(model, "_layer_views",
+                            lambda *args: calls.append(args) or real(*args))
+        simulator._mean_meta_gradient(w, block, cfg.hyper)
+        assert calls == []
+        metalearn.Workspace(arch, 5, 10, cfg.hyper.K, 1)  # the wrapper does count
+        assert calls
+
+
 class TestPrivacyIntegration:
     def test_dp_report_emitted(self):
         cfg = small_cfg(privacy=PrivacyParams(epsilon=0.5, delta=0.3,

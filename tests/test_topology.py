@@ -259,6 +259,14 @@ class TestKernelProperties:
 
     @settings(max_examples=60, deadline=None)
     @given(kernels)
+    def test_cdf_rows_are_running_sums(self, tm):
+        """sample_next searches the CDF the kernel keeps; each of its rows
+        is the running sum of that row of P, bit for bit."""
+        for i in range(tm.n):
+            assert np.array_equal(tm.cdf[i], np.cumsum(tm.P[i]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(kernels)
     def test_stationary_and_detailed_balance(self, tm):
         if dense_sigma2(tm.P) >= 1.0 - 1e-12:  # periodic: no stationary limit
             with pytest.raises(DiagnosticError):
