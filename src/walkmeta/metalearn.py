@@ -53,8 +53,7 @@ def trajectory(w: np.ndarray, arch: model.Arch, support, alpha: float, K: int,
     """u_0 .. u_K as raw arrays: K full-batch gradient steps on the checked
     support batch, starting from w (..., d), one row per client; and the
     gradient tapes at u_0 .. u_{K-1}, from `ws` when given. The states are
-    new arrays."""
-    HyperParams(alpha=alpha, K=K)  # checks alpha and K
+    new arrays. alpha and K are the caller's to check."""
     given = ws.cut(w.shape[:-1])[0] if ws is not None else [None] * K
     states, tapes = [w], []
     for k in range(K):
@@ -87,8 +86,9 @@ def exact_from_trajectory(states: list[np.ndarray], tapes: list, arch: model.Arc
 
 @contextmanager
 def _adapting(w: ParamVector, support, alpha: float, K: int):
-    """Checks the support batch and yields `trajectory` from w, (states,
-    tapes); the array core stays quiet until the block ends."""
+    """Checks alpha, K and the support batch and yields `trajectory` from w,
+    (states, tapes); the array core stays quiet until the block ends."""
+    HyperParams(alpha=alpha, K=K)
     support = model.check_batch(w.arch, support)
     with model.quiet():
         yield trajectory(w.values, w.arch, support, alpha, K)

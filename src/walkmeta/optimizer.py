@@ -54,7 +54,7 @@ def adam_step(state: AuxState, g: np.ndarray, noise: np.ndarray,
               h: HyperParams) -> tuple[AuxState, np.ndarray]:
     """One adaptive update. Noise perturbs the numerator only; the
     preconditioner is built from the unperturbed gradient."""
-    if not np.all(np.isfinite(g)):
+    if not np.logical_and.reduce(np.isfinite(g), axis=None):
         raise NumericalError("non-finite gradient passed to adam_step")
     m = h.theta * state.m + (1.0 - h.theta) * g
     v = h.beta * state.v + (1.0 - h.beta) * g * g

@@ -269,7 +269,7 @@ def run(cfg: ExperimentConfig, assignment: ClientAssignment | None = None) -> Ru
                 aux[owner], delta = optimizer.adam_step(aux.get(owner, zero_aux), g,
                                                         noise, h)
             w = w.with_values(w.values + delta)
-            if not np.all(np.isfinite(w.values)):
+            if not np.logical_and.reduce(np.isfinite(w.values), axis=None):
                 step = "iteration" if spec.walks else "round"
                 raise NumericalError(f"non-finite parameters at {step} {t}")
             if trace is not None:

@@ -82,11 +82,14 @@ class Graph:
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """Row-stochastic walk kernel over a graph's nodes."""
+    """Row-stochastic walk kernel over a graph's nodes; P is made read-only."""
 
     P: np.ndarray
     scheme: str
     laziness: float
+
+    def __post_init__(self):
+        self.P.flags.writeable = False
 
     @cached_property
     def cdf(self) -> np.ndarray:
@@ -94,23 +97,34 @@ class TransitionMatrix:
         for sample_next; a kernel that never walks never pays for it."""
         return np.cumsum(self.P, axis=1)
 
+    @cached_property
+    def last_move(self) -> np.ndarray:
+        """Each row's last positive entry: where a draw past its CDF total lands."""
+        return self.n - 1 - np.argmax(self.P[:, ::-1] > 0, axis=1)
+
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, float]:
+        """(pi, sigma2), worked out on first use and kept: the closed-form pi,
+        read-only, and one eigvalsh of D^1/2 P D^-1/2."""
+        pi = _closed_form_pi(self)
+        pi.flags.writeable = False
+        r = np.sqrt(pi)
+        eig = np.linalg.eigvalsh(r[:, None] * self.P / r[None, :])  # ascending, 1 last
+        return pi, float(np.max(np.abs(eig[:-1]), initial=0.0))
+
     @property
     def n(self) -> int:
         return self.P.shape[0]
 
 
 def _bfs_connected(adj: np.ndarray) -> bool:
-    n = adj.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        i = stack.pop()
-        for j in np.flatnonzero(adj[i]):
-            if not seen[j]:
-                seen[j] = True
-                stack.append(int(j))
-    return bool(seen.all())
+    """Whether every node is reached from node 0, one whole frontier a step."""
+    unseen = np.ones(adj.shape[0], dtype=bool)
+    frontier = np.array([0])
+    while len(frontier):
+        unseen[frontier] = False
+        frontier = (np.logical_or.reduce(adj[frontier], axis=0) & unseen).nonzero()[0]
+    return not unseen.any()
 
 
 # the least n of each family whose generator takes only n
@@ -184,13 +198,9 @@ def gen_regular_expander(n: int, d: int, seed: int) -> Graph:
         rng.shuffle(stubs)
         pairs = stubs.reshape(-1, 2)
         adj = np.zeros((n, n), dtype=bool)
-        simple = True
-        for i, j in pairs:
-            if i == j or adj[i, j]:
-                simple = False
-                break
-            adj[i, j] = adj[j, i] = True
-        if simple and _bfs_connected(adj):
+        adj[pairs[:, 0], pairs[:, 1]] = adj[pairs[:, 1], pairs[:, 0]] = True
+        # a self-loop or a repeated pair sets fewer than n*d entries
+        if np.count_nonzero(adj) == n * d and _bfs_connected(adj):
             return Graph(n, adj)
     raise GenerationError(
         f"no connected simple {d}-regular graph after {_MAX_GEN_ATTEMPTS} "
@@ -270,22 +280,21 @@ def _closed_form_pi(tm: TransitionMatrix) -> np.ndarray:
 def sigma2(tm: TransitionMatrix) -> float:
     """Second-largest eigenvalue magnitude of the walk kernel: 1.0 for
     periodic chains, which signals a non-mixing walk."""
-    r = np.sqrt(_closed_form_pi(tm))
-    eig = np.linalg.eigvalsh(r[:, None] * tm.P / r[None, :])  # ascending, 1 last
-    return float(np.max(np.abs(eig[:-1]), initial=0.0))
+    return tm.spectrum[1]
 
 
 def stationary_distribution(tm: TransitionMatrix) -> np.ndarray:
-    """Stationary vector pi with pi P = pi, in closed form."""
-    if sigma2(tm) >= 1.0 - 1e-12:
+    """Stationary vector pi with pi P = pi, in closed form; a new array."""
+    pi, s2 = tm.spectrum
+    if s2 >= 1.0 - 1e-12:
         raise DiagnosticError(
             "chain is periodic or reducible (second eigenvalue magnitude ~ 1); "
             "add laziness to make it mix"
         )
-    return _closed_form_pi(tm)
+    return pi.copy()
 
 
 def sample_next(tm: TransitionMatrix, current: int, rng: np.random.Generator) -> int:
     """Draw the next walk position from row `current` by inverse CDF."""
     idx = int(np.searchsorted(tm.cdf[current], rng.random(), side="right"))
-    return min(idx, tm.n - 1)
+    return min(idx, int(tm.last_move[current]))

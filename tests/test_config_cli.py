@@ -494,6 +494,22 @@ class TestCmdTopo:
         assert cli.main(["topo", str(cfg_path)]) == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("family", ["ring", "small_world"])
+    def test_one_spectrum_per_case(self, family, tmp_path, monkeypatch, capsys):
+        """σ₂ and π come from one eigvalsh and one balance check."""
+        calls = []
+        real_eigvalsh, real_pi = np.linalg.eigvalsh, topology._closed_form_pi
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: calls.append("eigvalsh") or real_eigvalsh(a))
+        monkeypatch.setattr(topology, "_closed_form_pi",
+                            lambda tm: calls.append("pi") or real_pi(tm))
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(f"[topology]\nfamily = {family}\nn = 8\n"
+                            "[clients]\nn_training = 8\n")
+        assert cli.main(["topo", str(cfg_path)]) == 0
+        assert "stationary=" in capsys.readouterr().out
+        assert calls == ["pi", "eigvalsh"]
+
     def test_generation_failure_exit_1(self, tmp_path, capsys):
         # valid, but no 1-regular graph on 20 nodes is connected
         cfg_path = tmp_path / "exp.cfg"

@@ -132,6 +132,18 @@ class TestAdaptUnseen:
         assert np.array_equal(adapted.values, traj[5].values)
 
 
+@pytest.mark.parametrize("alpha, K", [(0.01, 0), (-0.01, 2)])
+@pytest.mark.parametrize("call", [
+    lambda w, task, alpha, K: metalearn.meta_gradient_exact(w, task, alpha, K),
+    lambda w, task, alpha, K: metalearn.meta_loss(w, task, alpha, K),
+    lambda w, task, alpha, K: metalearn.adapt_unseen(w, task.support, alpha, K),
+], ids=["meta_gradient_exact", "meta_loss", "adapt_unseen"])
+def test_bad_alpha_or_k_rejected(call, alpha, K):
+    w, task = sine_setup(11)
+    with pytest.raises(ParameterError, match="alpha" if alpha < 0 else "K"):
+        call(w, task, alpha, K)
+
+
 class TestWorkspace:
     @pytest.mark.parametrize("head", [model.HEAD_MSE, model.HEAD_XENT])
     @pytest.mark.parametrize("hidden", [(6,), (5, 7)])

@@ -1,0 +1,105 @@
+"""Byte-level guard on `walkmeta topo` output.
+
+The SHA-256 of the standard output of each case below was recorded before
+the kernel kept its stationary distribution and spectrum and before the
+graph checks worked a whole frontier at a time. Any change to a generator's
+draws, to the kernel's arithmetic, to σ₂ or π, or to how they are printed
+shows up here as a different hash.
+
+The n=300 cases are the four families and two schemes that `perfbench`'s
+`topo_n300` workload runs, at two seeds. The n=20 cases cover every family
+without laziness, so the periodic ring and star print their
+`stationary: ...` error line instead of π.
+"""
+
+import hashlib
+
+import pytest
+
+from walkmeta import cli
+
+CONFIG = """\
+[topology]
+family = {family}
+scheme = {scheme}
+n = {n}
+laziness = {laziness}
+[clients]
+n_training = {n}
+[run]
+seed = {seed}
+"""
+
+SCHEMES = ("metropolis", "uniform")
+CASES = {f"n300-{family}-{scheme}-seed{seed}": (family, scheme, 300, 0.1, seed)
+         for family in ("ring", "small_world", "regular", "star")
+         for scheme in SCHEMES for seed in (0, 1)}
+CASES.update({f"n20-{family}-{scheme}": (family, scheme, 20, 0.0, 2)
+              for family in ("ring", "star", "complete", "small_world", "regular")
+              for scheme in SCHEMES})
+
+GOLDEN = {
+    "n20-complete-metropolis":
+        "9f5b0fd3fbeb660b72428911f19251455e596bb07d6cb62e2a6098d3bf7c4ed7",
+    "n20-complete-uniform":
+        "488af57116dd10d12a599ea6e820ca1dfe1e7e880312e0fc3b9bfd86f27dec2f",
+    "n20-regular-metropolis":
+        "a3036cd529925191a440696f3238307a7af6025cb8ca008e7fdc68bab7412bd5",
+    "n20-regular-uniform":
+        "a3036cd529925191a440696f3238307a7af6025cb8ca008e7fdc68bab7412bd5",
+    "n20-ring-metropolis":
+        "938574f9ad016f35b64649705af6a4712c694e5b5dd0f3e7d984153a9153d1eb",
+    "n20-ring-uniform":
+        "938574f9ad016f35b64649705af6a4712c694e5b5dd0f3e7d984153a9153d1eb",
+    "n20-small_world-metropolis":
+        "9ebe185349acf4568b1ee9dc5bcfb69cc9690236d2c5a8477d9b30183437f8e4",
+    "n20-small_world-uniform":
+        "129b122ef88e155686d6d420da99341836fc3de7cd8159f8c5d730e7e62a552c",
+    "n20-star-metropolis":
+        "b1b62577effb0fd13f490ceb1606234d03a8f4c57e87101948f84e512e131971",
+    "n20-star-uniform":
+        "367b409df60c5899ea9c974ff12b3d1c27fd8a0460f2882e26a80cdbf7130e6c",
+    "n300-regular-metropolis-seed0":
+        "069f2a6615cb4d13c3215c68929ad7543cced1560202c06b9ec5f8f0412e8a03",
+    "n300-regular-metropolis-seed1":
+        "e2a908280419e1e7295750654bea261d51390f719319c1b4508be655978e4fb7",
+    "n300-regular-uniform-seed0":
+        "069f2a6615cb4d13c3215c68929ad7543cced1560202c06b9ec5f8f0412e8a03",
+    "n300-regular-uniform-seed1":
+        "e2a908280419e1e7295750654bea261d51390f719319c1b4508be655978e4fb7",
+    "n300-ring-metropolis-seed0":
+        "7be05b7fd428aa7c111a63d01feae5a1d5591f63e1dd2dda560cba2996c86010",
+    "n300-ring-metropolis-seed1":
+        "7be05b7fd428aa7c111a63d01feae5a1d5591f63e1dd2dda560cba2996c86010",
+    "n300-ring-uniform-seed0":
+        "7be05b7fd428aa7c111a63d01feae5a1d5591f63e1dd2dda560cba2996c86010",
+    "n300-ring-uniform-seed1":
+        "7be05b7fd428aa7c111a63d01feae5a1d5591f63e1dd2dda560cba2996c86010",
+    "n300-small_world-metropolis-seed0":
+        "bf922deb7f89143c75c561353b88fd80593aec3c70a6f4acc4da493224ea6c1b",
+    "n300-small_world-metropolis-seed1":
+        "5b60cbcdced44a1b059828035bf4945524847cb46feb0799d8a648b63e4e1320",
+    "n300-small_world-uniform-seed0":
+        "ea70e15a6de527d5bfd8978517209ab945b8794c4088155a0de045b8c344417d",
+    "n300-small_world-uniform-seed1":
+        "09fce941191bd917d26344a16f9eff637a44adee666e98619c7d1a81dbc4b97c",
+    "n300-star-metropolis-seed0":
+        "cc9ce2e915ecb755e40af45c6666f2d2e1904240da77604234314e559ea1958c",
+    "n300-star-metropolis-seed1":
+        "cc9ce2e915ecb755e40af45c6666f2d2e1904240da77604234314e559ea1958c",
+    "n300-star-uniform-seed0":
+        "10dcab160ea6585d2f4cd3fa6d0cc968c9e004ef62272e24f0d2bfc8956746bb",
+    "n300-star-uniform-seed1":
+        "10dcab160ea6585d2f4cd3fa6d0cc968c9e004ef62272e24f0d2bfc8956746bb",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_topo_stdout_pinned(name, tmp_path, capsys):
+    family, scheme, n, laziness, seed = CASES[name]
+    path = tmp_path / "topo.cfg"
+    path.write_text(CONFIG.format(family=family, scheme=scheme, n=n,
+                                  laziness=laziness, seed=seed))
+    assert cli.main(["topo", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[name]

@@ -23,6 +23,33 @@ def bfs_reaches_all(adj):
     return len(seen) == n
 
 
+def regular_by_pair_loop(n, d, seed):
+    """Reference pairing model: the adjacency of the first simple, connected
+    pairing, found pair by pair, or None when 100 attempts find none."""
+    for attempt in range(100):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, attempt]))
+        stubs = np.repeat(np.arange(n), d)
+        rng.shuffle(stubs)
+        adj = np.zeros((n, n), dtype=bool)
+        simple = True
+        for i, j in stubs.reshape(-1, 2):
+            if i == j or adj[i, j]:
+                simple = False
+                break
+            adj[i, j] = adj[j, i] = True
+        if simple and bfs_reaches_all(adj):
+            return adj
+    return None
+
+
+class LargestDraw:
+    """Stub rng whose every draw is 1 - 2**-53, the largest value
+    `Generator.random` returns."""
+
+    def random(self):
+        return 1.0 - 2.0 ** -53
+
+
 def dense_sigma2(P):
     """Oracle: eigenvalue magnitudes minus one Perron eigenvalue."""
     vals = np.linalg.eigvals(P)
@@ -76,6 +103,41 @@ class TestRegularExpander:
     def test_odd_nd_rejected(self):
         with pytest.raises(ParameterError):
             topo.gen_regular_expander(5, 3, seed=0)
+
+    @pytest.mark.parametrize("n, d", [(n, d) for n in (4, 5, 6, 9, 12, 20)
+                                      for d in (1, 2, 3, 4, 5)
+                                      if d < n and n * d % 2 == 0])
+    def test_matches_per_pair_loop(self, n, d):
+        """Setting all pairs at once keeps the graph, or the failure, that
+        the pair-by-pair check gave."""
+        for seed in range(6):
+            ref = regular_by_pair_loop(n, d, seed)
+            if ref is None:
+                with pytest.raises(GenerationError):
+                    topo.gen_regular_expander(n, d, seed)
+            else:
+                assert np.array_equal(topo.gen_regular_expander(n, d, seed).adj, ref)
+
+
+@st.composite
+def symmetric_adjacency(draw):
+    """Random simple graphs on 1..24 nodes, sparse enough that many are
+    disconnected."""
+    n = draw(st.integers(1, 24))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=3 * n))
+    adj = np.zeros((n, n), dtype=bool)
+    for i, j in pairs:
+        if i != j:
+            adj[i, j] = adj[j, i] = True
+    return adj
+
+
+class TestConnectivity:
+    @settings(max_examples=300, deadline=None)
+    @given(symmetric_adjacency())
+    def test_frontier_bfs_matches_reference(self, adj):
+        assert topo._bfs_connected(adj) == bfs_reaches_all(adj)
 
 
 class TestFixedTopologies:
@@ -267,6 +329,12 @@ class TestKernelProperties:
 
     @settings(max_examples=60, deadline=None)
     @given(kernels)
+    def test_largest_draw_moves_along_a_positive_entry(self, tm):
+        for i in range(tm.n):
+            assert tm.P[i, topo.sample_next(tm, i, LargestDraw())] > 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(kernels)
     def test_stationary_and_detailed_balance(self, tm):
         if dense_sigma2(tm.P) >= 1.0 - 1e-12:  # periodic: no stationary limit
             with pytest.raises(DiagnosticError):
@@ -297,7 +365,55 @@ class TestKernelProperties:
             topo.stationary_distribution(tm)
 
 
+class TestSpectrumKept:
+    """A kernel works out pi and sigma2 once, keeps them, and cannot be
+    changed under them."""
+
+    @staticmethod
+    def kernel():
+        return topo.build_transition_matrix(topo.gen_small_world(12, 4, 0.3, seed=2),
+                                            topo.SCHEME_UNIFORM, 0.1)
+
+    def test_sigma2_then_stationary_recompute_nothing(self, monkeypatch):
+        tm = self.kernel()
+        calls = []
+        real_eigvalsh, real_pi = np.linalg.eigvalsh, topo._closed_form_pi
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: calls.append("eigvalsh") or real_eigvalsh(a))
+        monkeypatch.setattr(topo, "_closed_form_pi",
+                            lambda t: calls.append("pi") or real_pi(t))
+        s2 = topo.sigma2(tm)
+        pi = topo.stationary_distribution(tm)
+        assert calls == ["pi", "eigvalsh"]
+        assert topo.sigma2(tm) == s2
+        assert np.array_equal(topo.stationary_distribution(tm), pi)
+        assert calls == ["pi", "eigvalsh"]
+
+    def test_returned_pi_is_the_callers(self):
+        tm = self.kernel()
+        pi = topo.stationary_distribution(tm)
+        kept = pi.copy()
+        pi[:] = -1.0
+        assert np.array_equal(topo.stationary_distribution(tm), kept)
+
+    def test_kernel_and_kept_pi_are_read_only(self):
+        tm = self.kernel()
+        with pytest.raises(ValueError):
+            tm.P[0, 0] = 0.5
+        with pytest.raises(ValueError):
+            tm.spectrum[0][0] = 0.5
+
+
 class TestSampleNext:
+    def test_largest_draw_stays_on_graph(self):
+        # row 4's CDF ends at 0.9999999999999999 and its last entry is 0, so
+        # the largest draw passes the whole row; it lands on the last
+        # neighbour, 15, not on node 19
+        g = topo.gen_small_world(20, 4, 0.3, seed=1)
+        tm = topo.build_transition_matrix(g, topo.SCHEME_METROPOLIS, 0.0)
+        assert tm.cdf[4, -1] < 1.0 and tm.P[4, -1] == 0.0
+        assert topo.sample_next(tm, 4, LargestDraw()) == 15
+
     def test_degenerate_row(self):
         P = np.array([[1.0, 0, 0], [1, 0, 0], [1, 0, 0]])
         tm = topo.TransitionMatrix(P, topo.SCHEME_UNIFORM, 0.0)
