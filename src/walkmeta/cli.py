@@ -8,9 +8,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from functools import partial
 
 import numpy as np
 
@@ -46,12 +43,17 @@ def _print_summary(record: simulator.RunRecord):
         print(f"ABORTED: {record.abort_reason}", file=sys.stderr)
 
 
+def _run_and_write(cfg: ExperimentConfig, path: str) -> simulator.RunRecord:
+    record = simulator.run(cfg)
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(record.to_csv())
+    return record
+
+
 def cmd_run(args) -> int:
     cfg = parse_config(args.config)
-    record = simulator.run(cfg)
     out = cfg.output or _default_output(args.config)
-    with open(out, "w", encoding="utf-8") as f:
-        f.write(record.to_csv())
+    record = _run_and_write(cfg, out)
     _print_summary(record)
     print(f"wrote {out}")
     return EXIT_NUMERICAL if record.aborted else EXIT_OK
@@ -66,27 +68,9 @@ def _sweep_cell_config(cfg: ExperimentConfig, axis: str, value: str,
     return with_keys(cfg, keys)
 
 
-def _run_cell(job):
-    value, seed_index, cfg, path = job
-    record = simulator.run(cfg)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(record.to_csv())
-    last = record.rows[-1]
-    return (value, seed_index, path, record.aborted,
-            last.train_metric, last.unseen_metric, last.comm_units)
-
-
-def _cell_outcome(job, result):
-    """result() for one cell, or a failed outcome with no CSV path when the
-    cell raises a library error or its worker process died."""
-    try:
-        return result()
-    except (WalkmetaError, BrokenProcessPool) as e:
-        print(f"cell {job[3]} failed: {e}", file=sys.stderr)
-        return (job[0], job[1], None, True, float("nan"), float("nan"), 0)
-
-
 def cmd_sweep(args) -> int:
+    """Runs the cells one at a time, in this process. A cell that raises a
+    library error counts as failed and writes no CSV; the others go on."""
     cfg = parse_config(args.config)
     values = [v for v in args.values.split(",") if v]
     # a repeated value would run its cells twice into the same CSVs
@@ -94,52 +78,52 @@ def cmd_sweep(args) -> int:
     problem = ("--values must list at least one value" if not values else
                f"--values repeats {','.join(repeated)}" if repeated else
                "--seeds must be >= 1" if args.seeds < 1 else
-               "--jobs must be >= 1" if args.jobs < 1 else "")
+               "--jobs must be 1: cells run one at a time in this process"
+               if args.jobs != 1 else "")
     if problem:
         print(f"sweep: {problem}", file=sys.stderr)
         return EXIT_USAGE
-    outdir = args.outdir
-    os.makedirs(outdir, exist_ok=True)
+    os.makedirs(args.outdir, exist_ok=True)
     stem = os.path.splitext(os.path.basename(args.config))[0]
 
-    jobs = []
+    cells = []
     for value in values:
         for s in range(args.seeds):
             # validated here, before burning compute on any cell
             cell = _sweep_cell_config(cfg, args.axis, value, s).validate()
-            path = os.path.join(outdir, f"{stem}_{args.axis}-{value}_seed{s}.csv")
-            jobs.append((value, s, cell, path))
+            path = os.path.join(args.outdir, f"{stem}_{args.axis}-{value}_seed{s}.csv")
+            cells.append((value, cell, path))
 
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(_run_cell, job) for job in jobs]
-            outcomes = [_cell_outcome(job, fut.result)
-                        for job, fut in zip(jobs, futures)]
-    else:
-        outcomes = [_cell_outcome(job, partial(_run_cell, job)) for job in jobs]
+    written = []
+    finals = {value: [] for value in values}  # (train, unseen, comm) per finished cell
+    for value, cell, path in cells:
+        try:
+            record = _run_and_write(cell, path)
+        except WalkmetaError as e:
+            print(f"cell {path} failed: {e}", file=sys.stderr)
+            continue
+        written.append(path)
+        last = record.rows[-1]
+        if not record.aborted and np.isfinite(last.train_metric):
+            finals[value].append((last.train_metric, last.unseen_metric,
+                                  last.comm_units))
 
-    summary_path = os.path.join(outdir, f"{stem}_{args.axis}_summary.csv")
+    summary_path = os.path.join(args.outdir, f"{stem}_{args.axis}_summary.csv")
     lines = ["value,n_seeds,n_failed,train_mean,train_std,"
              "unseen_mean,unseen_std,comm_units_mean"]
-    for value in values:
-        cells = [o for o in outcomes if o[0] == value]
-        ok = [o for o in cells if not o[3] and np.isfinite(o[4])]
-        tr = np.array([o[4] for o in ok])
-        un = np.array([o[5] for o in ok])
-        cm = np.array([o[6] for o in ok], dtype=float)
+    for value, ok in finals.items():
         if ok:
+            tr, un, cm = (np.array(column, dtype=float) for column in zip(*ok))
             stats = (tr.mean(), tr.std(), un.mean(), un.std(), cm.mean())
             # numpy 2 reprs its scalars as np.float64(x); write plain floats
-            lines.append(f"{value},{len(cells)},{len(cells) - len(ok)},"
+            lines.append(f"{value},{args.seeds},{args.seeds - len(ok)},"
                          + ",".join(repr(float(x)) for x in stats))
         else:
-            lines.append(f"{value},{len(cells)},{len(cells)},nan,nan,nan,nan,nan")
+            lines.append(f"{value},{args.seeds},{args.seeds},nan,nan,nan,nan,nan")
     with open(summary_path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
-    for _, _, path, *_ in outcomes:
-        if path is not None:
-            print(f"wrote {path}")
-    print(f"wrote {summary_path}")
+    for path in written + [summary_path]:
+        print(f"wrote {path}")
     return EXIT_OK
 
 
@@ -198,7 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated axis values")
     p_sweep.add_argument("--seeds", type=int, default=3)
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument("--jobs", type=int, default=1,
+                         help="must be 1; kept so that older command lines parse")
     p_sweep.add_argument("--outdir", default=".")
     p_sweep.set_defaults(func=cmd_sweep)
 

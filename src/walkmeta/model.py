@@ -133,8 +133,9 @@ def check_batch(arch: Arch, batch) -> tuple[np.ndarray, np.ndarray | None]:
     if arch.head == HEAD_MSE:
         return x, y.reshape(m, arch.output_dim).astype(float)
     labels = y.astype(int)
-    # the gradient builds a one-hot mask, which would skip a bad label silently
-    if labels.ndim != 1 or labels.min() < 0 or labels.max() >= arch.output_dim:
+    # checked: a bad label drops out of the one-hot mask, and the cast truncates 0.5 to 0
+    if (labels.ndim != 1 or np.any(labels != y) or labels.min() < 0
+            or labels.max() >= arch.output_dim):
         raise ParameterError(f"xent labels must be integers in [0, {arch.output_dim})")
     return x, labels
 

@@ -6,6 +6,8 @@ the inputs, so charts can be diffed across runs.
 
 from __future__ import annotations
 
+import math
+
 from .errors import ParameterError
 
 _WIDTH, _HEIGHT = 840, 520
@@ -28,18 +30,25 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
 def render_svg(series: list[tuple[str, list[float], list[float]]],
                x_label: str = "communication units",
                y_label: str = "metric") -> str:
-    """series: (label, xs, ys) triples; xs must be nondecreasing."""
+    """series: (label, xs, ys) triples; xs must be nondecreasing. Points
+    with a non-finite coordinate (an aborted run's last row) are left out,
+    and the axes span the finite points only."""
+    from xml.sax.saxutils import escape  # here: it loads urllib.request and http.client
     if not series:
         raise ParameterError("nothing to plot")
+    finite = []
     for label, xs, ys in series:
         if len(xs) != len(ys) or not xs:
             raise ParameterError(f"series {label!r} is empty or ragged")
-        if any(b < a for a, b in zip(xs, xs[1:])):
+        points = [(x, y) for x, y in zip(xs, ys) if math.isfinite(x) and math.isfinite(y)]
+        if not points:
+            raise ParameterError(f"series {label!r} has no finite point")
+        if any(b[0] < a[0] for a, b in zip(points, points[1:])):
             raise ParameterError(f"series {label!r} has a decreasing x axis")
-    x_lo = min(min(xs) for _, xs, _ in series)
-    x_hi = max(max(xs) for _, xs, _ in series)
-    y_lo = min(min(ys) for _, _, ys in series)
-    y_hi = max(max(ys) for _, _, ys in series)
+        finite.append((label, points))
+    all_x = [x for _, points in finite for x, _ in points]
+    all_y = [y for _, points in finite for _, y in points]
+    x_lo, x_hi, y_lo, y_hi = min(all_x), max(all_x), min(all_y), max(all_y)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -73,20 +82,20 @@ def render_svg(series: list[tuple[str, list[float], list[float]]],
         out.append(f'<text x="{_MARGIN_L - 8}" y="{py}" font-size="11" '
                    f'text-anchor="end" dominant-baseline="middle">{_fmt(yt)}</text>')
     out.append(f'<text x="{_MARGIN_L + plot_w / 2}" y="{_HEIGHT - 10}" '
-               f'font-size="13" text-anchor="middle">{x_label}</text>')
+               f'font-size="13" text-anchor="middle">{escape(x_label)}</text>')
     out.append(f'<text x="18" y="{_MARGIN_T + plot_h / 2}" font-size="13" '
                f'text-anchor="middle" transform="rotate(-90 18 '
-               f'{_MARGIN_T + plot_h / 2})">{y_label}</text>')
-    for idx, (label, xs, ys) in enumerate(series):
+               f'{_MARGIN_T + plot_h / 2})">{escape(y_label)}</text>')
+    for idx, (label, points) in enumerate(finite):
         color = _PALETTE[idx % len(_PALETTE)]
-        points = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in zip(xs, ys))
-        out.append(f'<polyline points="{points}" fill="none" '
+        coords = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in points)
+        out.append(f'<polyline points="{coords}" fill="none" '
                    f'stroke="{color}" stroke-width="1.5"/>')
         ly = _MARGIN_T + 15 + idx * 18
         lx = _WIDTH - _MARGIN_R + 10
         out.append(f'<line x1="{lx}" y1="{ly}" x2="{lx + 20}" y2="{ly}" '
                    f'stroke="{color}" stroke-width="1.5"/>')
         out.append(f'<text x="{lx + 26}" y="{ly + 4}" '
-                   f'font-size="11">{label}</text>')
+                   f'font-size="11">{escape(label)}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"

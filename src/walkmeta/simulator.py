@@ -217,11 +217,12 @@ def run(cfg: ExperimentConfig, assignment: ClientAssignment | None = None) -> Ru
     h = cfg.hyper
     arch = cfg.build_arch()
     assignment = assignment if assignment is not None else cfg.build_assignment()
-    n = assignment.n_training
+    n = cfg.n_training
+    if sorted(assignment.training) != list(range(n)):
+        raise ParameterError(f"assignment training ids must be 0 .. {n - 1} "
+                             f"(clients.n_training={n}), got {sorted(assignment.training)}")
     if spec.walks:  # a server-sampled run never builds the graph
         tm = cfg.build_transition()
-        if tm.n != n:
-            raise ParameterError("transition matrix size must equal n_training")
     init_ss = np.random.SeedSequence([cfg.seed, _INIT_STREAM])
     walk_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _WALK_STREAM]))
     noise_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _NOISE_STREAM]))

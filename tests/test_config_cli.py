@@ -1,8 +1,12 @@
+import contextlib
+import hashlib
+import io
 import os
 import re
+import subprocess
+import sys
 import warnings
-from concurrent.futures import Future
-from concurrent.futures.process import BrokenProcessPool
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -11,7 +15,8 @@ from hypothesis import strategies as st
 
 from walkmeta import cli, config, simulator, topology
 from walkmeta.config import ExperimentConfig, parse_config_text, serialize_config
-from walkmeta.errors import ConfigError
+from walkmeta.errors import ConfigError, GenerationError, ParameterError
+from walkmeta.report import render_svg
 
 FAST_CFG = """
 [topology]
@@ -282,48 +287,98 @@ class TestCmdRun:
         assert "# aborted=" in (tmp_path / "o.csv").read_text()
 
 
-class _PoolWithDeadWorker:
-    """In-process stand-in for ProcessPoolExecutor whose worker dies on every
-    seed-1 cell."""
+# SHA-256 of every file a FAST_CFG sweep over the four methods and 2 seeds
+# writes, and of its stdout with the output directory written as OUT; computed
+# while sweep cells could still run in a process pool, with --jobs 1
+SWEEP_GOLDEN = {
+    "exp_method-centralized_maml_seed0.csv":
+        "655c37b2dd481eb38db8307982098f1a9df1d913a46235ad2b61c4c81cec95f7",
+    "exp_method-centralized_maml_seed1.csv":
+        "f25ecda452e64e4b50be73e6653d457d1ac9c4f7171bd48aa39c08d3235db134",
+    "exp_method-lodmeta_basic_seed0.csv":
+        "84ce83df5a80cdc59cf78aa8527a1ed1a8bef24f5865c624ad374196f4ec70fa",
+    "exp_method-lodmeta_basic_seed1.csv":
+        "9ab313f7d844d11961b0e4f79d3cfe541e7dc9c35b2942745a7d6af0f910405b",
+    "exp_method-lodmeta_seed0.csv":
+        "88bfca23b127304d5e39b42bb28d74810769b72e7e4fd0f4a0a6fe3aae59c76e",
+    "exp_method-lodmeta_seed1.csv":
+        "98322b7c34aeaa18d9d89737c7c60a8e392148655e71d90a2336d751c1eeabc2",
+    "exp_method-lodmeta_sgd_seed0.csv":
+        "328c3166db8af89d250e06a71c7429ad32776f44c98d56228961180bd82518a8",
+    "exp_method-lodmeta_sgd_seed1.csv":
+        "22d1ee1da1ccd1f62fe059e5da1c23e1ac9fd24c653322bf9ba7a43cddf997f9",
+    "exp_method_summary.csv":
+        "9102258818a036ebb5305af0e152ec97a06b67c14fe0b708853bcdbba6154ac6",
+    "stdout": "bdf64131af318f1eb6f38a895099ec3c9a1684a77856e4599e808f021adac6f4",
+}
 
-    def __init__(self, max_workers):
-        pass
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, job):
-        fut = Future()
-        if job[1] == 1:
-            fut.set_exception(BrokenProcessPool("worker died"))
-        else:
-            fut.set_result(fn(job))
-        return fut
+def test_cli_import_stays_light():
+    """Every CLI process, benchmark workers included, pays for what the import
+    loads: no process pool, and no XML or HTTP stack before a report is drawn."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import sys, walkmeta.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent', 'xml', 'http')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout == "[]\n"
 
 
 class TestCmdSweep:
-    def test_dead_worker_counts_as_failed_cell(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", _PoolWithDeadWorker)
+    def test_outputs_match_golden_hashes(self, tmp_path):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(FAST_CFG)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(["sweep", str(cfg_path), "--axis", "method", "--values",
+                           "lodmeta,lodmeta_sgd,lodmeta_basic,centralized_maml",
+                           "--seeds", "2", "--jobs", "1", "--outdir", str(tmp_path / "sw")])
+        assert (rc, err.getvalue()) == (0, "")
+        hashes = {name: hashlib.sha256((tmp_path / "sw" / name).read_bytes()).hexdigest()
+                  for name in os.listdir(tmp_path / "sw")}
+        hashes["stdout"] = hashlib.sha256(
+            out.getvalue().replace(str(tmp_path), "OUT").encode()).hexdigest()
+        assert hashes == SWEEP_GOLDEN
+
+    def test_failing_cell_counts_as_failed(self, tmp_path, monkeypatch, capsys):
+        real_run = simulator.run
+
+        def run(cfg):
+            if cfg.seed == 1:   # the seed-index-1 cells; FAST_CFG has seed 0
+                raise GenerationError("no connected graph")
+            return real_run(cfg)
+        monkeypatch.setattr(simulator, "run", run)
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(FAST_CFG)
         assert cli.main(["sweep", str(cfg_path), "--axis", "method",
                          "--values", "lodmeta,lodmeta_sgd", "--seeds", "2",
-                         "--jobs", "2", "--outdir", str(tmp_path / "sw")]) == 0
+                         "--outdir", str(tmp_path / "sw")]) == 0
         lines = (tmp_path / "sw" / "exp_method_summary.csv").read_text().splitlines()
         assert [line.split(",")[:3] for line in lines[1:]] == [
             ["lodmeta", "2", "1"], ["lodmeta_sgd", "2", "1"]]
         for line in lines[1:]:
             assert all(np.isfinite(float(f)) for f in line.split(",")[3:])
-        # "wrote" names exactly the files on disk: the dead cells wrote none
+        # "wrote" names exactly the files on disk: the failed cells wrote none
+        captured = capsys.readouterr()
         wrote = {os.path.basename(line.split(" ", 1)[1])
-                 for line in capsys.readouterr().out.splitlines()
+                 for line in captured.out.splitlines()
                  if line.startswith("wrote ")}
         assert wrote == set(os.listdir(tmp_path / "sw"))
         assert wrote == {"exp_method-lodmeta_seed0.csv", "exp_method-lodmeta_sgd_seed0.csv",
                          "exp_method_summary.csv"}
+        assert captured.err == "".join(
+            f"cell {tmp_path / 'sw' / f'exp_method-{m}_seed1.csv'} failed: no connected graph\n"
+            for m in ("lodmeta", "lodmeta_sgd"))
+
+    def test_unwritable_cell_exit_1(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(FAST_CFG)
+        (tmp_path / "sw" / "exp_method-lodmeta_seed0.csv").mkdir(parents=True)
+        assert cli.main(["sweep", str(cfg_path), "--axis", "method", "--values", "lodmeta",
+                         "--seeds", "1", "--outdir", str(tmp_path / "sw")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
 
     def test_aborted_cells_still_write(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
@@ -424,7 +479,10 @@ class TestCmdSweep:
     @pytest.mark.parametrize("flags, message", [
         (["--values", "lodmeta,lodmeta_sgd,lodmeta", "--seeds", "2"],
          "sweep: --values repeats lodmeta"),
-        (["--values", "lodmeta", "--jobs", "0"], "sweep: --jobs must be >= 1"),
+        (["--values", "lodmeta", "--jobs", "0"],
+         "sweep: --jobs must be 1: cells run one at a time in this process"),
+        (["--values", "lodmeta", "--jobs", "2"],
+         "sweep: --jobs must be 1: cells run one at a time in this process"),
     ])
     def test_bad_flags_run_no_cell(self, tmp_path, monkeypatch, capsys, flags, message):
         def run(cfg):
@@ -464,6 +522,28 @@ class TestCmdReport:
         cli.main(["report", *run_csvs, "-o", str(a)])
         cli.main(["report", *run_csvs, "-o", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_escaped_label_and_aborted_run_parse(self, tmp_path):
+        p = tmp_path / "overflow.cfg"
+        p.write_text("[topology]\nfamily = ring\nn = 6\n"
+                     "[clients]\nn_training = 6\nn_unseen = 2\n"
+                     "[model]\nhidden = 8\n[method]\nkind = lodmeta_sgd\n"
+                     "[hyper]\neta = 1e6\nalpha = 0.5\ntheta = 0.5\n"
+                     f"[run]\nT = 40\neval_every = 2\nseed = 2\n"
+                     f"output = {tmp_path}/a&b<c.csv\n")
+        assert cli.main(["run", str(p)]) == 2
+        assert cli.main(["report", str(tmp_path / "a&b<c.csv"),
+                         "-o", str(tmp_path / "x.svg")]) == 0
+        root = ET.parse(tmp_path / "x.svg").getroot()
+        ns = "{http://www.w3.org/2000/svg}"
+        assert [t.text for t in root.iter(ns + "text")][-1] == "a&b<c"
+        points = root.find(ns + "polyline").get("points").split()
+        assert points and all(np.isfinite(float(v)) for pt in points for v in pt.split(","))
+
+    def test_series_without_finite_point_rejected(self):
+        with pytest.raises(ParameterError, match="'dead' has no finite point"):
+            render_svg([("ok", [0.0, 1.0], [1.0, 0.5]),
+                        ("dead", [0.0, 1.0], [float("nan"), float("inf")])])
 
     def test_malformed_csv_named(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -108,6 +108,17 @@ class TestLossGrad:
         with pytest.raises(ParameterError):
             model.loss(p, (np.zeros((3, 5)), np.zeros(3)))
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+    def test_non_integer_xent_labels_rejected(self):
+        arch = model.Arch(2, (3,), 3, model.HEAD_XENT)
+        p = model.init_params(arch, seed=0)
+        x = np.random.default_rng(0).standard_normal((2, 2))
+        for y in ([0.5, 1.7], [0.0, np.nan], [0, 1e20]):
+            with pytest.raises(ParameterError, match=r"integers in \[0, 3\)"):
+                model.loss(p, (x, np.array(y)))
+        # integral floats name the same classes as their ints
+        assert model.loss(p, (x, np.array([0.0, 1.0]))) == model.loss(p, (x, np.array([0, 1])))
+
     def test_empty_batch(self):
         arch = model.Arch(2, (4,), 1)
         p = model.init_params(arch, seed=0)

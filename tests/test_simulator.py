@@ -91,6 +91,28 @@ class TestRunBasics:
         assert not np.array_equal(a.final_params.values, b.final_params.values)
 
 
+class TestHandBuiltAssignment:
+    """A hand-built assignment must carry exactly the training ids
+    0 .. n_training-1 the config describes, under every method."""
+
+    @pytest.mark.parametrize("method, n_active, ids", [
+        ("lodmeta", 1, (5, 6, 7)),
+        ("centralized_maml", 1, (5, 6, 7)),
+        ("centralized_maml", 2, (0,)),
+        ("lodmeta_sgd", 1, (0, 1)),
+        ("lodmeta_basic", 1, (0, 1, 2, 3)),
+    ])
+    def test_mismatch_names_both(self, method, n_active, ids):
+        cfg = small_cfg(topology=TopologySpec(family="complete", n=3), n_training=3,
+                        n_unseen=0, method=method, n_active=n_active, T=2)
+        task = tasks.gen_sine_task(np.random.default_rng(0), 5, 10)
+        assignment = tasks.ClientAssignment({i: task for i in ids}, {})
+        with pytest.raises(ParameterError) as e:
+            simulator.run(cfg, assignment=assignment)
+        assert str(e.value) == ("assignment training ids must be 0 .. 2 "
+                                f"(clients.n_training=3), got {list(ids)}")
+
+
 class TestWalkValidity:
     def test_transitions_on_edges_or_lazy(self):
         cfg = small_cfg(topology=TopologySpec(family="small_world", n=6, k=2,
