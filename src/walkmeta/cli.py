@@ -94,7 +94,6 @@ def cmd_sweep(args) -> int:
             path = os.path.join(args.outdir, f"{stem}_{args.axis}-{value}_seed{s}.csv")
             cells.append((value, cell, path))
 
-    written = []
     finals = {value: [] for value in values}  # (train, unseen, comm) per finished cell
     for value, cell, path in cells:
         try:
@@ -102,7 +101,8 @@ def cmd_sweep(args) -> int:
         except WalkmetaError as e:
             print(f"cell {path} failed: {e}", file=sys.stderr)
             continue
-        written.append(path)
+        # named at once, so an OSError on a later cell leaves this one on stdout
+        print(f"wrote {path}")
         last = record.rows[-1]
         if not record.aborted and np.isfinite(last.train_metric):
             finals[value].append((last.train_metric, last.unseen_metric,
@@ -122,8 +122,7 @@ def cmd_sweep(args) -> int:
             lines.append(f"{value},{args.seeds},{args.seeds},nan,nan,nan,nan,nan")
     with open(summary_path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
-    for path in written + [summary_path]:
-        print(f"wrote {path}")
+    print(f"wrote {summary_path}")
     return EXIT_OK
 
 

@@ -97,7 +97,7 @@ def _adapting(w: ParamVector, support, alpha: float, K: int):
 def inner_loop(w: ParamVector, support, alpha: float, K: int) -> list[ParamVector]:
     """u_0 .. u_K: K full-batch gradient steps on the support set from w."""
     with _adapting(w, support, alpha, K) as (states, _):
-        return [w.copy()] + [w.with_values(u) for u in states[1:]]
+        return [w.with_values(w.values.copy())] + [w.with_values(u) for u in states[1:]]
 
 
 def meta_gradient_exact(w: ParamVector, task: TaskInstance, alpha: float,

@@ -71,9 +71,6 @@ class ParamVector:
                 f"expected {self.arch.param_count} parameters, got {self.values.shape}"
             )
 
-    def copy(self) -> "ParamVector":
-        return ParamVector(self.values.copy(), self.arch)
-
     def with_values(self, values: np.ndarray) -> "ParamVector":
         return ParamVector(values, self.arch)
 
@@ -132,10 +129,12 @@ def check_batch(arch: Arch, batch) -> tuple[np.ndarray, np.ndarray | None]:
         return x, None
     if arch.head == HEAD_MSE:
         return x, y.reshape(m, arch.output_dim).astype(float)
-    labels = y.astype(int)
-    # checked: a bad label drops out of the one-hot mask, and the cast truncates 0.5 to 0
-    if (labels.ndim != 1 or np.any(labels != y) or labels.min() < 0
-            or labels.max() >= arch.output_dim):
+    # checked: a bad label drops out of the one-hot mask. The range comes
+    # before the cast, which warns on NaN or a label past int64; integrality
+    # after it, since the cast truncates 0.5 to 0.
+    if (y.ndim != 1 or y.dtype.kind not in "biuf"
+            or not np.all((y >= 0) & (y < arch.output_dim))
+            or np.any((labels := y.astype(int)) != y)):
         raise ParameterError(f"xent labels must be integers in [0, {arch.output_dim})")
     return x, labels
 
@@ -312,11 +311,6 @@ def taped_grads(values: np.ndarray, arch: Arch, x, t,
     return tape.res.copy(), tape
 
 
-def grads(values: np.ndarray, arch: Arch, x, t) -> np.ndarray:
-    """Gradient of each row's mean batch loss, shape (..., d)."""
-    return taped_grads(values, arch, x, t)[0]
-
-
 def hvps(tape: Tape, v: np.ndarray) -> np.ndarray:
     """Exact Hessian-vector product of each row (Pearlmutter's R-operator):
     the directional derivative along v (..., d) of the taped forward and
@@ -378,7 +372,7 @@ def grad(p: ParamVector, batch) -> ParamVector:
     """Gradient of the mean batch loss with respect to the flat parameters."""
     x, t = check_batch(p.arch, batch)
     with quiet():
-        return p.with_values(grads(p.values, p.arch, x, t))
+        return p.with_values(taped_grads(p.values, p.arch, x, t)[0])
 
 
 def predict(p: ParamVector, x: np.ndarray) -> np.ndarray:
@@ -392,21 +386,3 @@ def hvp(p: ParamVector, batch, v: ParamVector) -> ParamVector:
     with quiet():
         return p.with_values(hvps(taped_grads(p.values, p.arch, x, t)[1], v.values))
 
-
-def serialize_params(p: ParamVector) -> str:
-    a = p.arch
-    hidden = ",".join(map(str, a.hidden)) if a.hidden else "-"
-    header = f"arch {a.input_dim} {hidden} {a.output_dim} {a.head}"
-    body = "\n".join(repr(float(v)) for v in p.values)
-    return header + "\n" + body + "\n"
-
-
-def deserialize_params(text: str) -> ParamVector:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    parts = lines[0].split()
-    if parts[0] != "arch" or len(parts) != 5:
-        raise ParameterError("bad parameter header line")
-    hidden = () if parts[2] == "-" else tuple(int(w) for w in parts[2].split(","))
-    arch = Arch(int(parts[1]), hidden, int(parts[3]), parts[4])
-    values = np.array([float(ln) for ln in lines[1:]])
-    return ParamVector(values, arch)

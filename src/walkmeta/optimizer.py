@@ -50,10 +50,11 @@ class AuxState:
         return AuxState(np.zeros(dim), np.zeros(dim), 0)
 
 
-def adam_step(state: AuxState, g: np.ndarray, noise: np.ndarray,
+def adam_step(state: AuxState, g: np.ndarray, noise: np.ndarray | float,
               h: HyperParams) -> tuple[AuxState, np.ndarray]:
     """One adaptive update. Noise perturbs the numerator only; the
-    preconditioner is built from the unperturbed gradient."""
+    preconditioner is built from the unperturbed gradient. A scalar 0.0
+    stands for no noise."""
     if not np.logical_and.reduce(np.isfinite(g), axis=None):
         raise NumericalError("non-finite gradient passed to adam_step")
     m = h.theta * state.m + (1.0 - h.theta) * g

@@ -137,38 +137,37 @@ def _client_blocks(clients: list):
         start = stop
 
 
-def _adapt_block(w: ParamVector, support, query, ws: metalearn.Workspace,
-                 h: optimizer.HyperParams, metrics: list | None = None,
-                 gsum: np.ndarray | None = None):
-    """Adapts a block of clients from w. When given, appends each client's
-    adapted query metric to `metrics` and adds each client's exact
+def _adapt_block(w: np.ndarray, arch: model.Arch, support, query,
+                 ws: metalearn.Workspace, h: optimizer.HyperParams,
+                 metrics: list | None = None, gsum: np.ndarray | None = None):
+    """Adapts a block of clients from w (d,). When given, appends each
+    client's adapted query metric to `metrics` and adds each client's exact
     meta-gradient to `gsum`, in client order; one inner trajectory per
     client serves both."""
     n = len(support[0])
-    states, tapes = metalearn.trajectory(
-        np.broadcast_to(w.values, (n, w.values.size)), w.arch, support, h.alpha, h.K, ws)
+    states, tapes = metalearn.trajectory(np.broadcast_to(w, (n, w.size)), arch, support,
+                                         h.alpha, h.K, ws)
     if metrics is not None:
-        metrics += _query_metrics(states[-1], w.arch, query, ws.cut((n,))[1])
+        metrics += _query_metrics(states[-1], arch, query, ws.cut((n,))[1])
     if gsum is not None:
-        for row in metalearn.exact_from_trajectory(states, tapes, w.arch, query,
+        for row in metalearn.exact_from_trajectory(states, tapes, arch, query,
                                                    h.alpha, ws):
             gsum += row
 
 
-def _mean_meta_gradient(w: ParamVector, clients: list,
+def _mean_meta_gradient(w: np.ndarray, arch: model.Arch, clients: list,
                         h: optimizer.HyperParams) -> np.ndarray:
-    """The exact meta-gradient averaged over prepared clients; several run
-    in client blocks, one as a lone vector without the block's stacking."""
+    """The exact meta-gradient at w (d,) averaged over prepared clients;
+    several run in client blocks, one as a lone vector without stacking."""
     with model.quiet():
         if len(clients) == 1:
             support, query, ws = clients[0]
-            states, tapes = metalearn.trajectory(w.values, w.arch, support,
-                                                 h.alpha, h.K, ws)
-            return metalearn.exact_from_trajectory(states, tapes, w.arch, query,
+            states, tapes = metalearn.trajectory(w, arch, support, h.alpha, h.K, ws)
+            return metalearn.exact_from_trajectory(states, tapes, arch, query,
                                                    h.alpha, ws)
-        gsum = np.zeros_like(w.values)
+        gsum = np.zeros_like(w)
         for block in _client_blocks(clients):
-            _adapt_block(w, *block, h, gsum=gsum)
+            _adapt_block(w, arch, *block, h, gsum=gsum)
     return gsum / len(clients)
 
 
@@ -191,14 +190,15 @@ def evaluate(w: ParamVector, assignment: ClientAssignment,
     def mean(vals):
         return float(np.mean(vals)) if vals else float("nan")
 
-    clients = clients or _Clients(assignment, w.arch, h.K)
+    values, arch = w.values, w.arch
+    clients = clients or _Clients(assignment, arch, h.K)
     train, unseen = [], []
-    gsum = np.zeros_like(w.values)
+    gsum = np.zeros_like(values)
     with model.quiet():
         for block in clients.training_blocks:
-            _adapt_block(w, *block, h, train, gsum)
+            _adapt_block(values, arch, *block, h, train, gsum)
         for block in clients.unseen_blocks:
-            _adapt_block(w, *block, h, unseen)
+            _adapt_block(values, arch, *block, h, unseen)
         gmean = gsum / assignment.n_training
         gnorm_sq = float(gmean @ gmean)
     if not np.isfinite(gnorm_sq):
@@ -226,7 +226,7 @@ def run(cfg: ExperimentConfig, assignment: ClientAssignment | None = None) -> Ru
     init_ss = np.random.SeedSequence([cfg.seed, _INIT_STREAM])
     walk_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _WALK_STREAM]))
     noise_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _NOISE_STREAM]))
-    w = model.init_params(arch, init_ss)
+    w = model.init_params(arch, init_ss).values
     d = arch.param_count
     prepared = _Clients(assignment, arch, h.K)
 
@@ -238,8 +238,9 @@ def run(cfg: ExperimentConfig, assignment: ClientAssignment | None = None) -> Ru
 
     current = int(walk_rng.integers(n)) if spec.walks else -1
     comm = 0
-    trace = Trace(w=[w.values.copy()]) if cfg.record_trace else None
-    rows = [EvalRow(0, 0, current, *evaluate(w, assignment, h, prepared))]
+    trace = Trace(w=[w.copy()]) if cfg.record_trace else None
+    rows = [EvalRow(0, 0, current, *evaluate(ParamVector(w, arch), assignment, h,
+                                             prepared))]
     dp_report = None
     if noisy and cfg.T >= 1:  # the report covers only the chain that adds noise
         dp_report = privacy.account_network_dp(cfg.privacy.epsilon, cfg.privacy.delta,
@@ -257,33 +258,32 @@ def run(cfg: ExperimentConfig, assignment: ClientAssignment | None = None) -> Ru
             clients = walk_rng.choice(n, size=cfg.n_active, replace=False)
         comm += per_iter
         try:
-            g = _mean_meta_gradient(w, [prepared.training[int(i)] for i in clients], h)
+            g = _mean_meta_gradient(w, arch, [prepared.training[int(i)] for i in clients], h)
+            noise = 0.0
             if noisy:
                 g = optimizer.clip(g, cfg.privacy.m_meta)
                 noise = privacy.sample_perturbation(sigma2, d, noise_rng)
-            else:
-                noise = np.zeros(d)
             if spec.aux is None:
                 delta = optimizer.sgd_step(g, h.eta)
             else:
                 owner = current if spec.aux == "client" else -1
                 aux[owner], delta = optimizer.adam_step(aux.get(owner, zero_aux), g,
                                                         noise, h)
-            w = w.with_values(w.values + delta)
-            if not np.logical_and.reduce(np.isfinite(w.values), axis=None):
+            w = w + delta
+            if not np.logical_and.reduce(np.isfinite(w), axis=None):
                 step = "iteration" if spec.walks else "round"
                 raise NumericalError(f"non-finite parameters at {step} {t}")
             if trace is not None:
                 trace.active.append(current)
-                trace.w.append(w.values.copy())
+                trace.w.append(w.copy())
             if (t + 1) % cfg.eval_every == 0 or t + 1 == cfg.T:
-                rows.append(EvalRow(t + 1, comm, current,
-                                    *evaluate(w, assignment, h, prepared)))
+                rows.append(EvalRow(t + 1, comm, current, *evaluate(
+                    ParamVector(w, arch), assignment, h, prepared)))
         except NumericalError as e:
             record.aborted = True
             record.abort_reason = str(e)
             rows.append(EvalRow(t + 1, comm, current, *[float("nan")] * 3))
             break
-    record.final_params = w
+    record.final_params = ParamVector(w, arch)
     return record
 

@@ -104,7 +104,7 @@ def test_overflowing_row_raises(head):
     batches = [random_batch(rng, arch, 5) for _ in range(3)]
     x, t = stacked(arch, batches)
     with model.quiet(), pytest.raises(NumericalError):
-        model.grads(rows, arch, x, t)
+        model.taped_grads(rows, arch, x, t)
     with pytest.raises(NumericalError):
         model.grad(model.ParamVector(rows[1], arch), batches[1])
 
@@ -226,10 +226,10 @@ def test_warm_block_meta_gradient_allocates_little():
                                  cfg.hyper.K)
     block = list(clients.training.values())
     w = model.init_params(arch, seed=0)
-    simulator._mean_meta_gradient(w, block, cfg.hyper)
+    simulator._mean_meta_gradient(w.values, arch, block, cfg.hyper)
     tracemalloc.start()
     try:
-        simulator._mean_meta_gradient(w, block, cfg.hyper)
+        simulator._mean_meta_gradient(w.values, arch, block, cfg.hyper)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -380,6 +380,20 @@ class TestCmdSweep:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
 
+    def test_unwritable_later_cell_names_earlier(self, tmp_path, capsys):
+        """An OSError on the second cell still leaves the first cell's CSV
+        named on stdout, and only that one."""
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(FAST_CFG)
+        (tmp_path / "sw" / "exp_method-lodmeta_sgd_seed0.csv").mkdir(parents=True)
+        assert cli.main(["sweep", str(cfg_path), "--axis", "method",
+                         "--values", "lodmeta,lodmeta_sgd", "--seeds", "1",
+                         "--outdir", str(tmp_path / "sw")]) == 1
+        first = tmp_path / "sw" / "exp_method-lodmeta_seed0.csv"
+        captured = capsys.readouterr()
+        assert captured.out == f"wrote {first}\n"
+        assert first.is_file() and captured.err.startswith("error: ")
+
     def test_aborted_cells_still_write(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(FAST_CFG + "\n[hyper]\neta = 1e9\n")

@@ -286,12 +286,12 @@ class TestMeanMetaGradient:
         clients = simulator._Clients(cfg.build_assignment(), arch, cfg.hyper.K)
         block = list(clients.training.values())[:n]
         w = model.init_params(arch, seed=0)
-        simulator._mean_meta_gradient(w, block, cfg.hyper)
+        simulator._mean_meta_gradient(w.values, arch, block, cfg.hyper)
         calls = []
         real = model._layer_views
         monkeypatch.setattr(model, "_layer_views",
                             lambda *args: calls.append(args) or real(*args))
-        simulator._mean_meta_gradient(w, block, cfg.hyper)
+        simulator._mean_meta_gradient(w.values, arch, block, cfg.hyper)
         assert calls == []
         metalearn.Workspace(arch, 5, 10, cfg.hyper.K, 1)  # the wrapper does count
         assert calls
@@ -332,6 +332,24 @@ class TestPrivacyIntegration:
         a = simulator.run(replace(small_cfg(T=10), method="lodmeta"))
         b = simulator.run(replace(small_cfg(T=10), method="lodmeta"))
         assert np.array_equal(a.final_params.values, b.final_params.values)
+
+
+class TestRawArrayLoop:
+    @pytest.mark.parametrize("method", ["lodmeta", "lodmeta_sgd", "lodmeta_basic",
+                                        "centralized_maml"])
+    def test_steps_build_no_param_vector(self, monkeypatch, method):
+        """The loop carries a raw (d,) array: a ParamVector is built for the
+        initial point, each evaluation row and the final wrap, not per step."""
+        private = PrivacyParams(epsilon=0.5, delta=0.3, m_meta=1.0,
+                                enabled=method == "lodmeta")
+        cfg = small_cfg(method=method, n_active=2, T=50, eval_every=25, privacy=private)
+        built = []
+        real = model.ParamVector.__post_init__
+        monkeypatch.setattr(model.ParamVector, "__post_init__",
+                            lambda self: built.append(1) or real(self))
+        rec = simulator.run(cfg)
+        assert not rec.aborted and len(rec.rows) == 3
+        assert len(built) <= len(rec.rows) + 2
 
 
 class TestAbort:
