@@ -7,6 +7,7 @@ file is a complete, runnable configuration. Unknown keys are a hard error.
 
 from __future__ import annotations
 
+import math
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -170,6 +171,7 @@ _BOUNDS = (
     ("task.ways", lambda v: v >= 2, ">= 2"),
     ("task.query_per_class", lambda v: v >= 1, ">= 1"),
     ("task.dim", lambda v: v >= 2, ">= 2"),
+    ("task.spread", lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
     ("clients.n_training", lambda v: v >= 1, ">= 1"),
     ("clients.n_unseen", lambda v: v >= 0, ">= 0"),
     ("privacy.delta_hat", lambda v: 0.0 < v < 1.0, "in (0, 1)"),

@@ -59,8 +59,8 @@ def trajectory(w: np.ndarray, arch: model.Arch, support, alpha: float, K: int,
     for k in range(K):
         u, tape = model.taped_grads(states[-1], arch, *support, given[k])
         tapes.append(tape)
-        u *= alpha
-        np.subtract(states[-1], u, out=u)
+        np.multiply(u, alpha, u)
+        np.subtract(states[-1], u, u)
         if not np.logical_and.reduce(np.isfinite(u), axis=None):
             raise NumericalError(f"non-finite inner state at step {k + 1}")
         states.append(u)
@@ -77,8 +77,8 @@ def exact_from_trajectory(states: list[np.ndarray], tapes: list, arch: model.Arc
     g = model.taped_grads(states[-1], arch, *query, qtape)[0]
     for tape in reversed(tapes):
         hv = model.hvps(tape, g)
-        hv *= alpha
-        g -= hv
+        np.multiply(hv, alpha, hv)
+        np.subtract(g, hv, g)
     if not np.logical_and.reduce(np.isfinite(g), axis=None):
         raise NumericalError("non-finite meta-gradient")
     return g

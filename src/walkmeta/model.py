@@ -99,10 +99,14 @@ def init_params(arch: Arch, seed) -> ParamVector:
 # block of clients gives each client's result bit for bit. Reductions that
 # numpy would order differently along an axis (means, norms) run per row.
 # The arrays of a pass live in a Tape, which a caller can keep and reuse: a
-# call copies its input point in, writes through out= and reads through
+# call copies its input point in, writes through out and reads through
 # views the tape made when it was built. The same operations as on fresh
 # arrays, so the same bits, without allocating or building a view; results
-# are copied out as new arrays.
+# are copied out as new arrays. Per-call dispatch is most of a lone step's
+# time, so out is passed positionally (an in-place operator or out= costs
+# more), and a lone tape, whose operands are all 2-D, multiplies with np.dot,
+# which calls the same BLAS routine as a block's np.matmul for less dispatch;
+# tests/test_blocks.py checks that the bits agree.
 
 def quiet():
     """Overflow surfaces as NumericalError via the finiteness checks, not
@@ -212,6 +216,7 @@ class Tape:
         self.wtmp = [None] + [scratch(out, inp) for out, inp, *_ in arch.layers[1:]]
         self.mask = scratch(m, arch.output_dim, dtype=bool) if xent else None
         self.classes = np.arange(arch.output_dim)
+        self.mm = np.dot if lead == () else np.matmul   # see the array core's comment
         self.outs = self.hs[1:] + [self.z]   # where each layer's pre-activation goes
         self.W, self.b = _layer_views(self.point, arch)
         self.VW, self.Vb = _layer_views(self.dir, arch)
@@ -235,13 +240,13 @@ def _forward(values: np.ndarray, x: np.ndarray, tape: Tape) -> np.ndarray:
     activations entering each layer; returns the final pre-activation z
     (..., m, output_dim), which is scratch."""
     np.copyto(tape.point, values)
-    hs = tape.hs
+    hs, mm = tape.hs, tape.mm
     hs[0] = x
     for li, (Wt, b, z) in enumerate(zip(tape.Wt, tape.b, tape.outs)):
-        np.matmul(hs[li], Wt, out=z)
-        z += b
+        mm(hs[li], Wt, z)
+        np.add(z, b, z)
         if li + 1 < len(hs):
-            np.tanh(z, out=z)
+            np.tanh(z, z)
     return z
 
 
@@ -290,24 +295,25 @@ def taped_grads(values: np.ndarray, arch: Arch, x, t,
     hs, deltas, m = tape.hs, tape.deltas, tape.m
     delta = deltas[-1]
     if arch.head == HEAD_MSE:
-        np.subtract(z, t, out=delta)
-        delta *= 2.0
-        delta /= m * arch.output_dim
+        np.subtract(z, t, delta)
+        np.multiply(delta, 2.0, delta)
+        np.divide(delta, m * arch.output_dim, delta)
     else:  # softmax cross-entropy
-        np.subtract(z, np.maximum.reduce(z, axis=-1, keepdims=True), out=z)
-        logsumexp = np.log(np.add.reduce(np.exp(z, out=tape.probs), axis=-1, keepdims=True))
-        probs = np.subtract(z, logsumexp, out=tape.probs)
-        np.exp(probs, out=probs)
-        np.subtract(probs, np.equal(t[..., None], tape.classes, out=tape.mask), out=delta)
-        delta /= m
+        np.subtract(z, np.maximum.reduce(z, axis=-1, keepdims=True), z)
+        logsumexp = np.log(np.add.reduce(np.exp(z, tape.probs), axis=-1, keepdims=True))
+        probs = np.subtract(z, logsumexp, tape.probs)
+        np.exp(probs, probs)
+        np.subtract(probs, np.equal(t[..., None], tape.classes, tape.mask), delta)
+        np.divide(delta, m, delta)
+    mm, W, deltasT, resW, resb = tape.mm, tape.W, tape.deltasT, tape.resW, tape.resb
     for li in range(len(deltas) - 1, -1, -1):
-        np.matmul(tape.deltasT[li], hs[li], out=tape.resW[li])
-        np.add.reduce(deltas[li], axis=-2, keepdims=True, out=tape.resb[li])
+        mm(deltasT[li], hs[li], resW[li])
+        np.add.reduce(deltas[li], axis=-2, keepdims=True, out=resb[li])
         if li > 0:
-            back = np.matmul(deltas[li], tape.W[li], out=tape.backs[li])
-            dtanh = np.square(hs[li], out=tape.dtanh[li])
-            np.subtract(1.0, dtanh, out=dtanh)                # tanh' = 1 - h^2
-            np.multiply(back, dtanh, out=deltas[li - 1])
+            back = mm(deltas[li], W[li], tape.backs[li])
+            dtanh = np.square(hs[li], tape.dtanh[li])
+            np.subtract(1.0, dtanh, dtanh)                # tanh' = 1 - h^2
+            np.multiply(back, dtanh, deltas[li - 1])
     return tape.res.copy(), tape
 
 
@@ -321,40 +327,42 @@ def hvps(tape: Tape, v: np.ndarray) -> np.ndarray:
     if arch.head == HEAD_QUADRATIC:
         return v.copy()
     np.copyto(tape.dir, v)
-    hs, dtanh, rhs, tmp, W = tape.hs, tape.dtanh, tape.rhs, tape.tmp, tape.W
+    hs, dtanh, rhs, tmp, W, mm = tape.hs, tape.dtanh, tape.rhs, tape.tmp, tape.W, tape.mm
     n_layers = len(W)
     # R-forward: rhs[li] = R(h) entering layer li; the input x has none
     for li in range(n_layers):
-        rz = np.matmul(hs[li], tape.VWt[li], out=rhs[li + 1])
-        rz += tape.Vb[li]
+        rz = mm(hs[li], tape.VWt[li], rhs[li + 1])
+        np.add(rz, tape.Vb[li], rz)
         if li > 0:
-            rz += np.matmul(rhs[li], tape.Wt[li], out=tmp[li])
+            np.add(rz, mm(rhs[li], tape.Wt[li], tmp[li]), rz)
         if li + 1 < n_layers:
-            rz *= dtanh[li + 1]
+            np.multiply(rz, dtanh[li + 1], rz)
     # R(z) becomes R(output delta) in place
     if arch.head == HEAD_MSE:
-        rz *= 2.0
-        rz /= tape.m * arch.output_dim
+        np.multiply(rz, 2.0, rz)
+        np.divide(rz, tape.m * arch.output_dim, rz)
     else:  # R(softmax) = p * (Rz - <p, Rz>)
         p = tape.probs
-        rz -= np.add.reduce(np.multiply(p, rz, out=tmp[-1]), axis=-1, keepdims=True)
-        rz *= p
-        rz /= tape.m
+        prz = np.add.reduce(np.multiply(p, rz, tmp[-1]), axis=-1, keepdims=True)
+        np.subtract(rz, prz, rz)
+        np.multiply(rz, p, rz)
+        np.divide(rz, tape.m, rz)
     # R-backward over the taped deltas
-    deltas, rdeltas = tape.deltas, tape.rdeltas
+    deltas, rdeltas, VW, backs = tape.deltas, tape.rdeltas, tape.VW, tape.backs
+    deltasT, rdeltasT, resW, resb = tape.deltasT, tape.rdeltasT, tape.resW, tape.resb
     for li in range(n_layers - 1, -1, -1):
-        hw = np.matmul(tape.rdeltasT[li], hs[li], out=tape.resW[li])
-        np.add.reduce(rdeltas[li], axis=-2, keepdims=True, out=tape.resb[li])
+        hw = mm(rdeltasT[li], hs[li], resW[li])
+        np.add.reduce(rdeltas[li], axis=-2, keepdims=True, out=resb[li])
         if li > 0:
-            hw += np.matmul(tape.deltasT[li], rhs[li], out=tape.wtmp[li])
-            rdelta = np.matmul(rdeltas[li], W[li], out=rdeltas[li - 1])
-            rdelta += np.matmul(deltas[li], tape.VW[li], out=tmp[li - 1])
-            rdelta *= dtanh[li]
+            np.add(hw, mm(deltasT[li], rhs[li], tape.wtmp[li]), hw)
+            rdelta = mm(rdeltas[li], W[li], rdeltas[li - 1])
+            np.add(rdelta, mm(deltas[li], VW[li], tmp[li - 1]), rdelta)
+            np.multiply(rdelta, dtanh[li], rdelta)
             # R(tanh') = -2 h R(h)
-            r = np.multiply(2.0, hs[li], out=tmp[li - 1])
-            r *= rhs[li]
-            r *= tape.backs[li]
-            rdelta -= r
+            r = np.multiply(2.0, hs[li], tmp[li - 1])
+            np.multiply(r, rhs[li], r)
+            np.multiply(r, backs[li], r)
+            np.subtract(rdelta, r, rdelta)
     return tape.res.copy()
 
 

@@ -8,6 +8,7 @@ bias correction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,9 @@ class HyperParams:
     K: int = 5             # inner steps
 
     def __post_init__(self):
+        for name in ("eta", "lam", "alpha"):   # theta's and beta's bounds reject NaN
+            if not math.isfinite(value := getattr(self, name)):
+                raise ParameterError(f"{name}: must be finite, got {value}")
         if self.eta < 0:
             raise ParameterError(f"eta: must be >= 0, got {self.eta}")
         if not (0.0 <= self.theta < 1.0):
@@ -71,7 +75,7 @@ def clip(g: np.ndarray, bound: float) -> np.ndarray:
     """Scale g down to L2 norm `bound` if it exceeds it; direction preserved."""
     if bound <= 0:
         raise ParameterError("clip bound must be positive")
-    norm = float(np.linalg.norm(g))
+    norm = math.sqrt(g @ g)   # the bits of np.linalg.norm, without its wrapper
     if norm <= bound:
         return g
     return g * (bound / norm)

@@ -30,8 +30,8 @@ class PrivacyParams:
             raise ParameterError(f"epsilon: must be in (0, 1), got {self.epsilon}")
         if not (0.0 < self.delta < 0.5):
             raise ParameterError(f"delta: must be in (0, 1/2), got {self.delta}")
-        if self.m_meta <= 0:
-            raise ParameterError(f"m_meta: must be positive, got {self.m_meta}")
+        if not (0.0 < self.m_meta < math.inf):
+            raise ParameterError(f"m_meta: must be finite and positive, got {self.m_meta}")
 
 
 @dataclass(frozen=True)

@@ -296,5 +296,5 @@ def stationary_distribution(tm: TransitionMatrix) -> np.ndarray:
 
 def sample_next(tm: TransitionMatrix, current: int, rng: np.random.Generator) -> int:
     """Draw the next walk position from row `current` by inverse CDF."""
-    idx = int(np.searchsorted(tm.cdf[current], rng.random(), side="right"))
+    idx = int(tm.cdf[current].searchsorted(rng.random(), "right"))
     return min(idx, int(tm.last_move[current]))

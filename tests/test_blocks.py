@@ -195,6 +195,46 @@ def test_reused_workspace_equals_fresh_single_calls(case):
             assert metrics[i] == model.loss(u, tk.query)
 
 
+@pytest.mark.parametrize("cfg", [
+    ExperimentConfig(),                                   # sine, widths 40, d=1761
+    ExperimentConfig(hidden=(8,)),                        # sine, d=25
+    ExperimentConfig(task=tasks.TaskConfig(kind="blob")),  # xent, width 64, d=517
+], ids=["sine_d1761", "sine_d25", "blob_d517"])
+def test_lone_equals_block_row_at_run_shapes(cfg):
+    """A lone (d,) pass multiplies with np.dot and a block with np.matmul.
+    At the shapes runs use (widths 40 and 64; 10, 15, 50 and 75 examples),
+    with real client batches and the run's workspace, the lone gradient,
+    HVP, inner states and exact meta-gradient equal row 0 of a 1-row and a
+    4-row block bit for bit."""
+    arch, h = cfg.build_arch(), cfg.hyper
+    clients = simulator._Clients(tasks.assign_clients(4, 0, cfg.task, seed=0), arch, h.K)
+    prepared = [clients.training[i] for i in range(4)]
+    ws = prepared[0][2]
+    rng = np.random.default_rng(5)
+    rows = random_rows(rng, arch, 4)
+    dirs = rng.standard_normal((4, arch.param_count))
+
+    def row0(lead):
+        n = lead[0] if lead else 1
+        if lead:
+            w, v = rows[:n], dirs[:n]
+            support = model.stack_batches([c[0] for c in prepared[:n]])
+            query = model.stack_batches([c[1] for c in prepared[:n]])
+        else:
+            w, v, (support, query, _) = rows[0], dirs[0], prepared[0]
+        with model.quiet():
+            g, tape = model.taped_grads(w, arch, *support, ws.cut(lead)[0][0])
+            hv = model.hvps(tape, v)
+            states, tapes = metalearn.trajectory(w, arch, support, h.alpha, h.K, ws)
+            mg = metalearn.exact_from_trajectory(states, tapes, arch, query, h.alpha, ws)
+        return [a.reshape(n, -1)[0] for a in [g, hv, *states[1:], mg]]
+
+    lone = row0(())
+    for lead in [(1,), (4,)]:
+        for a, b in zip(lone, row0(lead), strict=True):
+            assert np.array_equal(a, b)
+
+
 def test_results_do_not_alias_the_workspace():
     arch = model.Arch(2, (6,), 3, model.HEAD_XENT)
     rng = np.random.default_rng(3)

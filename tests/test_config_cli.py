@@ -136,6 +136,17 @@ OUT_OF_RANGE = [
     ("topology.degree", "[topology]\nfamily = regular\ndegree = 0\n"),
     ("topology.degree", "[topology]\nfamily = regular\ndegree = 20\n"),
     ("topology.n", "[topology]\nfamily = ring\nn = 2\n[clients]\nn_training = 2\n"),
+    ("hyper.eta", "[hyper]\neta = nan\n"),
+    ("hyper.eta", "[hyper]\neta = inf\n"),
+    ("hyper.lambda", "[hyper]\nlambda = nan\n"),
+    ("hyper.lambda", "[hyper]\nlambda = inf\n"),
+    ("hyper.alpha", "[hyper]\nalpha = nan\n"),
+    ("hyper.alpha", "[hyper]\nalpha = inf\n"),
+    ("task.spread", "[task]\nkind = blob\nspread = nan\n"),
+    ("task.spread", "[task]\nkind = blob\nspread = inf\n"),
+    ("task.spread", "[task]\nkind = blob\nspread = -0.5\n"),
+    ("privacy.m_meta", "[privacy]\nenabled = true\nm_meta = nan\n"),
+    ("privacy.m_meta", "[privacy]\nm_meta = inf\n"),
 ]
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walkmeta import optimizer
 from walkmeta.errors import NumericalError, ParameterError
@@ -139,6 +141,21 @@ class TestClip:
     def test_bad_bound(self):
         with pytest.raises(ParameterError):
             optimizer.clip(np.ones(2), 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([3, 25, 517, 1761]), st.integers(0, 2**32 - 1),
+           st.floats(-5.0, 5.0), st.floats(1e-3, 1e3))
+    def test_equals_norm_reference_bit_for_bit(self, d, seed, log_scale, bound):
+        """clip's norm has the bits of np.linalg.norm: an over-bound g is
+        scaled by exactly bound / np.linalg.norm(g), and one within bound is
+        returned as it is."""
+        g = np.random.default_rng(seed).standard_normal(d) * 10.0 ** log_scale
+        norm = np.linalg.norm(g)
+        c = optimizer.clip(g, bound)
+        if norm <= bound:
+            assert c is g
+        else:
+            assert np.array_equal(c, g * (bound / norm))
 
 
 class TestHyperParams:
