@@ -29,23 +29,26 @@ class Workspace:
     tapes and one query tape. Their scratch is used by one pass at a time,
     so all share the scratch of the tape over the most examples. A call with
     n <= rows clients uses the first n rows, and a lone (d,) vector uses row
-    0; the tapes of every such cut, with their views, are made here. The
-    owner keeps it for as long as its batches keep their sizes; a tape from
-    it holds until the next call with this workspace."""
+    0; the tapes of such a cut, with their views and passes, are made on its
+    first use. The owner keeps it for as long as its batches keep their
+    sizes; a tape from it holds until the next call with this workspace."""
 
     def __init__(self, arch: model.Arch, m_support: int, m_query: int, K: int,
                  rows: int):
         sizes = [m_support] * K + [m_query]
         big = sizes.index(max(sizes))
         owner = model.Tape(arch, (rows,), sizes[big])
-        tapes = [owner if i == big else model.Tape(arch, (rows,), m, share=owner)
-                 for i, m in enumerate(sizes)]
-        self._cuts = {lead: ([t.rows(lead) for t in tapes[:K]], tapes[K].rows(lead))
-                      for lead in [()] + [(n,) for n in range(1, rows + 1)]}
+        self._tapes = [owner if i == big else model.Tape(arch, (rows,), m, share=owner)
+                       for i, m in enumerate(sizes)]
+        self._cuts = {(rows,): (self._tapes[:K], self._tapes[K])}
 
     def cut(self, lead: tuple) -> tuple[list[model.Tape], model.Tape]:
         """(support tapes, query tape) for leading axes `lead`."""
-        return self._cuts[lead]
+        cut = self._cuts.get(lead)
+        if cut is None:
+            *support, query = [t.rows(lead) for t in self._tapes]
+            cut = self._cuts[lead] = support, query
+        return cut
 
 
 def trajectory(w: np.ndarray, arch: model.Arch, support, alpha: float, K: int,
@@ -61,7 +64,7 @@ def trajectory(w: np.ndarray, arch: model.Arch, support, alpha: float, K: int,
         tapes.append(tape)
         np.multiply(u, alpha, u)
         np.subtract(states[-1], u, u)
-        if not np.logical_and.reduce(np.isfinite(u), axis=None):
+        if not model.finite(u, tape.zero_point):
             raise NumericalError(f"non-finite inner state at step {k + 1}")
         states.append(u)
     return states, tapes
@@ -74,12 +77,12 @@ def exact_from_trajectory(states: list[np.ndarray], tapes: list, arch: model.Arc
     HVP over each of its tapes. The query pass writes the query tape of
     `ws` when given; the result is a new array."""
     qtape = ws.cut(states[-1].shape[:-1])[1] if ws is not None else None
-    g = model.taped_grads(states[-1], arch, *query, qtape)[0]
+    g, qtape = model.taped_grads(states[-1], arch, *query, qtape)
     for tape in reversed(tapes):
         hv = model.hvps(tape, g)
         np.multiply(hv, alpha, hv)
         np.subtract(g, hv, g)
-    if not np.logical_and.reduce(np.isfinite(g), axis=None):
+    if not model.finite(g, qtape.zero_point):
         raise NumericalError("non-finite meta-gradient")
     return g
 

@@ -96,17 +96,26 @@ def init_params(arch: Arch, seed) -> ParamVector:
 # t is the float target (..., m, output_dim) for mse, the integer labels
 # (..., m) for xent and None for the quadratic head. Every row is computed
 # with the same operations, in the same order, as a lone (d,) vector, so a
-# block of clients gives each client's result bit for bit. Reductions that
-# numpy would order differently along an axis (means, norms) run per row.
-# The arrays of a pass live in a Tape, which a caller can keep and reuse: a
-# call copies its input point in, writes through out and reads through
-# views the tape made when it was built. The same operations as on fresh
-# arrays, so the same bits, without allocating or building a view; results
-# are copied out as new arrays. Per-call dispatch is most of a lone step's
-# time, so out is passed positionally (an in-place operator or out= costs
-# more), and a lone tape, whose operands are all 2-D, multiplies with np.dot,
-# which calls the same BLAS routine as a block's np.matmul for less dispatch;
-# tests/test_blocks.py checks that the bits agree.
+# block of clients gives each client's result bit for bit, under one BLAS
+# core: OpenBLAS picks its kernels for the CPU (or OPENBLAS_CORETYPE), and
+# under some cores a block row and the lone call differ in the last bits at
+# tiny shapes. Reductions that numpy would order differently along an axis
+# (means, norms) run per row.
+# The arrays of a pass live in a Tape, which a caller can keep and reuse. A
+# tape binds each of its passes once, when it is built, as a flat list of
+# (ufunc or product, operands) over its own buffers and the views it made
+# of them. A call copies its point and batch input (or HVP direction) in
+# and runs the list; the head's one op that reads the targets runs before
+# the backward list. These are the same operations as on fresh arrays, so
+# the same bits, without allocating, building a view or deciding anything
+# per layer; results are copied out as new arrays. At the sizes a walk
+# step runs, dispatch, not arithmetic, is most of its time: a d=25 step
+# makes about 270 ufunc and BLAS calls. So out is passed positionally (an
+# in-place operator or out= costs more), finiteness is checked with one
+# BLAS call (`finite`), and a lone tape, whose operands are all 2-D,
+# multiplies with np.dot, which calls the same BLAS routine as a block's
+# np.matmul for less dispatch; tests/test_blocks.py checks that the bits
+# agree.
 
 def quiet():
     """Overflow surfaces as NumericalError via the finiteness checks, not
@@ -114,11 +123,9 @@ def quiet():
     return np.errstate(over="ignore", invalid="ignore")
 
 
-def check_batch(arch: Arch, batch) -> tuple[np.ndarray, np.ndarray | None]:
-    """One client's batch, validated and converted to the core's (x, t)."""
-    x, y = batch
+def check_inputs(arch: Arch, x) -> np.ndarray:
+    """One client's batch inputs, validated and converted to the core's x."""
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ParameterError("batch inputs must be a nonempty (m, dim) array")
     if arch.head != HEAD_QUADRATIC and x.shape[1] != arch.input_dim:
@@ -126,6 +133,14 @@ def check_batch(arch: Arch, batch) -> tuple[np.ndarray, np.ndarray | None]:
             f"batch input dim {x.shape[1]} does not match arch input_dim "
             f"{arch.input_dim}"
         )
+    return x
+
+
+def check_batch(arch: Arch, batch) -> tuple[np.ndarray, np.ndarray | None]:
+    """One client's batch, validated and converted to the core's (x, t)."""
+    x, y = batch
+    x = check_inputs(arch, x)
+    y = np.asarray(y)
     m = x.shape[0]
     if y.shape[:1] != (m,):
         raise ParameterError("batch inputs and targets disagree in length")
@@ -164,21 +179,29 @@ def _transposed(arrays: list) -> list:
 
 class Tape:
     """The arrays of one gradient pass at one point over m examples with
-    leading axes `lead`, and their views, all made when the tape is built.
-    The tape proper is what an HVP at the same point and batch reads: the
-    `point` with its per-layer views W, Wt (transposed) and b; the
-    activations `hs` entering each layer; `deltas[li]`, the loss derivative
-    at layer li's pre-activation (the last is the output delta); the
-    softmax `probs` (xent); and, per hidden layer input li, `backs[li]`, the
-    backward product deltas[li] @ W before tanh', and `dtanh[li]`, tanh' =
-    1 - hs[li]^2. The rest is scratch: deltas[0], which no HVP reads; the
-    HVP direction `dir` and the vector `res` a gradient or HVP is written to
-    before it is copied out, each with its views; and the R-pass arrays. A
-    tape may take arrays from a source tape with the same leading axes over
-    at least m examples, each as a prefix of the source's array: its scratch
-    from `share`, so tapes never written at the same time pay for one
-    scratch, or all of them from `within` (see `rows`). Contents hold until
-    the next call that writes this tape or one sharing them."""
+    leading axes `lead`, their views, and the passes bound over them, all
+    made when the tape is built. The tape proper is what an HVP at the same
+    point and batch reads: the `point` with its per-layer views W, Wt
+    (transposed) and b; the activations hs entering each layer, hs[0] being
+    the batch input `x`; deltas[li], the loss derivative at layer li's
+    pre-activation (the last is the output `delta`); the softmax probs
+    (xent); and, per hidden layer input li, backs[li], the backward product
+    deltas[li] @ W before tanh', and dtanh[li], tanh' = 1 - hs[li]^2. The
+    rest is scratch: deltas[0], which no HVP reads; the HVP direction `dir`
+    and the vector `res` a gradient or HVP is written to before it is
+    copied out, each with its views; the output `z`; and the head and R-pass
+    temporaries. A tape may take arrays from a source tape with the same
+    leading axes over at least m examples, each as a prefix of the source's
+    array: its scratch from `share`, so tapes never written at the same time
+    pay for one scratch, or all of them from `within` (see `rows`). Contents
+    hold until the next call that writes this tape or one sharing them.
+
+    Each pass is bound once, as a list of (function, operands) over these
+    arrays: `forward` (layer products, biases and tanh), `backward` (the
+    loss head after its one op that reads the targets, then the layers) and
+    `rop` (the R-forward and R-backward passes of an HVP). `zero_point` and
+    `zero_z` are zeros as many as the point and z have entries, for
+    `finite`."""
 
     def __init__(self, arch: Arch, lead: tuple = (), m: int = 0,
                  share: Tape | None = None, within: Tape | None = None):
@@ -198,31 +221,101 @@ class Tape:
 
         own = taker(self._own, iter(within._own) if within is not None else None)
         scratch = taker(self._scratch, iter(share._scratch) if share is not None else None)
-        d = arch.param_count
+        d, k = arch.param_count, arch.output_dim
         outs = [out for out, *_ in arch.layers]
         hidden = outs[:-1]
         xent = arch.head == HEAD_XENT
-        self.point = own(d)
-        self.hs = [None] + [own(m, w) for w in hidden]   # hs[0] is the batch input
-        self.backs = [None] + [own(m, w) for w in hidden]
-        self.dtanh = [None] + [own(m, w) for w in hidden]
-        self.deltas = [scratch(m, w) for w in outs[:1]] + [own(m, w) for w in outs[1:]]
-        self.probs = own(m, arch.output_dim) if xent else None
+        self.point = point = own(d)
+        hs = [own(m, arch.input_dim)] + [own(m, w) for w in hidden]
+        backs = [None] + [own(m, w) for w in hidden]
+        dtanh = [None] + [own(m, w) for w in hidden]
+        deltas = [scratch(m, w) for w in outs[:1]] + [own(m, w) for w in outs[1:]]
+        probs = own(m, k) if xent else None
         self.dir, self.res = scratch(d), scratch(d)
-        self.z = scratch(m, arch.output_dim)
-        self.tmp = [scratch(m, w) for w in outs]               # one per layer output
-        self.rhs = [None] + [scratch(m, w) for w in outs]      # R(h) entering li; R(z)
-        self.rdeltas = [scratch(m, w) for w in hidden] + self.rhs[-1:]  # R(deltas)
-        self.wtmp = [None] + [scratch(out, inp) for out, inp, *_ in arch.layers[1:]]
-        self.mask = scratch(m, arch.output_dim, dtype=bool) if xent else None
-        self.classes = np.arange(arch.output_dim)
-        self.mm = np.dot if lead == () else np.matmul   # see the array core's comment
-        self.outs = self.hs[1:] + [self.z]   # where each layer's pre-activation goes
-        self.W, self.b = _layer_views(self.point, arch)
-        self.VW, self.Vb = _layer_views(self.dir, arch)
-        self.resW, self.resb = _layer_views(self.res, arch)
-        self.Wt, self.VWt = _transposed(self.W), _transposed(self.VW)
-        self.deltasT, self.rdeltasT = _transposed(self.deltas), _transposed(self.rdeltas)
+        self.z = z = scratch(m, k)
+        tmp = [scratch(m, w) for w in outs]               # one per layer output
+        rhs = [None] + [scratch(m, w) for w in outs]      # R(h) entering li; R(z)
+        rdeltas = [scratch(m, w) for w in hidden] + rhs[-1:]  # R(deltas)
+        wtmp = [None] + [scratch(out, inp) for out, inp, *_ in arch.layers[1:]]
+        self.mask = scratch(m, k, dtype=bool) if xent else None
+        col = scratch(m, 1) if xent else None   # per-example max, log-sum-exp, <p, R(z)>
+        self.classes = np.arange(k)
+        self.x = hs[0]
+        self.delta = delta = deltas[-1] if deltas else None
+        # read only: a source's zeros serve every tape cut from it
+        self._zeros = (np.zeros(math.prod(lead) * max(d, m * k)) if share is None
+                       else share._zeros)
+        self.zero_point, self.zero_z = self._zeros[:point.size], self._zeros[:z.size]
+
+        mm = np.dot if lead == () else np.matmul   # see the array core's comment
+        W, b = _layer_views(point, arch)
+        VW, Vb = _layer_views(self.dir, arch)
+        resW, resb = _layer_views(self.res, arch)
+        Wt, VWt = _transposed(W), _transposed(VW)
+        deltasT, rdeltasT = _transposed(deltas), _transposed(rdeltas)
+        n = len(arch.layers)
+        self.forward = fwd = []
+        for li, zl in zip(range(n), hs[1:] + [z]):   # zl: layer li's pre-activation
+            fwd += [(mm, (hs[li], Wt[li], zl)), (np.add, (zl, b[li], zl))]
+            if li + 1 < n:
+                fwd.append((np.tanh, (zl, zl)))
+        self.backward = bwd = []
+        if arch.head == HEAD_MSE:   # after delta = z - t
+            bwd += [(np.multiply, (delta, 2.0, delta)),
+                    (np.divide, (delta, m * k, delta))]
+        elif xent:   # softmax cross-entropy, after the one-hot mask of t
+            bwd += [(np.maximum.reduce, (z, -1, None, col, True)),
+                    (np.subtract, (z, col, z)),
+                    (np.exp, (z, probs)),
+                    (np.add.reduce, (probs, -1, None, col, True)),
+                    (np.log, (col, col)),
+                    (np.subtract, (z, col, probs)),
+                    (np.exp, (probs, probs)),
+                    (np.subtract, (probs, self.mask, delta)),
+                    (np.divide, (delta, m, delta))]
+        for li in range(n - 1, -1, -1):
+            bwd += [(mm, (deltasT[li], hs[li], resW[li])),
+                    (np.add.reduce, (deltas[li], -2, None, resb[li], True))]
+            if li > 0:
+                bwd += [(mm, (deltas[li], W[li], backs[li])),
+                        (np.square, (hs[li], dtanh[li])),
+                        (np.subtract, (1.0, dtanh[li], dtanh[li])),   # tanh' = 1 - h^2
+                        (np.multiply, (backs[li], dtanh[li], deltas[li - 1]))]
+        self.rop = rop = []
+        # R-forward: rhs[li] = R(h) entering layer li; the input x has none
+        for li in range(n):
+            rz = rhs[li + 1]
+            rop += [(mm, (hs[li], VWt[li], rz)), (np.add, (rz, Vb[li], rz))]
+            if li > 0:
+                rop += [(mm, (rhs[li], Wt[li], tmp[li])), (np.add, (rz, tmp[li], rz))]
+            if li + 1 < n:
+                rop.append((np.multiply, (rz, dtanh[li + 1], rz)))
+        # R(z) becomes R(output delta) in place
+        if arch.head == HEAD_MSE:
+            rop += [(np.multiply, (rz, 2.0, rz)), (np.divide, (rz, m * k, rz))]
+        elif xent:   # R(softmax) = p * (Rz - <p, Rz>)
+            rop += [(np.multiply, (probs, rz, tmp[-1])),
+                    (np.add.reduce, (tmp[-1], -1, None, col, True)),
+                    (np.subtract, (rz, col, rz)),
+                    (np.multiply, (rz, probs, rz)),
+                    (np.divide, (rz, m, rz))]
+        # R-backward over the taped deltas
+        for li in range(n - 1, -1, -1):
+            rop += [(mm, (rdeltasT[li], hs[li], resW[li])),
+                    (np.add.reduce, (rdeltas[li], -2, None, resb[li], True))]
+            if li > 0:
+                rd, r = rdeltas[li - 1], tmp[li - 1]
+                rop += [(mm, (deltasT[li], rhs[li], wtmp[li])),
+                        (np.add, (resW[li], wtmp[li], resW[li])),
+                        (mm, (rdeltas[li], W[li], rd)),
+                        (mm, (deltas[li], VW[li], r)),
+                        (np.add, (rd, r, rd)),
+                        (np.multiply, (rd, dtanh[li], rd)),
+                        # R(tanh') = -2 h R(h)
+                        (np.multiply, (2.0, hs[li], r)),
+                        (np.multiply, (r, rhs[li], r)),
+                        (np.multiply, (r, backs[li], r)),
+                        (np.subtract, (rd, r, rd))]
 
     @classmethod
     def fresh(cls, arch: Arch, x: np.ndarray) -> Tape:
@@ -235,24 +328,30 @@ class Tape:
         return Tape(self.arch, lead, self.m, within=self)
 
 
+def finite(a: np.ndarray, zeros: np.ndarray) -> bool:
+    """Whether every entry of a is finite, in one BLAS call: a's dot product
+    with `zeros`, as many as a has entries, is NaN exactly when an entry is
+    ±inf or NaN. Inside quiet() only; elsewhere numpy warns on the NaN."""
+    return not math.isnan(np.vdot(a, zeros))
+
+
 def _forward(values: np.ndarray, x: np.ndarray, tape: Tape) -> np.ndarray:
-    """Runs the forward pass at values into the tape: its point and the
-    activations entering each layer; returns the final pre-activation z
-    (..., m, output_dim), which is scratch."""
+    """Runs the forward pass at values on the batch input x into the tape:
+    its point, input and the activations entering each layer; returns the
+    final pre-activation z (..., m, output_dim), which is scratch."""
+    if x.shape != tape.x.shape:   # copyto would broadcast a wrong batch
+        raise ParameterError(f"batch input shape {x.shape} does not match the "
+                             f"tape's {tape.x.shape}")
     np.copyto(tape.point, values)
-    hs, mm = tape.hs, tape.mm
-    hs[0] = x
-    for li, (Wt, b, z) in enumerate(zip(tape.Wt, tape.b, tape.outs)):
-        mm(hs[li], Wt, z)
-        np.add(z, b, z)
-        if li + 1 < len(hs):
-            np.tanh(z, z)
-    return z
+    np.copyto(tape.x, x)
+    for f, a in tape.forward:
+        f(*a)
+    return tape.z
 
 
 def _finite_forward(values, x, tape):
     z = _forward(values, x, tape)
-    if not np.logical_and.reduce(np.isfinite(z), axis=None):
+    if not finite(z, tape.zero_z):
         raise NumericalError("non-finite forward values")
     return z
 
@@ -289,31 +388,15 @@ def taped_grads(values: np.ndarray, arch: Arch, x, t,
     """Gradient of each row's mean batch loss, shape (..., d), and the tape,
     written into `tape` when given. The gradient is a new array."""
     if arch.head == HEAD_QUADRATIC:
-        return values.copy(), tape or Tape(arch)
+        return values.copy(), tape or Tape(arch, values.shape[:-1])
     tape = tape or Tape.fresh(arch, x)
     z = _finite_forward(values, x, tape)
-    hs, deltas, m = tape.hs, tape.deltas, tape.m
-    delta = deltas[-1]
-    if arch.head == HEAD_MSE:
-        np.subtract(z, t, delta)
-        np.multiply(delta, 2.0, delta)
-        np.divide(delta, m * arch.output_dim, delta)
-    else:  # softmax cross-entropy
-        np.subtract(z, np.maximum.reduce(z, axis=-1, keepdims=True), z)
-        logsumexp = np.log(np.add.reduce(np.exp(z, tape.probs), axis=-1, keepdims=True))
-        probs = np.subtract(z, logsumexp, tape.probs)
-        np.exp(probs, probs)
-        np.subtract(probs, np.equal(t[..., None], tape.classes, tape.mask), delta)
-        np.divide(delta, m, delta)
-    mm, W, deltasT, resW, resb = tape.mm, tape.W, tape.deltasT, tape.resW, tape.resb
-    for li in range(len(deltas) - 1, -1, -1):
-        mm(deltasT[li], hs[li], resW[li])
-        np.add.reduce(deltas[li], axis=-2, keepdims=True, out=resb[li])
-        if li > 0:
-            back = mm(deltas[li], W[li], tape.backs[li])
-            dtanh = np.square(hs[li], tape.dtanh[li])
-            np.subtract(1.0, dtanh, dtanh)                # tanh' = 1 - h^2
-            np.multiply(back, dtanh, deltas[li - 1])
+    if arch.head == HEAD_MSE:   # the head's one op that reads t
+        np.subtract(z, t, tape.delta)
+    else:
+        np.equal(t[..., None], tape.classes, tape.mask)
+    for f, a in tape.backward:
+        f(*a)
     return tape.res.copy(), tape
 
 
@@ -323,46 +406,11 @@ def hvps(tape: Tape, v: np.ndarray) -> np.ndarray:
     backward passes, computed from the tape without a new gradient call. v
     is copied into the tape's direction; the product is a new array, and
     the tape's scratch is overwritten."""
-    arch = tape.arch
-    if arch.head == HEAD_QUADRATIC:
+    if tape.arch.head == HEAD_QUADRATIC:
         return v.copy()
     np.copyto(tape.dir, v)
-    hs, dtanh, rhs, tmp, W, mm = tape.hs, tape.dtanh, tape.rhs, tape.tmp, tape.W, tape.mm
-    n_layers = len(W)
-    # R-forward: rhs[li] = R(h) entering layer li; the input x has none
-    for li in range(n_layers):
-        rz = mm(hs[li], tape.VWt[li], rhs[li + 1])
-        np.add(rz, tape.Vb[li], rz)
-        if li > 0:
-            np.add(rz, mm(rhs[li], tape.Wt[li], tmp[li]), rz)
-        if li + 1 < n_layers:
-            np.multiply(rz, dtanh[li + 1], rz)
-    # R(z) becomes R(output delta) in place
-    if arch.head == HEAD_MSE:
-        np.multiply(rz, 2.0, rz)
-        np.divide(rz, tape.m * arch.output_dim, rz)
-    else:  # R(softmax) = p * (Rz - <p, Rz>)
-        p = tape.probs
-        prz = np.add.reduce(np.multiply(p, rz, tmp[-1]), axis=-1, keepdims=True)
-        np.subtract(rz, prz, rz)
-        np.multiply(rz, p, rz)
-        np.divide(rz, tape.m, rz)
-    # R-backward over the taped deltas
-    deltas, rdeltas, VW, backs = tape.deltas, tape.rdeltas, tape.VW, tape.backs
-    deltasT, rdeltasT, resW, resb = tape.deltasT, tape.rdeltasT, tape.resW, tape.resb
-    for li in range(n_layers - 1, -1, -1):
-        hw = mm(rdeltasT[li], hs[li], resW[li])
-        np.add.reduce(rdeltas[li], axis=-2, keepdims=True, out=resb[li])
-        if li > 0:
-            np.add(hw, mm(deltasT[li], rhs[li], tape.wtmp[li]), hw)
-            rdelta = mm(rdeltas[li], W[li], rdeltas[li - 1])
-            np.add(rdelta, mm(deltas[li], VW[li], tmp[li - 1]), rdelta)
-            np.multiply(rdelta, dtanh[li], rdelta)
-            # R(tanh') = -2 h R(h)
-            r = np.multiply(2.0, hs[li], tmp[li - 1])
-            np.multiply(r, rhs[li], r)
-            np.multiply(r, backs[li], r)
-            np.subtract(rdelta, r, rdelta)
+    for f, a in tape.rop:
+        f(*a)
     return tape.res.copy()
 
 
@@ -385,7 +433,7 @@ def grad(p: ParamVector, batch) -> ParamVector:
 
 def predict(p: ParamVector, x: np.ndarray) -> np.ndarray:
     """Network output (logits for xent, raw values for mse)."""
-    return predictions(p.values, p.arch, np.asarray(x, dtype=float))
+    return predictions(p.values, p.arch, check_inputs(p.arch, x))
 
 
 def hvp(p: ParamVector, batch, v: ParamVector) -> ParamVector:

@@ -256,3 +256,60 @@ class TestHvpExact:
         assert np.array_equal(model.hvp(p, (np.zeros((1, 1)), np.zeros(1)), v).values,
                               v.values)
 
+
+
+SPECIALS = (np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324, -0.0, 0.0)
+
+
+@st.composite
+def core_arrays(draw):
+    """An array of a shape the core checks, (d,), (m, out) or (n, m, out),
+    with special values injected at random entries."""
+    shape = draw(st.sampled_from([(draw(st.integers(1, 1800)),),
+                                  (draw(st.integers(1, 12)), draw(st.integers(1, 5))),
+                                  (draw(st.integers(1, 4)), draw(st.integers(1, 12)),
+                                   draw(st.integers(1, 5)))]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    flat = a.reshape(-1)
+    for value in draw(st.lists(st.sampled_from(SPECIALS), max_size=4)):
+        flat[rng.integers(flat.size)] = value
+    return a
+
+
+class TestFinite:
+    @settings(max_examples=400, deadline=None)
+    @given(core_arrays())
+    def test_equals_isfinite(self, a):
+        with model.quiet():
+            assert model.finite(a, np.zeros(a.size)) == bool(np.isfinite(a).all())
+
+
+class TestBatchInput:
+    ARCH = model.Arch(3, (5,), 2)
+
+    def test_predict_checks_inputs(self):
+        p = model.init_params(self.ARCH, 0)
+        for x in (np.zeros(3), np.zeros((5, 2)), np.zeros((0, 3)), np.zeros((2, 5, 3))):
+            with pytest.raises(ParameterError, match="batch input"):
+                model.predict(p, x)
+
+    def test_tape_refuses_other_batch_shape(self):
+        rng = np.random.default_rng(0)
+        x, t = rng.standard_normal((4, 3)), rng.standard_normal((4, 2))
+        values = model.init_params(self.ARCH, 0).values
+        tape = model.Tape.fresh(self.ARCH, x)
+        for bad in (x[:1], x[:, :2], x[None]):
+            with pytest.raises(ParameterError, match="batch input shape"):
+                model.taped_grads(values, self.ARCH, bad, t, tape)
+
+    def test_tape_owns_its_input(self):
+        rng = np.random.default_rng(1)
+        x, t = rng.standard_normal((4, 3)), rng.standard_normal((4, 2))
+        values = model.init_params(self.ARCH, 0).values
+        v = rng.standard_normal(self.ARCH.param_count)
+        with model.quiet():
+            expected = model.hvps(model.taped_grads(values, self.ARCH, x, t)[1], v)
+            tape = model.taped_grads(values, self.ARCH, x, t)[1]
+            x[:] = 7.0
+            assert np.array_equal(model.hvps(tape, v), expected)

@@ -280,7 +280,8 @@ class TestMeanMetaGradient:
     @pytest.mark.parametrize("n", [1, 4])
     def test_warm_call_builds_no_views(self, monkeypatch, n):
         """A run's tapes make their per-layer views when its workspaces are
-        built; a walk step or a client block then builds none."""
+        built or a cut is first used; a warm walk step or client block then
+        builds none."""
         cfg = small_cfg()
         arch = cfg.build_arch()
         clients = simulator._Clients(cfg.build_assignment(), arch, cfg.hyper.K)
@@ -295,6 +296,23 @@ class TestMeanMetaGradient:
         assert calls == []
         metalearn.Workspace(arch, 5, 10, cfg.hyper.K, 1)  # the wrapper does count
         assert calls
+
+    def test_workspace_builds_only_the_cuts_a_run_uses(self, monkeypatch):
+        """The default sine run steps one client at a time and evaluates its
+        20 training and 6 unseen clients in blocks of 4, 4, ... and 2. Its
+        one workspace builds K + 1 tapes of 4 rows, then K + 1 of the lone
+        cut and of the 2-row cut on their first use, and none of 1 or 3."""
+        leads = []
+        real = model.Tape.__init__
+
+        def counting(self, arch, lead=(), m=0, **kw):
+            leads.append(lead)
+            real(self, arch, lead, m, **kw)
+        monkeypatch.setattr(model.Tape, "__init__", counting)
+        cfg = ExperimentConfig(T=3, eval_every=3)
+        simulator.run(cfg)
+        built = cfg.hyper.K + 1
+        assert sorted(leads) == [()] * built + [(2,)] * built + [(4,)] * built
 
 
 class TestPrivacyIntegration:
