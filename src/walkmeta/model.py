@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -102,20 +103,29 @@ def init_params(arch: Arch, seed) -> ParamVector:
 # tiny shapes. Reductions that numpy would order differently along an axis
 # (means, norms) run per row.
 # The arrays of a pass live in a Tape, which a caller can keep and reuse. A
-# tape binds each of its passes once, when it is built, as a flat list of
-# (ufunc or product, operands) over its own buffers and the views it made
-# of them. A call copies its point and batch input (or HVP direction) in
-# and runs the list; the head's one op that reads the targets runs before
-# the backward list. These are the same operations as on fresh arrays, so
-# the same bits, without allocating, building a view or deciding anything
-# per layer; results are copied out as new arrays. At the sizes a walk
-# step runs, dispatch, not arithmetic, is most of its time: a d=25 step
-# makes about 270 ufunc and BLAS calls. So out is passed positionally (an
-# in-place operator or out= costs more), finiteness is checked with one
-# BLAS call (`finite`), and a lone tape, whose operands are all 2-D,
-# multiplies with np.dot, which calls the same BLAS routine as a block's
-# np.matmul for less dispatch; tests/test_blocks.py checks that the bits
-# agree.
+# tape binds each of its passes once, as a flat list of (ufunc or product,
+# operands) over its own buffers and the views it made of them: forward
+# when it is built, backward and the HVP pass on first use. A call copies
+# its point, batch input and targets (or HVP direction) in and runs the
+# list. These are the same operations as on fresh arrays, so the same bits,
+# without allocating, building a view or deciding anything per layer;
+# results are copied out as new arrays. At the sizes a walk step runs,
+# dispatch, not arithmetic, is most of its time: a d=25 walk step runs 244
+# ufunc and BLAS calls, a few µs or less each. So out is passed positionally (an in-place
+# operator or out= costs more), the head's divisor and the 1 of 1 - h^2 are
+# 0-d arrays, finiteness is checked with one BLAS call (`finite`), and a
+# lone tape, whose operands are all 2-D, multiplies with np.dot, which calls
+# the same BLAS routine as a block's np.matmul for less dispatch;
+# tests/test_blocks.py checks that the bits agree. metalearn.Programs goes
+# one step further: a workspace cut's whole meta-gradient (K inner steps,
+# query pass, K HVPs) is one list over its tapes, with its finiteness checks
+# deferred to one read after the run. A call given no tape makes a fresh
+# one and runs pass by pass; that path is the reference the programs are
+# tested against bit for bit.
+
+_ONE = np.array(1.0)   # a 0-d operand dispatches faster than a Python float
+_ONE.flags.writeable = False
+
 
 def quiet():
     """Overflow surfaces as NumericalError via the finiteness checks, not
@@ -179,39 +189,47 @@ def _transposed(arrays: list) -> list:
 
 class Tape:
     """The arrays of one gradient pass at one point over m examples with
-    leading axes `lead`, their views, and the passes bound over them, all
-    made when the tape is built. The tape proper is what an HVP at the same
-    point and batch reads: the `point` with its per-layer views W, Wt
-    (transposed) and b; the activations hs entering each layer, hs[0] being
-    the batch input `x`; deltas[li], the loss derivative at layer li's
-    pre-activation (the last is the output `delta`); the softmax probs
-    (xent); and, per hidden layer input li, backs[li], the backward product
-    deltas[li] @ W before tanh', and dtanh[li], tanh' = 1 - hs[li]^2. The
-    rest is scratch: deltas[0], which no HVP reads; the HVP direction `dir`
-    and the vector `res` a gradient or HVP is written to before it is
-    copied out, each with its views; the output `z`; and the head and R-pass
+    leading axes `lead`, their views, and the passes bound over them. The
+    tape proper is what an HVP at the same point and batch reads: the
+    `point` with its per-layer views W, Wt (transposed) and b; the
+    activations hs entering each layer, hs[0] being the batch input `x`;
+    deltas[li], the loss derivative at layer li's pre-activation (the last
+    is the output `delta`); the softmax probs (xent); and, per hidden layer
+    input li, backs[li], the backward product deltas[li] @ W before tanh',
+    and dtanh[li], tanh' = 1 - hs[li]^2. The batch targets `t` sit beside
+    x. The rest is scratch: deltas[0], which no HVP reads; the HVP
+    direction `dir` and the vector `res` a gradient or HVP is written to,
+    each with its views; the output `z`; and the head and R-pass
     temporaries. A tape may take arrays from a source tape with the same
     leading axes over at least m examples, each as a prefix of the source's
-    array: its scratch from `share`, so tapes never written at the same time
-    pay for one scratch, or all of them from `within` (see `rows`). Contents
-    hold until the next call that writes this tape or one sharing them.
+    array: its scratch from `share`, so tapes never written at the same
+    time pay for one scratch, its x and t from `inputs`, so tapes over one
+    batch copy it in once, or all of them from `within` (see `rows`).
+    Contents hold until the next call that writes this tape or one sharing
+    them.
 
-    Each pass is bound once, as a list of (function, operands) over these
-    arrays: `forward` (layer products, biases and tanh), `backward` (the
-    loss head after its one op that reads the targets, then the layers) and
-    `rop` (the R-forward and R-backward passes of an HVP). `zero_point` and
-    `zero_z` are zeros as many as the point and z have entries, for
+    Each pass is a list of (function, operands) over these arrays, bound
+    once: `forward` (layer products, biases and tanh) when the tape is
+    built, `backward` (the loss head, whose first op reads t, then the
+    layers) and `rop` (the R-forward and R-backward passes of an HVP) on
+    first use, so a tape that only runs forward binds neither. For the
+    quadratic head, whose gradient is the point and whose Hessian is I,
+    forward is empty and backward and rop are one copy each. `zero_point`
+    and `zero_z` are zeros as many as the point and z have entries, for
     `finite`."""
 
     def __init__(self, arch: Arch, lead: tuple = (), m: int = 0,
-                 share: Tape | None = None, within: Tape | None = None):
-        share = within or share
+                 share: Tape | None = None, within: Tape | None = None,
+                 inputs: Tape | None = None):
+        share, inputs = within or share, within or inputs
         self.arch, self.m = arch, m
-        self._own, self._scratch = [], []
+        self._own, self._scratch, self._inputs = [], [], []
 
         def taker(store, source):
             """Makes each array new, or as the next array of source cut to
             its shape, and records it in store."""
+            source = None if source is None else iter(source)
+
             def take(*shape, dtype=float):
                 shape = lead + shape
                 store.append(np.empty(shape, dtype) if source is None else
@@ -219,69 +237,103 @@ class Tape:
                 return store[-1]
             return take
 
-        own = taker(self._own, iter(within._own) if within is not None else None)
-        scratch = taker(self._scratch, iter(share._scratch) if share is not None else None)
+        own = taker(self._own, within and within._own)
+        scratch = taker(self._scratch, share and share._scratch)
+        given = taker(self._inputs, inputs and inputs._inputs)
         d, k = arch.param_count, arch.output_dim
         outs = [out for out, *_ in arch.layers]
         hidden = outs[:-1]
         xent = arch.head == HEAD_XENT
-        self.point = point = own(d)
-        hs = [own(m, arch.input_dim)] + [own(m, w) for w in hidden]
-        backs = [None] + [own(m, w) for w in hidden]
-        dtanh = [None] + [own(m, w) for w in hidden]
-        deltas = [scratch(m, w) for w in outs[:1]] + [own(m, w) for w in outs[1:]]
-        probs = own(m, k) if xent else None
+        self.point = own(d)
+        self.x = given(m, arch.input_dim)
+        self.t = (given(m, k) if arch.head == HEAD_MSE else given(m, dtype=int) if xent
+                  else None)
+        self.hs = hs = [self.x] + [own(m, w) for w in hidden]
+        self.backs = [None] + [own(m, w) for w in hidden]
+        self.dtanh = [None] + [own(m, w) for w in hidden]
+        self.deltas = [scratch(m, w) for w in outs[:1]] + [own(m, w) for w in outs[1:]]
+        self.probs = own(m, k) if xent else None
         self.dir, self.res = scratch(d), scratch(d)
         self.z = z = scratch(m, k)
-        tmp = [scratch(m, w) for w in outs]               # one per layer output
-        rhs = [None] + [scratch(m, w) for w in outs]      # R(h) entering li; R(z)
-        rdeltas = [scratch(m, w) for w in hidden] + rhs[-1:]  # R(deltas)
-        wtmp = [None] + [scratch(out, inp) for out, inp, *_ in arch.layers[1:]]
+        self.tmp = [scratch(m, w) for w in outs]               # one per layer output
+        self.rhs = [None] + [scratch(m, w) for w in outs]      # R(h) entering li; R(z)
+        self.rdeltas = [scratch(m, w) for w in hidden] + self.rhs[-1:]  # R(deltas)
+        self.wtmp = [None] + [scratch(out, inp) for out, inp, *_ in arch.layers[1:]]
         self.mask = scratch(m, k, dtype=bool) if xent else None
-        col = scratch(m, 1) if xent else None   # per-example max, log-sum-exp, <p, R(z)>
+        self.col = scratch(m, 1) if xent else None   # per-example max, log-sum-exp, <p, R(z)>
         self.classes = np.arange(k)
-        self.x = hs[0]
-        self.delta = delta = deltas[-1] if deltas else None
+        # what the head's mean divides by, as a 0-d float: the same double
+        # as the int, for less dispatch
+        self._count = np.array(float(m * k if arch.head == HEAD_MSE else m))
+        self.deltasT = _transposed(self.deltas)
+        self.delta = self.deltas[-1] if self.deltas else None
         # read only: a source's zeros serve every tape cut from it
         self._zeros = (np.zeros(math.prod(lead) * max(d, m * k)) if share is None
                        else share._zeros)
-        self.zero_point, self.zero_z = self._zeros[:point.size], self._zeros[:z.size]
+        self.zero_point, self.zero_z = self._zeros[:self.point.size], self._zeros[:z.size]
 
-        mm = np.dot if lead == () else np.matmul   # see the array core's comment
-        W, b = _layer_views(point, arch)
-        VW, Vb = _layer_views(self.dir, arch)
-        resW, resb = _layer_views(self.res, arch)
-        Wt, VWt = _transposed(W), _transposed(VW)
-        deltasT, rdeltasT = _transposed(deltas), _transposed(rdeltas)
-        n = len(arch.layers)
+        self.mm = mm = np.dot if lead == () else np.matmul   # see the array core's comment
+        self.W, self.b = W, b = _layer_views(self.point, arch)
+        self.Wt = _transposed(W)
         self.forward = fwd = []
+        n = len(arch.layers)
         for li, zl in zip(range(n), hs[1:] + [z]):   # zl: layer li's pre-activation
-            fwd += [(mm, (hs[li], Wt[li], zl)), (np.add, (zl, b[li], zl))]
+            fwd += [(mm, (hs[li], self.Wt[li], zl)), (np.add, (zl, b[li], zl))]
             if li + 1 < n:
                 fwd.append((np.tanh, (zl, zl)))
-        self.backward = bwd = []
-        if arch.head == HEAD_MSE:   # after delta = z - t
-            bwd += [(np.multiply, (delta, 2.0, delta)),
-                    (np.divide, (delta, m * k, delta))]
-        elif xent:   # softmax cross-entropy, after the one-hot mask of t
-            bwd += [(np.maximum.reduce, (z, -1, None, col, True)),
-                    (np.subtract, (z, col, z)),
-                    (np.exp, (z, probs)),
-                    (np.add.reduce, (probs, -1, None, col, True)),
-                    (np.log, (col, col)),
-                    (np.subtract, (z, col, probs)),
-                    (np.exp, (probs, probs)),
-                    (np.subtract, (probs, self.mask, delta)),
-                    (np.divide, (delta, m, delta))]
-        for li in range(n - 1, -1, -1):
+
+    @cached_property
+    def _res_views(self) -> tuple[list, list]:
+        return _layer_views(self.res, self.arch)
+
+    @cached_property
+    def backward(self) -> list:
+        arch, mm = self.arch, self.mm
+        if arch.head == HEAD_QUADRATIC:
+            return [(np.copyto, (self.res, self.point))]
+        hs, deltas, delta, probs, col = self.hs, self.deltas, self.delta, self.probs, self.col
+        resW, resb = self._res_views
+        if arch.head == HEAD_MSE:
+            bwd = [(np.subtract, (self.z, self.t, delta)),
+                   (np.multiply, (delta, 2.0, delta)),
+                   (np.divide, (delta, self._count, delta))]
+        else:   # softmax cross-entropy; the one-hot mask of t reads no z
+            z = self.z
+            bwd = [(np.equal, (self.t[..., None], self.classes, self.mask)),
+                   (np.maximum.reduce, (z, -1, None, col, True)),
+                   (np.subtract, (z, col, z)),
+                   (np.exp, (z, probs)),
+                   (np.add.reduce, (probs, -1, None, col, True)),
+                   (np.log, (col, col)),
+                   (np.subtract, (z, col, probs)),
+                   (np.exp, (probs, probs)),
+                   (np.subtract, (probs, self.mask, delta)),
+                   (np.divide, (delta, self._count, delta))]
+        deltasT = self.deltasT
+        for li in range(len(arch.layers) - 1, -1, -1):
             bwd += [(mm, (deltasT[li], hs[li], resW[li])),
                     (np.add.reduce, (deltas[li], -2, None, resb[li], True))]
             if li > 0:
-                bwd += [(mm, (deltas[li], W[li], backs[li])),
-                        (np.square, (hs[li], dtanh[li])),
-                        (np.subtract, (1.0, dtanh[li], dtanh[li])),   # tanh' = 1 - h^2
-                        (np.multiply, (backs[li], dtanh[li], deltas[li - 1]))]
-        self.rop = rop = []
+                backs, dtanh = self.backs[li], self.dtanh[li]
+                bwd += [(mm, (deltas[li], self.W[li], backs)),
+                        (np.square, (hs[li], dtanh)),
+                        (np.subtract, (_ONE, dtanh, dtanh)),   # tanh' = 1 - h^2
+                        (np.multiply, (backs, dtanh, deltas[li - 1]))]
+        return bwd
+
+    @cached_property
+    def rop(self) -> list:
+        arch, mm = self.arch, self.mm
+        if arch.head == HEAD_QUADRATIC:
+            return [(np.copyto, (self.res, self.dir))]
+        hs, deltas, dtanh, W, Wt = self.hs, self.deltas, self.dtanh, self.W, self.Wt
+        tmp, rhs, rdeltas, probs, col = self.tmp, self.rhs, self.rdeltas, self.probs, self.col
+        VW, Vb = _layer_views(self.dir, arch)
+        VWt = _transposed(VW)
+        resW, resb = self._res_views
+        deltasT, rdeltasT = self.deltasT, _transposed(rdeltas)
+        n = len(arch.layers)
+        rop = []
         # R-forward: rhs[li] = R(h) entering layer li; the input x has none
         for li in range(n):
             rz = rhs[li + 1]
@@ -292,21 +344,21 @@ class Tape:
                 rop.append((np.multiply, (rz, dtanh[li + 1], rz)))
         # R(z) becomes R(output delta) in place
         if arch.head == HEAD_MSE:
-            rop += [(np.multiply, (rz, 2.0, rz)), (np.divide, (rz, m * k, rz))]
-        elif xent:   # R(softmax) = p * (Rz - <p, Rz>)
+            rop += [(np.multiply, (rz, 2.0, rz)), (np.divide, (rz, self._count, rz))]
+        else:   # R(softmax) = p * (Rz - <p, Rz>)
             rop += [(np.multiply, (probs, rz, tmp[-1])),
                     (np.add.reduce, (tmp[-1], -1, None, col, True)),
                     (np.subtract, (rz, col, rz)),
                     (np.multiply, (rz, probs, rz)),
-                    (np.divide, (rz, m, rz))]
+                    (np.divide, (rz, self._count, rz))]
         # R-backward over the taped deltas
         for li in range(n - 1, -1, -1):
             rop += [(mm, (rdeltasT[li], hs[li], resW[li])),
                     (np.add.reduce, (rdeltas[li], -2, None, resb[li], True))]
             if li > 0:
                 rd, r = rdeltas[li - 1], tmp[li - 1]
-                rop += [(mm, (deltasT[li], rhs[li], wtmp[li])),
-                        (np.add, (resW[li], wtmp[li], resW[li])),
+                rop += [(mm, (deltasT[li], rhs[li], self.wtmp[li])),
+                        (np.add, (resW[li], self.wtmp[li], resW[li])),
                         (mm, (rdeltas[li], W[li], rd)),
                         (mm, (deltas[li], VW[li], r)),
                         (np.add, (rd, r, rd)),
@@ -314,8 +366,9 @@ class Tape:
                         # R(tanh') = -2 h R(h)
                         (np.multiply, (2.0, hs[li], r)),
                         (np.multiply, (r, rhs[li], r)),
-                        (np.multiply, (r, backs[li], r)),
+                        (np.multiply, (r, self.backs[li], r)),
                         (np.subtract, (rd, r, rd))]
+        return rop
 
     @classmethod
     def fresh(cls, arch: Arch, x: np.ndarray) -> Tape:
@@ -390,11 +443,8 @@ def taped_grads(values: np.ndarray, arch: Arch, x, t,
     if arch.head == HEAD_QUADRATIC:
         return values.copy(), tape or Tape(arch, values.shape[:-1])
     tape = tape or Tape.fresh(arch, x)
-    z = _finite_forward(values, x, tape)
-    if arch.head == HEAD_MSE:   # the head's one op that reads t
-        np.subtract(z, t, tape.delta)
-    else:
-        np.equal(t[..., None], tape.classes, tape.mask)
+    _finite_forward(values, x, tape)
+    np.copyto(tape.t, t)
     for f, a in tape.backward:
         f(*a)
     return tape.res.copy(), tape

@@ -145,13 +145,15 @@ def _adapt_block(w: np.ndarray, arch: model.Arch, support, query,
     meta-gradient to `gsum`, in client order; one inner trajectory per
     client serves both."""
     n = len(support[0])
-    states, tapes = metalearn.trajectory(np.broadcast_to(w, (n, w.size)), arch, support,
-                                         h.alpha, h.K, ws)
+    programs = ws.programs((n,), h.alpha)
+    programs.load(np.broadcast_to(w, (n, w.size)), support, query)
+    programs.adapt()
+    q = programs.query
     if metrics is not None:
-        metrics += _query_metrics(states[-1], arch, query, ws.cut((n,))[1])
+        metrics += _query_metrics(q.point, arch, query, q)
     if gsum is not None:
-        for row in metalearn.exact_from_trajectory(states, tapes, arch, query,
-                                                   h.alpha, ws):
+        programs.exact()
+        for row in q.dir:
             gsum += row
 
 
@@ -162,9 +164,10 @@ def _mean_meta_gradient(w: np.ndarray, arch: model.Arch, clients: list,
     with model.quiet():
         if len(clients) == 1:
             support, query, ws = clients[0]
-            states, tapes = metalearn.trajectory(w, arch, support, h.alpha, h.K, ws)
-            return metalearn.exact_from_trajectory(states, tapes, arch, query,
-                                                   h.alpha, ws)
+            programs = ws.programs((), h.alpha)
+            programs.load(w, support, query)
+            programs.step()
+            return programs.query.dir.copy()
         gsum = np.zeros_like(w)
         for block in _client_blocks(clients):
             _adapt_block(w, arch, *block, h, gsum=gsum)

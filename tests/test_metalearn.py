@@ -145,6 +145,30 @@ def test_bad_alpha_or_k_rejected(call, alpha, K):
 
 
 class TestWorkspace:
+    def test_program_refuses_other_batch_shapes(self):
+        """A workspace call checks every shape before it copies or runs
+        anything, as np.copyto would broadcast a (1, dim) batch silently."""
+        arch = model.Arch(2, (6,), 1)
+        rng = np.random.default_rng(2)
+        ws = metalearn.Workspace(arch, 5, 7, 2, 4)
+        w = model.init_params(arch, 0).values
+        support = rng.uniform(-2, 2, (5, 2)), rng.standard_normal((5, 1))
+        query = rng.uniform(-2, 2, (7, 2)), rng.standard_normal((7, 1))
+        with model.quiet():
+            states, tapes = metalearn.trajectory(w, arch, support, 0.1, 2, ws)
+            for bad in [(support[0][:1], support[1][:1]), (support[0][:, :1], support[1]),
+                        (support[0], support[1][:, 0])]:
+                with pytest.raises(ParameterError, match="does not match the workspace"):
+                    metalearn.trajectory(w, arch, bad, 0.1, 2, ws)
+            with pytest.raises(ParameterError, match="does not match the workspace"):
+                metalearn.exact_from_trajectory(states, tapes, arch, support, 0.1, ws)
+            with pytest.raises(ParameterError, match="does not match the workspace"):
+                metalearn.trajectory(w[:-1], arch, support, 0.1, 2, ws)
+            g = metalearn.exact_from_trajectory(states, tapes, arch, query, 0.1, ws)
+        task = tasks.TaskInstance("sine", support, query)
+        p = model.ParamVector(w, arch)
+        assert np.array_equal(g, metalearn.meta_gradient_exact(p, task, 0.1, 2).values)
+
     @pytest.mark.parametrize("head", [model.HEAD_MSE, model.HEAD_XENT])
     @pytest.mark.parametrize("hidden", [(6,), (5, 7)])
     @pytest.mark.parametrize("lead", [(), (4,)])

@@ -313,3 +313,19 @@ class TestBatchInput:
             tape = model.taped_grads(values, self.ARCH, x, t)[1]
             x[:] = 7.0
             assert np.array_equal(model.hvps(tape, v), expected)
+
+
+class TestLazyPasses:
+    @pytest.mark.parametrize("call,bound", [(model.loss, []), (model.grad, ["backward"])],
+                             ids=["loss", "grad"])
+    def test_fresh_tape_binds_only_the_passes_it_runs(self, monkeypatch, call, bound):
+        tapes = []
+        real = model.Tape.fresh.__func__
+        monkeypatch.setattr(model.Tape, "fresh", classmethod(
+            lambda cls, arch, x: tapes.append(real(cls, arch, x)) or tapes[-1]))
+        arch = model.Arch(3, (5,), 2)
+        rng = np.random.default_rng(0)
+        call(model.init_params(arch, 0), (rng.standard_normal((4, 3)),
+                                          rng.standard_normal((4, 2))))
+        assert len(tapes) == 1
+        assert [p for p in ("backward", "rop") if p in vars(tapes[0])] == bound

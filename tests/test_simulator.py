@@ -6,7 +6,7 @@ import pytest
 
 from walkmeta import model, metalearn, simulator, tasks
 from walkmeta.config import ExperimentConfig, TopologySpec
-from walkmeta.errors import ConfigError, ParameterError
+from walkmeta.errors import ConfigError, NumericalError, ParameterError
 from walkmeta.optimizer import HyperParams
 from walkmeta.privacy import PrivacyParams
 from walkmeta.simulator import MethodKind, comm_cost
@@ -388,6 +388,54 @@ class TestAbort:
         assert rec.aborted
         assert math.isnan(rec.rows[-1].grad_norm_sq)
         assert rec.rows[-1].iteration < cfg.T
+
+    # (task kind, eta, alpha, seed, eval_every) of lodmeta_sgd runs that
+    # diverge, with where the first non-finite check fails (a lone walk step,
+    # or an evaluation block after a step), its message, the number of rows
+    # and the abort row's (iteration, comm_units, active_client). The values
+    # are those of the per-pass meta-gradient code, kept as the reference.
+    ABORTS = [
+        (("blob", 1e306, 5.0, 2, 1000), "walk", "non-finite forward values", 2, (2, 2, 3)),
+        (("sine", 100.0, 50.0, 0, 1000), "walk", "non-finite inner state at step 2", 2,
+         (6, 6, 1)),
+        (("sine", 1e4, 0.5, 0, 1000), "walk", "non-finite meta-gradient", 2, (13, 13, 4)),
+        (("blob", 1e306, 5.0, 2, 1), "evaluate", "non-finite forward values", 2, (1, 1, 4)),
+        (("sine", 1e307, 0.1, 0, 1), "evaluate", "non-finite forward values", 2, (1, 1, 4)),
+        (("sine", 100.0, 50.0, 0, 1), "evaluate", "non-finite inner state at step 2", 6,
+         (5, 5, 2)),
+        (("sine", 1e3, 0.5, 0, 1), "evaluate", "non-finite meta-gradient", 14, (13, 13, 4)),
+    ]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case,where,reason,n_rows,row", ABORTS)
+    def test_abort_reason_and_row_per_check(self, monkeypatch, case, where, reason,
+                                            n_rows, row):
+        """Each finiteness check of a meta-gradient (forward values, inner
+        state at step k, the meta-gradient), failing in a walk step or in an
+        evaluation block, aborts with its own message and the same abort row;
+        no op that runs on past a non-finite value warns."""
+        kind, eta, alpha, seed, eval_every = case
+        failed_in = []
+        real = simulator.evaluate
+
+        def evaluate(*args, **kw):
+            try:
+                return real(*args, **kw)
+            except NumericalError:
+                failed_in.append("evaluate")
+                raise
+        monkeypatch.setattr(simulator, "evaluate", evaluate)
+        task = tasks.TaskConfig() if kind == "sine" else tasks.TaskConfig(kind="blob")
+        rec = simulator.run(small_cfg(task=task, method="lodmeta_sgd", seed=seed,
+                                      eval_every=eval_every, T=30,
+                                      hyper=HyperParams(eta=eta, alpha=alpha, theta=0.5)))
+        assert rec.aborted and rec.abort_reason == reason
+        assert (failed_in or ["walk"]) == [where]
+        last = rec.rows[-1]
+        assert len(rec.rows) == n_rows
+        assert (last.iteration, last.comm_units, last.active_client) == row
+        assert all(math.isnan(v) for v in (last.train_metric, last.unseen_metric,
+                                           last.grad_norm_sq))
 
 
 class TestCsv:
