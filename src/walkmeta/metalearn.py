@@ -25,22 +25,18 @@ from .tasks import TaskInstance
 
 
 class Workspace:
-    """The tapes of a meta-gradient for one arch, support size, query size
-    and K, with `rows` leading rows: K support tapes, which read one support
-    input, and one query tape. Their scratch is used by one pass at a time,
-    so all share the scratch of the tape over the most examples. A call
-    with n <= rows clients uses the first n rows, and a lone (d,) vector
-    uses row 0. The tapes of such a cut, with their views, are made on the
-    cut's first use, and its `Programs` on their first use with a given
-    alpha; they are the one way a workspace is run (`trajectory` and
-    `exact_from_trajectory` given one call them). The owner keeps it for as
-    long as its batches keep their sizes; a tape from it holds until the
-    next call with this workspace. Without a workspace, `trajectory` and
-    `exact_from_trajectory` run pass by pass over fresh tapes: the
-    reference the programs must equal bit for bit."""
+    """The tapes of a meta-gradient for one arch, support size, query size,
+    K and step size alpha, with `rows` leading rows: K support tapes, which
+    read one support input, and one query tape. Their scratch is used by
+    one pass at a time, so all share the scratch of the tape over the most
+    examples. A call with n <= rows clients uses the first n rows, and a
+    lone (d,) vector uses row 0; on a cut's first use `programs` makes its
+    tapes (views of the full ones) and binds its `Programs`, the one way a
+    workspace is run. The owner keeps it for as long as its batches keep
+    their sizes."""
 
     def __init__(self, arch: model.Arch, m_support: int, m_query: int, K: int,
-                 rows: int):
+                 alpha: float, rows: int):
         sizes = [m_support] * K + [m_query]
         big = sizes.index(max(sizes))
         owner = model.Tape(arch, (rows,), sizes[big])
@@ -49,22 +45,16 @@ class Workspace:
             first = self._tapes[0] if 0 < i < K else None
             self._tapes.append(owner if i == big else
                                model.Tape(arch, (rows,), m, share=owner, inputs=first))
-        self._cuts = {(rows,): (self._tapes[:K], self._tapes[K])}
+        self._lead, self._alpha = (rows,), alpha
         self._programs = {}
 
-    def cut(self, lead: tuple) -> tuple[list[model.Tape], model.Tape]:
-        """(support tapes, query tape) for leading axes `lead`."""
-        cut = self._cuts.get(lead)
-        if cut is None:
-            *support, query = [t.rows(lead) for t in self._tapes]
-            cut = self._cuts[lead] = support, query
-        return cut
-
-    def programs(self, lead: tuple, alpha: float) -> Programs:
-        """The programs of the cut for leading axes `lead`, with step size alpha."""
-        programs = self._programs.get((lead, alpha))
+    def programs(self, lead: tuple) -> Programs:
+        """The programs of the cut for leading axes `lead`."""
+        programs = self._programs.get(lead)
         if programs is None:
-            programs = self._programs[lead, alpha] = Programs(*self.cut(lead), alpha)
+            tapes = (self._tapes if lead == self._lead else
+                     [t.rows(lead) for t in self._tapes])
+            programs = self._programs[lead] = Programs(tapes[:-1], tapes[-1], self._alpha)
         return programs
 
 
@@ -72,18 +62,20 @@ class Programs:
     """The inner steps, query pass and pull-back of one workspace cut, bound
     once as flat op lists over its tapes: `adapt` runs each support tape's
     forward and backward passes and writes u_{k+1} = u_k - alpha * grad
-    straight into the next tape's point (u_K into the query tape's); `exact`
-    runs the query tape's forward and backward passes, then pulls the query
-    gradient back through each support tape's HVP pass, last to first, in
-    the query tape's `dir`; `step` is both. Their ops, operands and order
-    are those of the per-pass code, so the bits are too.
+    straight into the next tape's point, then runs the forward pass at u_K
+    into the query tape, whose output z (or point, for the quadratic head)
+    then holds the adapted query loss; `exact` runs the query tape's loss
+    head and backward pass, then pulls the query gradient back through each
+    support tape's HVP pass, last to first, in the query tape's `dir`;
+    `step` is both. Their ops, operands and order are those of the per-pass
+    reference (`trajectory`, `exact_from_trajectory`), so the bits are too.
 
-    The checks of the per-pass code (each forward output, each inner state
-    and the meta-gradient) write one slot each of `flags` with one BLAS
+    The checks of the reference (each forward output, each inner state and
+    the meta-gradient) write one slot each of `flags` with one BLAS
     product, as `model.finite` does; one sum after a run reads them, and a
     failure raises the message of the first failing slot, the one the
-    per-pass code would have raised. Ops that run on past a non-finite
-    value stay inside model.quiet()."""
+    reference would have raised. Ops that run on past a non-finite value
+    stay inside model.quiet()."""
 
     def __init__(self, support: list[model.Tape], query: model.Tape, alpha: float):
         self.support, self.query = support, query
@@ -101,15 +93,15 @@ class Programs:
             if not quadratic:   # the quadratic head has no network output
                 check(ops, tape.z, tape.zero_z, "non-finite forward values")
 
-        adapt, exact = [], []
+        adapt = []
         for k, (tape, nxt) in enumerate(zip(support, support[1:] + [query])):
             forward(adapt, tape)
             adapt += tape.backward + [(np.multiply, (tape.res, alpha, tape.res)),
                                       (np.subtract, (tape.point, tape.res, nxt.point))]
             check(adapt, nxt.point, tape.zero_point, f"non-finite inner state at step {k + 1}")
+        forward(adapt, query)
         split = len(messages)
-        forward(exact, query)
-        exact += query.backward + [(np.copyto, (query.dir, query.res))]
+        exact = query.backward + [(np.copyto, (query.dir, query.res))]
         for tape in reversed(support):
             exact += tape.rop + [(np.multiply, (tape.res, alpha, tape.res)),
                                  (np.subtract, (tape.dir, tape.res, tape.dir))]
@@ -119,14 +111,13 @@ class Programs:
         self.exact = _Program(exact, flags[split:end], messages[split:])
         self.step = _Program(adapt + exact, flags[:end], messages)
 
-    def load(self, w: np.ndarray, support=None, query=None, point: np.ndarray | None = None):
-        """Copies w into `point`, by default the first support tape's (K >= 1),
-        and the given checked batches into the support and query inputs,
-        after checking every shape."""
-        pairs = [(self.support[0].point if point is None else point, w)]
+    def load(self, w: np.ndarray, support, query):
+        """Copies w into the first support tape's point (K >= 1), and the
+        checked batches into the support and query inputs, after checking
+        every shape."""
+        pairs = [(self.support[0].point, w)]
         for tape, batch in zip(self._inputs, [support, query]):
-            if batch is not None:
-                pairs += zip((tape.x, tape.t), batch)
+            pairs += zip((tape.x, tape.t), batch)
         for buf, a in pairs:
             if a.shape != buf.shape:
                 raise ParameterError(f"shape {a.shape} does not match the workspace's "
@@ -148,19 +139,12 @@ class _Program:
             raise NumericalError(self.messages[int(np.isnan(self.flags).argmax())])
 
 
-def trajectory(w: np.ndarray, arch: model.Arch, support, alpha: float, K: int,
-               ws: Workspace | None = None) -> tuple[list[np.ndarray], list[model.Tape]]:
+def trajectory(w: np.ndarray, arch: model.Arch, support, alpha: float,
+               K: int) -> tuple[list[np.ndarray], list[model.Tape]]:
     """u_0 .. u_K as raw arrays: K full-batch gradient steps on the checked
     support batch, starting from w (..., d), one row per client; and the
-    gradient tapes at u_0 .. u_{K-1}, from `ws`'s `adapt` program when
-    given. The states are new arrays. alpha and K are the caller's to
-    check."""
-    if ws is not None:
-        programs = ws.programs(w.shape[:-1], alpha)
-        programs.load(w, support)
-        programs.adapt()
-        tapes = programs.support
-        return [w] + [t.point.copy() for t in tapes[1:] + [programs.query]], list(tapes)
+    gradient tapes at u_0 .. u_{K-1}, fresh. The states after u_0 are new
+    arrays. alpha and K are the caller's to check."""
     states, tapes = [w], []
     for k in range(K):
         u, tape = model.taped_grads(states[-1], arch, *support)
@@ -174,17 +158,10 @@ def trajectory(w: np.ndarray, arch: model.Arch, support, alpha: float, K: int,
 
 
 def exact_from_trajectory(states: list[np.ndarray], tapes: list, arch: model.Arch,
-                          query, alpha: float, ws: Workspace | None = None) -> np.ndarray:
+                          query, alpha: float) -> np.ndarray:
     """Exact meta-gradient rows: the query gradient at u_K pulled back
     through the (I - alpha * Hessian) factors of the trajectory, one exact
-    HVP over each of its tapes. With `ws` this is its `exact` program, and
-    the tapes must be those `trajectory` returned from it. The result is a
-    new array."""
-    if ws is not None:
-        programs = ws.programs(states[-1].shape[:-1], alpha)
-        programs.load(states[-1], query=query, point=programs.query.point)
-        programs.exact()
-        return programs.query.dir.copy()
+    HVP over each of its tapes. The result is a new array."""
     g, qtape = model.taped_grads(states[-1], arch, *query)
     for tape in reversed(tapes):
         hv = model.hvps(tape, g)

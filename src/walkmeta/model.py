@@ -102,26 +102,27 @@ def init_params(arch: Arch, seed) -> ParamVector:
 # under some cores a block row and the lone call differ in the last bits at
 # tiny shapes. Reductions that numpy would order differently along an axis
 # (means, norms) run per row.
-# The arrays of a pass live in a Tape, which a caller can keep and reuse. A
-# tape binds each of its passes once, as a flat list of (ufunc or product,
-# operands) over its own buffers and the views it made of them: forward
-# when it is built, backward and the HVP pass on first use. A call copies
-# its point, batch input and targets (or HVP direction) in and runs the
-# list. These are the same operations as on fresh arrays, so the same bits,
-# without allocating, building a view or deciding anything per layer;
-# results are copied out as new arrays. At the sizes a walk step runs,
-# dispatch, not arithmetic, is most of its time: a d=25 walk step runs 244
-# ufunc and BLAS calls, a few µs or less each. So out is passed positionally (an in-place
+# The arrays of a pass live in a Tape. A tape binds each of its passes
+# once, as a flat list of (ufunc or product, operands) over its own buffers
+# and the views it made of them: forward when it is built, backward and the
+# HVP pass on first use. These are the same operations as on fresh arrays,
+# so the same bits, without allocating, building a view or deciding
+# anything per layer. There are two ways to run them. The per-pass
+# functions here (`losses`, `taped_grads`, then `hvps` over the tape
+# `taped_grads` returned) build a fresh tape per call, copy the point,
+# batch and HVP direction in, run one pass at a time and copy results out
+# as new arrays: the reference. A metalearn.Workspace keeps a run's tapes,
+# and only its Programs run them: a cut's whole meta-gradient (K inner
+# steps, query pass, K HVPs) is one list over its tapes, with its
+# finiteness checks deferred to one read after the run, tested against the
+# reference bit for bit. At the sizes a walk step runs, dispatch, not
+# arithmetic, is most of its time: a d=25 walk step runs 244 ufunc and BLAS
+# calls, a few µs or less each. So out is passed positionally (an in-place
 # operator or out= costs more), the head's divisor and the 1 of 1 - h^2 are
 # 0-d arrays, finiteness is checked with one BLAS call (`finite`), and a
 # lone tape, whose operands are all 2-D, multiplies with np.dot, which calls
 # the same BLAS routine as a block's np.matmul for less dispatch;
-# tests/test_blocks.py checks that the bits agree. metalearn.Programs goes
-# one step further: a workspace cut's whole meta-gradient (K inner steps,
-# query pass, K HVPs) is one list over its tapes, with its finiteness checks
-# deferred to one read after the run. A call given no tape makes a fresh
-# one and runs pass by pass; that path is the reference the programs are
-# tested against bit for bit.
+# tests/test_blocks.py checks that the bits agree.
 
 _ONE = np.array(1.0)   # a 0-d operand dispatches faster than a Python float
 _ONE.flags.writeable = False
@@ -204,9 +205,10 @@ class Tape:
     leading axes over at least m examples, each as a prefix of the source's
     array: its scratch from `share`, so tapes never written at the same
     time pay for one scratch, its x and t from `inputs`, so tapes over one
-    batch copy it in once, or all of them from `within` (see `rows`).
-    Contents hold until the next call that writes this tape or one sharing
-    them.
+    batch copy it in once, or all of them from `within` (see `rows`); a
+    metalearn.Workspace builds its tapes so. A fresh tape (`fresh`) serves
+    one per-pass call and the HVPs over it. Contents hold until the next
+    pass that writes this tape or one sharing them.
 
     Each pass is a list of (function, operands) over these arrays, bound
     once: `forward` (layer products, biases and tanh) when the tape is
@@ -392,9 +394,6 @@ def _forward(values: np.ndarray, x: np.ndarray, tape: Tape) -> np.ndarray:
     """Runs the forward pass at values on the batch input x into the tape:
     its point, input and the activations entering each layer; returns the
     final pre-activation z (..., m, output_dim), which is scratch."""
-    if x.shape != tape.x.shape:   # copyto would broadcast a wrong batch
-        raise ParameterError(f"batch input shape {x.shape} does not match the "
-                             f"tape's {tape.x.shape}")
     np.copyto(tape.point, values)
     np.copyto(tape.x, x)
     for f, a in tape.forward:
@@ -413,12 +412,12 @@ def _per_row_mean(a: np.ndarray, lead: tuple) -> list[float]:
     return [float(np.mean(r)) for r in a.reshape((-1,) + a.shape[len(lead):])]
 
 
-def losses(values: np.ndarray, arch: Arch, x, t, tape: Tape | None = None) -> list[float]:
-    """Mean batch loss of each row of values (flattened leading axes); the
-    forward pass writes `tape` when given."""
+def head_losses(arch: Arch, values: np.ndarray, z: np.ndarray | None, t) -> list[float]:
+    """Mean batch loss of each row of values (flattened leading axes), from
+    the network output z at values and the targets t; the quadratic head
+    reads values alone."""
     if arch.head == HEAD_QUADRATIC:
         return [0.5 * float(r @ r) for r in values.reshape(-1, values.shape[-1])]
-    z = _finite_forward(values, x, tape or Tape.fresh(arch, x))
     lead = z.shape[:-2]
     if arch.head == HEAD_MSE:
         return _per_row_mean((z - t) ** 2, lead)
@@ -428,21 +427,19 @@ def losses(values: np.ndarray, arch: Arch, x, t, tape: Tape | None = None) -> li
     return _per_row_mean(logsumexp - picked, lead)
 
 
-def predictions(values: np.ndarray, arch: Arch, x, tape: Tape | None = None) -> np.ndarray:
-    """Network output z (..., m, output_dim), unchecked; with `tape` given,
-    z is its scratch and holds until the tape is next written."""
+def losses(values: np.ndarray, arch: Arch, x, t) -> list[float]:
+    """Mean batch loss of each row of values (flattened leading axes)."""
     if arch.head == HEAD_QUADRATIC:
-        raise ParameterError(f"head {HEAD_QUADRATIC!r} has no network output to predict")
-    return _forward(values, x, tape or Tape.fresh(arch, x))
+        return head_losses(arch, values, None, t)
+    return head_losses(arch, values, _finite_forward(values, x, Tape.fresh(arch, x)), t)
 
 
-def taped_grads(values: np.ndarray, arch: Arch, x, t,
-                tape: Tape | None = None) -> tuple[np.ndarray, Tape]:
-    """Gradient of each row's mean batch loss, shape (..., d), and the tape,
-    written into `tape` when given. The gradient is a new array."""
+def taped_grads(values: np.ndarray, arch: Arch, x, t) -> tuple[np.ndarray, Tape]:
+    """Gradient of each row's mean batch loss, shape (..., d), and its fresh
+    tape. The gradient is a new array."""
     if arch.head == HEAD_QUADRATIC:
-        return values.copy(), tape or Tape(arch, values.shape[:-1])
-    tape = tape or Tape.fresh(arch, x)
+        return values.copy(), Tape(arch, values.shape[:-1])
+    tape = Tape.fresh(arch, x)
     _finite_forward(values, x, tape)
     np.copyto(tape.t, t)
     for f, a in tape.backward:
@@ -456,8 +453,6 @@ def hvps(tape: Tape, v: np.ndarray) -> np.ndarray:
     backward passes, computed from the tape without a new gradient call. v
     is copied into the tape's direction; the product is a new array, and
     the tape's scratch is overwritten."""
-    if tape.arch.head == HEAD_QUADRATIC:
-        return v.copy()
     np.copyto(tape.dir, v)
     for f, a in tape.rop:
         f(*a)
@@ -482,8 +477,11 @@ def grad(p: ParamVector, batch) -> ParamVector:
 
 
 def predict(p: ParamVector, x: np.ndarray) -> np.ndarray:
-    """Network output (logits for xent, raw values for mse)."""
-    return predictions(p.values, p.arch, check_inputs(p.arch, x))
+    """Network output (logits for xent, raw values for mse), unchecked."""
+    x = check_inputs(p.arch, x)
+    if p.arch.head == HEAD_QUADRATIC:
+        raise ParameterError(f"head {HEAD_QUADRATIC!r} has no network output to predict")
+    return _forward(p.values, x, Tape.fresh(p.arch, x))
 
 
 def hvp(p: ParamVector, batch, v: ParamVector) -> ParamVector:

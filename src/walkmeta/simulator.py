@@ -102,7 +102,8 @@ class _Clients:
     per distinct pair of sizes, normally one), keyed by client id, and the
     evaluation blocks."""
 
-    def __init__(self, assignment: ClientAssignment, arch: model.Arch, K: int):
+    def __init__(self, assignment: ClientAssignment, arch: model.Arch,
+                 h: optimizer.HyperParams):
         workspaces = {}
 
         def prepare(task):
@@ -110,7 +111,8 @@ class _Clients:
             query = model.check_batch(arch, task.query)
             sizes = (len(support[0]), len(query[0]))
             if sizes not in workspaces:
-                workspaces[sizes] = metalearn.Workspace(arch, *sizes, K, _CLIENT_BLOCK)
+                workspaces[sizes] = metalearn.Workspace(arch, *sizes, h.K, h.alpha,
+                                                         _CLIENT_BLOCK)
             return support, query, workspaces[sizes]
 
         self.training = {cid: prepare(t) for cid, t in assignment.training.items()}
@@ -137,71 +139,66 @@ def _client_blocks(clients: list):
         start = stop
 
 
-def _adapt_block(w: np.ndarray, arch: model.Arch, support, query,
-                 ws: metalearn.Workspace, h: optimizer.HyperParams,
+def _adapt_block(w: np.ndarray, support, query, ws: metalearn.Workspace,
                  metrics: list | None = None, gsum: np.ndarray | None = None):
     """Adapts a block of clients from w (d,). When given, appends each
     client's adapted query metric to `metrics` and adds each client's exact
     meta-gradient to `gsum`, in client order; one inner trajectory per
     client serves both."""
     n = len(support[0])
-    programs = ws.programs((n,), h.alpha)
+    programs = ws.programs((n,))
     programs.load(np.broadcast_to(w, (n, w.size)), support, query)
     programs.adapt()
-    q = programs.query
     if metrics is not None:
-        metrics += _query_metrics(q.point, arch, query, q)
+        metrics += _query_metrics(programs.query)
     if gsum is not None:
         programs.exact()
-        for row in q.dir:
+        for row in programs.query.dir:
             gsum += row
 
 
-def _mean_meta_gradient(w: np.ndarray, arch: model.Arch, clients: list,
-                        h: optimizer.HyperParams) -> np.ndarray:
+def _mean_meta_gradient(w: np.ndarray, clients: list) -> np.ndarray:
     """The exact meta-gradient at w (d,) averaged over prepared clients;
     several run in client blocks, one as a lone vector without stacking."""
     with model.quiet():
         if len(clients) == 1:
             support, query, ws = clients[0]
-            programs = ws.programs((), h.alpha)
+            programs = ws.programs(())
             programs.load(w, support, query)
             programs.step()
             return programs.query.dir.copy()
         gsum = np.zeros_like(w)
         for block in _client_blocks(clients):
-            _adapt_block(w, arch, *block, h, gsum=gsum)
+            _adapt_block(w, *block, gsum=gsum)
     return gsum / len(clients)
 
 
-def _query_metrics(u: np.ndarray, arch: model.Arch, query, tape: model.Tape) -> list[float]:
-    """Adapted query metric per row of u: accuracy for xent, else the loss."""
-    x, t = query
-    if arch.head == HEAD_XENT:
-        preds = model.predictions(u, arch, x, tape).argmax(axis=-1)
-        return [float(np.mean(p == labels)) for p, labels in zip(preds, t)]
-    return model.losses(u, arch, x, t, tape)
+def _query_metrics(q: model.Tape) -> list[float]:
+    """Adapted query metric per row of the query tape `adapt` just wrote:
+    accuracy for xent, else the loss."""
+    if q.arch.head == HEAD_XENT:
+        return [float(np.mean(p == labels)) for p, labels in zip(q.z.argmax(axis=-1), q.t)]
+    return model.head_losses(q.arch, q.point, q.z, q.t)
 
 
-def evaluate(w: ParamVector, assignment: ClientAssignment,
+def evaluate(w: np.ndarray, arch: model.Arch, assignment: ClientAssignment,
              h: optimizer.HyperParams, clients: _Clients | None = None
              ) -> tuple[float, float, float]:
     """(mean adapted query metric on training clients, same on unseen
-    clients, squared norm of the averaged exact meta-gradient). `clients`
-    is assignment prepared once by the caller; without it the batches are
-    checked and a workspace made for this call."""
+    clients, squared norm of the averaged exact meta-gradient) at w (d,).
+    `clients` is assignment prepared once by the caller; without it the
+    batches are checked and a workspace made for this call."""
     def mean(vals):
         return float(np.mean(vals)) if vals else float("nan")
 
-    values, arch = w.values, w.arch
-    clients = clients or _Clients(assignment, arch, h.K)
+    clients = clients or _Clients(assignment, arch, h)
     train, unseen = [], []
-    gsum = np.zeros_like(values)
+    gsum = np.zeros_like(w)
     with model.quiet():
         for block in clients.training_blocks:
-            _adapt_block(values, arch, *block, h, train, gsum)
+            _adapt_block(w, *block, train, gsum)
         for block in clients.unseen_blocks:
-            _adapt_block(values, arch, *block, h, unseen)
+            _adapt_block(w, *block, unseen)
         gmean = gsum / assignment.n_training
         gnorm_sq = float(gmean @ gmean)
     if not np.isfinite(gnorm_sq):
@@ -231,7 +228,7 @@ def run(cfg: ExperimentConfig, assignment: ClientAssignment | None = None) -> Ru
     noise_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _NOISE_STREAM]))
     w = model.init_params(arch, init_ss).values
     d = arch.param_count
-    prepared = _Clients(assignment, arch, h.K)
+    prepared = _Clients(assignment, arch, h)
 
     per_iter = comm_cost(MethodKind(cfg.method, cfg.n_active))
     noisy = spec.noise and cfg.privacy.enabled
@@ -242,8 +239,7 @@ def run(cfg: ExperimentConfig, assignment: ClientAssignment | None = None) -> Ru
     current = int(walk_rng.integers(n)) if spec.walks else -1
     comm = 0
     trace = Trace(w=[w.copy()]) if cfg.record_trace else None
-    rows = [EvalRow(0, 0, current, *evaluate(ParamVector(w, arch), assignment, h,
-                                             prepared))]
+    rows = [EvalRow(0, 0, current, *evaluate(w, arch, assignment, h, prepared))]
     dp_report = None
     if noisy and cfg.T >= 1:  # the report covers only the chain that adds noise
         dp_report = privacy.account_network_dp(cfg.privacy.epsilon, cfg.privacy.delta,
@@ -261,7 +257,7 @@ def run(cfg: ExperimentConfig, assignment: ClientAssignment | None = None) -> Ru
             clients = walk_rng.choice(n, size=cfg.n_active, replace=False)
         comm += per_iter
         try:
-            g = _mean_meta_gradient(w, arch, [prepared.training[int(i)] for i in clients], h)
+            g = _mean_meta_gradient(w, [prepared.training[int(i)] for i in clients])
             noise = 0.0
             if noisy:
                 g = optimizer.clip(g, cfg.privacy.m_meta)
@@ -280,8 +276,8 @@ def run(cfg: ExperimentConfig, assignment: ClientAssignment | None = None) -> Ru
                 trace.active.append(current)
                 trace.w.append(w.copy())
             if (t + 1) % cfg.eval_every == 0 or t + 1 == cfg.T:
-                rows.append(EvalRow(t + 1, comm, current, *evaluate(
-                    ParamVector(w, arch), assignment, h, prepared)))
+                rows.append(EvalRow(t + 1, comm, current,
+                                    *evaluate(w, arch, assignment, h, prepared)))
         except NumericalError as e:
             record.aborted = True
             record.abort_reason = str(e)

@@ -53,6 +53,21 @@ def stacked(arch, batches):
     return model.stack_batches([model.check_batch(arch, b) for b in batches])
 
 
+def run_programs(ws, w, support, query):
+    """ws's programs for w's leading axes: `adapt`, after which the tapes
+    hold u_1 .. u_K and the query tape the adapted query losses, then
+    `exact`. Returns u_0 .. u_K, those losses and the meta-gradient, copied
+    out."""
+    programs = ws.programs(w.shape[:-1])
+    programs.load(w, support, query)
+    programs.adapt()
+    q = programs.query
+    states = [w] + [t.point.copy() for t in programs.support[1:] + [q]]
+    losses = model.head_losses(q.arch, q.point, q.z, q.t)
+    programs.exact()
+    return states, losses, q.dir.copy()
+
+
 @settings(max_examples=60, deadline=None)
 @given(blocks())
 def test_grad_hvp_loss_rows_equal_single_calls(case):
@@ -144,7 +159,8 @@ def test_evaluate_equals_per_client_reference(kind, hidden):
                       model.HEAD_MSE if kind == "sine" else model.HEAD_XENT)
     w = model.init_params(arch, seed=1)
     h = HyperParams(alpha=0.05, K=3)
-    assert simulator.evaluate(w, assignment, h) == per_client_evaluate(w, assignment, h)
+    assert (simulator.evaluate(w.values, arch, assignment, h)
+            == per_client_evaluate(w, assignment, h))
 
 
 @st.composite
@@ -165,7 +181,7 @@ def workspace_calls(draw):
 @given(workspace_calls())
 def test_reused_workspace_equals_fresh_single_calls(case):
     setups, calls = case
-    workspaces = [metalearn.Workspace(arch, m_s, m_q, K, simulator._CLIENT_BLOCK)
+    workspaces = [metalearn.Workspace(arch, m_s, m_q, K, 0.05, simulator._CLIENT_BLOCK)
                   for arch, m_s, m_q, K, _ in setups]
     for which, lead in calls:
         arch, m_s, m_q, K, rng = setups[which]
@@ -181,11 +197,8 @@ def test_reused_workspace_equals_fresh_single_calls(case):
             w = rows[0]
             support = model.check_batch(arch, tasks_[0].support)
             query = model.check_batch(arch, tasks_[0].query)
-        ws = workspaces[which]
         with model.quiet():
-            states, tapes = metalearn.trajectory(w, arch, support, 0.05, K, ws)
-            metrics = model.losses(states[K], arch, *query, ws.cut(lead)[1])
-            g = metalearn.exact_from_trajectory(states, tapes, arch, query, 0.05, ws)
+            states, metrics, g = run_programs(workspaces[which], w, support, query)
         for i, tk in enumerate(tasks_):
             p = model.ParamVector(rows[i], arch)
             u = metalearn.adapt_unseen(p, tk.support, 0.05, K)
@@ -203,11 +216,12 @@ def test_reused_workspace_equals_fresh_single_calls(case):
 def test_lone_equals_block_row_at_run_shapes(cfg):
     """A lone (d,) pass multiplies with np.dot and a block with np.matmul.
     At the shapes runs use (widths 40 and 64; 10, 15, 50 and 75 examples),
-    with real client batches and the run's workspace, the lone gradient,
-    HVP, inner states and exact meta-gradient equal row 0 of a 1-row and a
+    with real client batches, the lone gradient and HVP over a fresh tape,
+    and the HVP over the run's workspace's first support tape, inner states
+    and exact meta-gradient from its programs, equal row 0 of a 1-row and a
     4-row block bit for bit."""
     arch, h = cfg.build_arch(), cfg.hyper
-    clients = simulator._Clients(tasks.assign_clients(4, 0, cfg.task, seed=0), arch, h.K)
+    clients = simulator._Clients(tasks.assign_clients(4, 0, cfg.task, seed=0), arch, h)
     prepared = [clients.training[i] for i in range(4)]
     ws = prepared[0][2]
     rng = np.random.default_rng(5)
@@ -223,11 +237,11 @@ def test_lone_equals_block_row_at_run_shapes(cfg):
         else:
             w, v, (support, query, _) = rows[0], dirs[0], prepared[0]
         with model.quiet():
-            g, tape = model.taped_grads(w, arch, *support, ws.cut(lead)[0][0])
+            g, tape = model.taped_grads(w, arch, *support)
             hv = model.hvps(tape, v)
-            states, tapes = metalearn.trajectory(w, arch, support, h.alpha, h.K, ws)
-            mg = metalearn.exact_from_trajectory(states, tapes, arch, query, h.alpha, ws)
-        return [a.reshape(n, -1)[0] for a in [g, hv, *states[1:], mg]]
+            states, _, mg = run_programs(ws, w, support, query)
+            taped_hv = model.hvps(ws.programs(lead).support[0], v)
+        return [a.reshape(n, -1)[0] for a in [g, hv, taped_hv, *states[1:], mg]]
 
     lone = row0(())
     for lead in [(1,), (4,)]:
@@ -238,18 +252,16 @@ def test_lone_equals_block_row_at_run_shapes(cfg):
 def test_results_do_not_alias_the_workspace():
     arch = model.Arch(2, (6,), 3, model.HEAD_XENT)
     rng = np.random.default_rng(3)
-    ws = metalearn.Workspace(arch, 5, 7, 2, simulator._CLIENT_BLOCK)
+    ws = metalearn.Workspace(arch, 5, 7, 2, 0.05, simulator._CLIENT_BLOCK)
 
     def meta_gradient(n):
-        rows = random_rows(rng, arch, n)
-        support = stacked(arch, [random_batch(rng, arch, 5) for _ in range(n)])
-        query = stacked(arch, [random_batch(rng, arch, 7) for _ in range(n)])
-        with model.quiet():
-            states, tapes = metalearn.trajectory(rows, arch, support, 0.05, 2, ws)
-            return states + [metalearn.exact_from_trajectory(states, tapes, arch, query,
-                                                             0.05, ws)]
-    returned = meta_gradient(4)
+        clients = [(model.check_batch(arch, random_batch(rng, arch, 5)),
+                    model.check_batch(arch, random_batch(rng, arch, 7)), ws)
+                   for _ in range(n)]
+        return simulator._mean_meta_gradient(random_rows(rng, arch, 1)[0], clients)
+    returned = [meta_gradient(1), meta_gradient(4)]
     kept = [a.copy() for a in returned]
+    meta_gradient(1)
     meta_gradient(4)
     meta_gradient(2)
     for a, b in zip(returned, kept):
@@ -273,14 +285,48 @@ def test_warm_block_meta_gradient_allocates_little():
         arch = cfg.build_arch()
         bound = bound or arch.param_count * 8 + 2.6e3
         clients = simulator._Clients(tasks.assign_clients(n_clients, 0, cfg.task, seed=0),
-                                     arch, cfg.hyper.K)
+                                     arch, cfg.hyper)
         block = list(clients.training.values())
         w = model.init_params(arch, seed=0)
-        simulator._mean_meta_gradient(w.values, arch, block, cfg.hyper)
+        simulator._mean_meta_gradient(w.values, block)
         tracemalloc.start()
         try:
-            simulator._mean_meta_gradient(w.values, arch, block, cfg.hyper)
+            simulator._mean_meta_gradient(w.values, block)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < bound, (arch.param_count, n_clients, peak, bound)
+
+
+@pytest.mark.parametrize("cfg", [
+    ExperimentConfig(),
+    ExperimentConfig(hidden=(8,)),
+    ExperimentConfig(task=tasks.TaskConfig(kind="blob")),
+    ExperimentConfig(head=model.HEAD_QUADRATIC),
+], ids=["sine_d1761", "sine_d25", "blob_d517", "quadratic"])
+def test_warm_program_ops_write_only_their_operands(cfg):
+    """Every op of a warm program (`adapt`, `exact`, `step`), lone and with
+    4 rows at run shapes, returns None or one of its own operands: none
+    allocates its result, however small. A peak-memory bound cannot see a
+    (10, 8) result beside numpy's transient iterator buffers. And `step`
+    is `adapt` then `exact`, op for op."""
+    arch, h = cfg.build_arch(), cfg.hyper
+    clients = simulator._Clients(tasks.assign_clients(4, 0, cfg.task, seed=0), arch, h)
+    prepared = [clients.training[i] for i in range(4)]
+    ws = prepared[0][2]
+    w = model.init_params(arch, seed=0).values
+    for lead in [(), (4,)]:
+        if lead:
+            support = model.stack_batches([c[0] for c in prepared])
+            query = model.stack_batches([c[1] for c in prepared])
+        else:
+            support, query, _ = prepared[0]
+        programs = ws.programs(lead)
+        assert programs.step.ops == programs.adapt.ops + programs.exact.ops
+        with model.quiet():
+            programs.load(np.broadcast_to(w, lead + w.shape), support, query)
+            programs.step()
+            for program in (programs.adapt, programs.exact, programs.step):
+                for f, operands in program.ops:
+                    out = f(*operands)
+                    assert out is None or any(out is a for a in operands), (f, operands)

@@ -150,21 +150,23 @@ class TestWorkspace:
         anything, as np.copyto would broadcast a (1, dim) batch silently."""
         arch = model.Arch(2, (6,), 1)
         rng = np.random.default_rng(2)
-        ws = metalearn.Workspace(arch, 5, 7, 2, 4)
+        programs = metalearn.Workspace(arch, 5, 7, 2, 0.1, 4).programs(())
         w = model.init_params(arch, 0).values
         support = rng.uniform(-2, 2, (5, 2)), rng.standard_normal((5, 1))
         query = rng.uniform(-2, 2, (7, 2)), rng.standard_normal((7, 1))
         with model.quiet():
-            states, tapes = metalearn.trajectory(w, arch, support, 0.1, 2, ws)
+            programs.load(w, support, query)
+            programs.adapt()
             for bad in [(support[0][:1], support[1][:1]), (support[0][:, :1], support[1]),
                         (support[0], support[1][:, 0])]:
                 with pytest.raises(ParameterError, match="does not match the workspace"):
-                    metalearn.trajectory(w, arch, bad, 0.1, 2, ws)
+                    programs.load(w, bad, query)
             with pytest.raises(ParameterError, match="does not match the workspace"):
-                metalearn.exact_from_trajectory(states, tapes, arch, support, 0.1, ws)
+                programs.load(w, support, support)
             with pytest.raises(ParameterError, match="does not match the workspace"):
-                metalearn.trajectory(w[:-1], arch, support, 0.1, 2, ws)
-            g = metalearn.exact_from_trajectory(states, tapes, arch, query, 0.1, ws)
+                programs.load(w[:-1], support, query)
+            programs.exact()
+        g = programs.query.dir.copy()
         task = tasks.TaskInstance("sine", support, query)
         p = model.ParamVector(w, arch)
         assert np.array_equal(g, metalearn.meta_gradient_exact(p, task, 0.1, 2).values)
@@ -193,10 +195,10 @@ class TestWorkspace:
 
         support, query = batch(m_support), batch(m_query)
         v = rng.standard_normal(w.shape)
-        ws = metalearn.Workspace(arch, m_support, m_query, K, 4)
+        programs = metalearn.Workspace(arch, m_support, m_query, K, 0.1, 4).programs(lead)
         with model.quiet():
-            states, tapes = metalearn.trajectory(w, arch, support, 0.1, K, ws)
-            metalearn.exact_from_trajectory(states, tapes, arch, query, 0.1, ws)
-            taped = model.hvps(tapes[0], v)
+            programs.load(w, support, query)
+            programs.step()
+            taped = model.hvps(programs.support[0], v)
             fresh = model.hvps(model.taped_grads(w, arch, *support)[1], v)
         assert np.array_equal(taped, fresh)

@@ -254,8 +254,8 @@ class TestEvaluate:
         arch = cfg.build_arch()
         w = model.init_params(arch, seed=0)
         assignment = cfg.build_assignment()
-        a = simulator.evaluate(w, assignment, cfg.hyper)
-        b = simulator.evaluate(w, assignment, cfg.hyper)
+        a = simulator.evaluate(w.values, arch, assignment, cfg.hyper)
+        b = simulator.evaluate(w.values, arch, assignment, cfg.hyper)
         assert a == b
 
     def test_quadratic_stationary_point(self):
@@ -264,7 +264,7 @@ class TestEvaluate:
         dummy = (np.zeros((1, 1)), np.zeros(1))
         task = tasks.TaskInstance("sine", dummy, dummy)
         assignment = tasks.ClientAssignment({0: task}, {})
-        _, _, gsq = simulator.evaluate(w, assignment, HyperParams())
+        _, _, gsq = simulator.evaluate(w.values, arch, assignment, HyperParams())
         assert gsq < 1e-12
 
     def test_blob_accuracy_metric(self):
@@ -275,6 +275,21 @@ class TestEvaluate:
         rec = simulator.run(replace(cfg, method="lodmeta"))
         assert 0.0 <= rec.rows[0].train_metric <= 1.0
 
+    def test_non_finite_unseen_query_raises(self):
+        """An unseen client's query forward pass is checked as every other
+        one is, so a NaN input raises rather than scoring NaN logits."""
+        cfg = small_cfg(task=tasks.TaskConfig(kind="blob"), hidden=(8,))
+        arch = cfg.build_arch()
+        assignment = cfg.build_assignment()
+        cid = sorted(assignment.unseen)[0]
+        task = assignment.unseen[cid]
+        x = task.query[0].copy()
+        x[0, 0] = np.nan
+        assignment.unseen[cid] = replace(task, query=(x, task.query[1]))
+        w = model.init_params(arch, seed=0).values
+        with pytest.raises(NumericalError, match="non-finite forward values"):
+            simulator.evaluate(w, arch, assignment, cfg.hyper)
+
 
 class TestMeanMetaGradient:
     @pytest.mark.parametrize("n", [1, 4])
@@ -284,17 +299,17 @@ class TestMeanMetaGradient:
         builds none."""
         cfg = small_cfg()
         arch = cfg.build_arch()
-        clients = simulator._Clients(cfg.build_assignment(), arch, cfg.hyper.K)
+        clients = simulator._Clients(cfg.build_assignment(), arch, cfg.hyper)
         block = list(clients.training.values())[:n]
         w = model.init_params(arch, seed=0)
-        simulator._mean_meta_gradient(w.values, arch, block, cfg.hyper)
+        simulator._mean_meta_gradient(w.values, block)
         calls = []
         real = model._layer_views
         monkeypatch.setattr(model, "_layer_views",
                             lambda *args: calls.append(args) or real(*args))
-        simulator._mean_meta_gradient(w.values, arch, block, cfg.hyper)
+        simulator._mean_meta_gradient(w.values, block)
         assert calls == []
-        metalearn.Workspace(arch, 5, 10, cfg.hyper.K, 1)  # the wrapper does count
+        metalearn.Workspace(arch, 5, 10, cfg.hyper.K, 0.1, 1)  # the wrapper does count
         assert calls
 
     def test_workspace_builds_only_the_cuts_a_run_uses(self, monkeypatch):
@@ -357,7 +372,7 @@ class TestRawArrayLoop:
                                         "centralized_maml"])
     def test_steps_build_no_param_vector(self, monkeypatch, method):
         """The loop carries a raw (d,) array: a ParamVector is built for the
-        initial point, each evaluation row and the final wrap, not per step."""
+        initial point and the final wrap, not per step or evaluation row."""
         private = PrivacyParams(epsilon=0.5, delta=0.3, m_meta=1.0,
                                 enabled=method == "lodmeta")
         cfg = small_cfg(method=method, n_active=2, T=50, eval_every=25, privacy=private)
@@ -367,7 +382,7 @@ class TestRawArrayLoop:
                             lambda self: built.append(1) or real(self))
         rec = simulator.run(cfg)
         assert not rec.aborted and len(rec.rows) == 3
-        assert len(built) <= len(rec.rows) + 2
+        assert len(built) == 2
 
 
 class TestAbort:
