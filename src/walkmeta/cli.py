@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage or library error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -153,18 +154,18 @@ def cmd_topo(args) -> int:
     cfg = parse_config(args.config)
     g = cfg.build_graph()
     tm = cfg.build_transition(g)
-    print(f"n={g.n} edges={g.num_edges()}")
-    print(f"sigma2={topology.sigma2(tm)!r}")
+    lines = [f"n={g.n} edges={g.num_edges()}", f"sigma2={topology.sigma2(tm)!r}"]
     try:
         pi = topology.stationary_distribution(tm)
-        print("stationary=" + " ".join(f"{v:.6g}" for v in pi))
+        lines.append("stationary=" + " ".join(f"{v:.6g}" for v in pi.tolist()))
     except WalkmetaError as e:
-        print(f"stationary: {e}")
-    for i, j in sorted(g.edges()):
-        print(f"{i} {j}")
+        lines.append(f"stationary: {e}")
+    lines += [f"{i} {j}" for i, j in g.edges()]
+    sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
+@functools.cache  # one parser per process: parse_args keeps nothing in it
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="walkmeta",

@@ -31,7 +31,7 @@ _BALANCE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected simple graph on nodes 0..n-1 with boolean adjacency."""
+    """Undirected simple graph on nodes 0..n-1 with read-only boolean adjacency."""
 
     n: int
     adj: np.ndarray  # (n, n) bool, symmetric, zero diagonal
@@ -46,23 +46,35 @@ class Graph:
             raise ParameterError("adjacency must be symmetric")
         if a.diagonal().any():
             raise ParameterError("self-loops are not allowed")
+        a.flags.writeable = False
+
+    @cached_property
+    def _arcs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(i, j) of each edge from both ends, row by row, by one 1-D scan: a
+        2-D nonzero, or one of a float array, takes several times as long."""
+        return divmod(np.flatnonzero(self.adj), self.n)
+
+    @cached_property
+    def _connected(self) -> bool:
+        return _bfs_connected(self.adj)
 
     def degrees(self) -> np.ndarray:
-        return self.adj.sum(axis=1)
+        return np.bincount(self._arcs[0], minlength=self.n)
 
     def edges(self) -> list[tuple[int, int]]:
-        ii, jj = np.nonzero(np.triu(self.adj))
-        return list(zip(ii.tolist(), jj.tolist()))
+        """Each edge once, as (i, j) with i < j, in ascending order."""
+        ii, jj = self._arcs
+        return list(zip(ii[ii < jj].tolist(), jj[ii < jj].tolist()))
 
     def num_edges(self) -> int:
-        return int(self.adj.sum()) // 2
+        return self._arcs[0].size // 2
 
     def is_connected(self) -> bool:
-        return _bfs_connected(self.adj)
+        return self._connected
 
     def to_edgelist(self) -> str:
         lines = [f"n {self.n}"]
-        lines += [f"{i} {j}" for i, j in sorted(self.edges())]
+        lines += [f"{i} {j}" for i, j in self.edges()]
         return "\n".join(lines) + "\n"
 
     @staticmethod
@@ -109,7 +121,9 @@ class TransitionMatrix:
         pi = _closed_form_pi(self)
         pi.flags.writeable = False
         r = np.sqrt(pi)
-        eig = np.linalg.eigvalsh(r[:, None] * self.P / r[None, :])  # ascending, 1 last
+        S = r[:, None] * self.P
+        S /= r
+        eig = np.linalg.eigvalsh(S)  # ascending, 1 last
         return pi, float(np.max(np.abs(eig[:-1]), initial=0.0))
 
     @property
@@ -161,13 +175,13 @@ def gen_small_world(n: int, k: int, p_rewire: float, seed: int) -> Graph:
     node, each edge rewired with probability p_rewire. Regenerated with a
     fresh derived seed until connected."""
     check_family("small_world", n, k=k, p_rewire=p_rewire)
+    rows = np.arange(n)[:, None]
+    cols = (rows + np.arange(1, k // 2 + 1)) % n
+    lattice = np.zeros((n, n), dtype=bool)
+    lattice[rows, cols] = lattice[cols, rows] = True
     for attempt in range(_MAX_GEN_ATTEMPTS):
         rng = _attempt_rng(seed, attempt)
-        adj = np.zeros((n, n), dtype=bool)
-        for i in range(n):
-            for off in range(1, k // 2 + 1):
-                j = (i + off) % n
-                adj[i, j] = adj[j, i] = True
+        adj = lattice.copy()
         # rewire each lattice edge (i, i+off) independently
         for off in range(1, k // 2 + 1):
             for i in range(n):
@@ -177,11 +191,12 @@ def gen_small_world(n: int, k: int, p_rewire: float, seed: int) -> Graph:
                     candidates = candidates[candidates != i]
                     if candidates.size == 0:
                         continue
-                    m = int(rng.choice(candidates))
+                    # takes from the stream what rng.choice(candidates) takes
+                    m = candidates[rng.integers(candidates.size)]
                     adj[i, j] = adj[j, i] = False
                     adj[i, m] = adj[m, i] = True
-        if _bfs_connected(adj):
-            return Graph(n, adj)
+        if (g := Graph(n, adj)).is_connected():
+            return g
     raise GenerationError(
         f"no connected small-world graph after {_MAX_GEN_ATTEMPTS} attempts "
         f"(n={n}, k={k}, p_rewire={p_rewire}, seed={seed})"
@@ -200,8 +215,8 @@ def gen_regular_expander(n: int, d: int, seed: int) -> Graph:
         adj = np.zeros((n, n), dtype=bool)
         adj[pairs[:, 0], pairs[:, 1]] = adj[pairs[:, 1], pairs[:, 0]] = True
         # a self-loop or a repeated pair sets fewer than n*d entries
-        if np.count_nonzero(adj) == n * d and _bfs_connected(adj):
-            return Graph(n, adj)
+        if np.count_nonzero(adj) == n * d and (g := Graph(n, adj)).is_connected():
+            return g
     raise GenerationError(
         f"no connected simple {d}-regular graph after {_MAX_GEN_ATTEMPTS} "
         f"attempts (n={n}, seed={seed})"
@@ -210,11 +225,8 @@ def gen_regular_expander(n: int, d: int, seed: int) -> Graph:
 
 def gen_ring(n: int) -> Graph:
     check_family("ring", n)
-    adj = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        j = (i + 1) % n
-        adj[i, j] = adj[j, i] = True
-    return Graph(n, adj)
+    adj = np.roll(np.eye(n, dtype=bool), 1, axis=1)  # i -> i+1 mod n
+    return Graph(n, adj | adj.T)
 
 
 def gen_star(n: int) -> Graph:
@@ -245,16 +257,21 @@ def build_transition_matrix(g: Graph, scheme: str = SCHEME_METROPOLIS,
     if not g.is_connected():
         raise ParameterError("graph must be connected")
     n = g.n
-    deg = g.degrees().astype(float)
+    ii, jj = g._arcs
+    deg = g.degrees()
+    P = np.zeros((n, n))
     if scheme == SCHEME_UNIFORM:
-        base = g.adj / deg[:, None]
+        if not deg.all():
+            raise ParameterError(f"uniform kernel: node {np.argmin(deg)} has no neighbour")
+        P[ii, jj] = 1.0 / deg[ii]
     elif scheme == SCHEME_METROPOLIS:
-        inv = 1.0 / deg
-        base = np.where(g.adj, np.minimum(inv[:, None], inv[None, :]), 0.0)
-        np.fill_diagonal(base, 1.0 - base.sum(axis=1))
+        P[ii, jj] = 1.0 / np.maximum(deg[ii], deg[jj])  # = min(1/deg_i, 1/deg_j)
+        # dense row sums: their pairwise order sets the diagonal's bits
+        np.fill_diagonal(P, 1.0 - P.sum(axis=1))
     else:
         raise ParameterError(f"unknown scheme {scheme!r}")
-    P = laziness * np.eye(n) + (1.0 - laziness) * base
+    P *= 1.0 - laziness  # then the diagonal: the bits of laziness*I + (1-laziness)*P
+    np.fill_diagonal(P, P.diagonal() + laziness)
     return TransitionMatrix(P=P, scheme=scheme, laziness=laziness)
 
 
@@ -263,15 +280,16 @@ def _closed_form_pi(tm: TransitionMatrix) -> np.ndarray:
     detailed balance; raises DiagnosticError for a kernel that is not
     reversible with respect to it."""
     P = tm.P
+    ii, jj = divmod(np.flatnonzero(P != 0), tm.n)  # P_ij = P_ji = 0 elsewhere
     if tm.scheme == SCHEME_METROPOLIS:
         pi = np.full(tm.n, 1.0 / tm.n)
     elif tm.scheme == SCHEME_UNIFORM:
-        deg = np.count_nonzero(P, axis=1) - (P.diagonal() != 0)
+        deg = np.bincount(ii[ii != jj], minlength=tm.n)
         pi = deg / deg.sum()
     else:
         raise ParameterError(f"unknown scheme {tm.scheme!r}")
-    flux = pi[:, None] * P
-    if not (pi > 0).all() or np.max(np.abs(flux - flux.T)) > _BALANCE_TOL:
+    imbalance = pi[ii] * P[ii, jj] - pi[jj] * P[jj, ii]
+    if not (pi > 0).all() or np.max(np.abs(imbalance), initial=0.0) > _BALANCE_TOL:
         raise DiagnosticError(f"kernel is not reversible with respect to the "
                               f"stationary distribution of the {tm.scheme} scheme")
     return pi

@@ -615,6 +615,39 @@ class TestCmdTopo:
         assert "stationary=" in capsys.readouterr().out
         assert calls == ["pi", "eigvalsh"]
 
+    def test_shared_parser_matches_fresh_processes(self, tmp_path, monkeypatch):
+        """main parses with one parser per process; a usage error and a
+        library error in between leave later calls as a fresh process
+        would run them."""
+        a, b = tmp_path / "a.cfg", tmp_path / "b.cfg"
+        a.write_text(FAST_CFG)
+        b.write_text("[topology]\nfamily = small_world\nscheme = uniform\nn = 12\n"
+                     "[clients]\nn_training = 12\n[run]\nseed = 3\n")
+        calls = [["topo", str(a)], ["topo"], ["topo", str(tmp_path / "missing.cfg")],
+                 ["topo", str(b)]]
+
+        def in_process(argv):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as e:
+                    code = e.code
+            return code, out.getvalue(), err.getvalue()
+
+        monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps usage at
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+
+        def fresh(argv):
+            p = subprocess.run([sys.executable, "-m", "walkmeta.cli", *argv],
+                               capture_output=True, text=True,
+                               env={**os.environ, "PYTHONPATH": src})
+            return p.returncode, p.stdout, p.stderr
+
+        got = [in_process(argv) for argv in calls]
+        assert [code for code, _, _ in got] == [0, 2, 1, 0]
+        assert got == [fresh(argv) for argv in calls]
+
     def test_generation_failure_exit_1(self, tmp_path, capsys):
         # valid, but no 1-regular graph on 20 nodes is connected
         cfg_path = tmp_path / "exp.cfg"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
@@ -42,6 +44,61 @@ def regular_by_pair_loop(n, d, seed):
     return None
 
 
+def small_world_by_loop(n, k, p_rewire, seed):
+    """Reference Watts-Strogatz generator: the lattice set pair by pair and
+    each rewire drawn with rng.choice; the adjacency of the first connected
+    attempt, or None when 100 attempts find none."""
+    for attempt in range(100):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, attempt]))
+        adj = np.zeros((n, n), dtype=bool)
+        for i in range(n):
+            for off in range(1, k // 2 + 1):
+                j = (i + off) % n
+                adj[i, j] = adj[j, i] = True
+        for off in range(1, k // 2 + 1):
+            for i in range(n):
+                j = (i + off) % n
+                if rng.random() < p_rewire:
+                    candidates = np.flatnonzero(~adj[i])
+                    candidates = candidates[candidates != i]
+                    if candidates.size == 0:
+                        continue
+                    m = int(rng.choice(candidates))
+                    adj[i, j] = adj[j, i] = False
+                    adj[i, m] = adj[m, i] = True
+        if topo._bfs_connected(adj):
+            return adj
+    return None
+
+
+def dense_kernel(adj, scheme, laziness):
+    """Reference kernel: every entry of the whole matrix worked out at once."""
+    n = adj.shape[0]
+    deg = adj.sum(axis=1).astype(float)
+    if scheme == topo.SCHEME_UNIFORM:
+        base = adj / deg[:, None]
+    else:
+        inv = 1.0 / deg
+        base = np.where(adj, np.minimum(inv[:, None], inv[None, :]), 0.0)
+        np.fill_diagonal(base, 1.0 - base.sum(axis=1))
+    return laziness * np.eye(n) + (1.0 - laziness) * base
+
+
+def dense_closed_form_pi(tm):
+    """Reference closed-form pi, checked by detailed balance over every
+    entry of P; None where that check rejects the kernel."""
+    P = tm.P
+    if tm.scheme == topo.SCHEME_METROPOLIS:
+        pi = np.full(tm.n, 1.0 / tm.n)
+    else:
+        deg = np.count_nonzero(P, axis=1) - (P.diagonal() != 0)
+        pi = deg / deg.sum()
+    flux = pi[:, None] * P
+    if not (pi > 0).all() or np.max(np.abs(flux - flux.T)) > 1e-12:
+        return None
+    return pi
+
+
 class LargestDraw:
     """Stub rng whose every draw is 1 - 2**-53, the largest value
     `Generator.random` returns."""
@@ -82,6 +139,20 @@ class TestSmallWorld:
     def test_bad_params(self, n, k, p):
         with pytest.raises(ParameterError):
             topo.gen_small_world(n, k, p, seed=0)
+
+    @pytest.mark.parametrize("n, k", [(n, k) for n in (5, 8, 20, 61, 300)
+                                      for k in (2, 4, 6) if n > k])
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    def test_matches_loop_with_choice(self, n, k, p):
+        """The array-built lattice and the integers draws keep the graph,
+        or the failure, of the pair-by-pair lattice and rng.choice."""
+        for seed in range(6):
+            ref = small_world_by_loop(n, k, p, seed)
+            if ref is None:
+                with pytest.raises(GenerationError):
+                    topo.gen_small_world(n, k, p, seed)
+            else:
+                assert np.array_equal(topo.gen_small_world(n, k, p, seed).adj, ref)
 
 
 class TestRegularExpander:
@@ -211,6 +282,22 @@ class TestTransitionMatrix:
         with pytest.raises(ParameterError):
             topo.build_transition_matrix(g, topo.SCHEME_UNIFORM, 0.0)
 
+    def test_lone_node(self):
+        """One node and no edge: the uniform walk has nowhere to move, and
+        the Metropolis walk stays put; neither divides by its degree 0."""
+        g = topo.Graph.from_edgelist("n 1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="node 0 has no neighbour"):
+                topo.build_transition_matrix(g, topo.SCHEME_UNIFORM, 0.1)
+            tm = topo.build_transition_matrix(g, topo.SCHEME_METROPOLIS, 0.1)
+        assert tm.P.tolist() == [[1.0]]
+
+    def test_graph_keeps_read_only_adjacency(self):
+        g = topo.gen_ring(5)
+        with pytest.raises(ValueError):
+            g.adj[0, 2] = True
+
 
 class TestSigma2:
     def test_k5_uniform(self):
@@ -283,6 +370,26 @@ class TestStationary:
         with pytest.raises(DiagnosticError):
             topo.sigma2(tm)
 
+    @pytest.mark.parametrize("scheme", [topo.SCHEME_UNIFORM, topo.SCHEME_METROPOLIS])
+    @pytest.mark.parametrize("P", [
+        0.5 * np.eye(3) + 0.5 * np.roll(np.eye(3), 1, axis=1),   # directed 3-cycle
+        np.array([[1.0, 0, 0], [0, .5, .5], [0, .5, .5]]),       # isolated node
+        np.array([[0.0, 1, 0], [.5, 0, .5], [0, 1, 0]]),         # path, uniform walk
+        np.array([[.5, .5, 0], [.5, 0, .5], [0, .5, .5]]),       # path, Metropolis
+        np.array([[.5, .5 + 1e-9, 0], [.5, 0, .5], [0, .5, .5]]),  # off by 1e-9
+        np.array([[.5, .5 + 1e-13, 0], [.5, 0, .5], [0, .5, .5]]),  # within tolerance
+    ], ids=["cycle", "isolated", "path-uniform", "path-mh", "off-1e-9", "off-1e-13"])
+    def test_balance_verdict_matches_dense_check(self, P, scheme):
+        """The check over P's nonzeros rejects exactly the hand-built kernels
+        the check over all of P rejects, and returns the same pi otherwise."""
+        tm = topo.TransitionMatrix(P.copy(), scheme, 0.0)
+        ref = dense_closed_form_pi(tm)
+        if ref is None:
+            with pytest.raises(DiagnosticError, match="not reversible"):
+                topo._closed_form_pi(tm)
+        else:
+            assert np.array_equal(topo._closed_form_pi(tm), ref)
+
 
 @st.composite
 def graphs(draw):
@@ -314,6 +421,16 @@ kernels = st.builds(topo.build_transition_matrix, graphs(),
 
 
 class TestKernelProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(graphs(), st.sampled_from([topo.SCHEME_UNIFORM, topo.SCHEME_METROPOLIS]),
+           st.sampled_from([0.0, 0.1, 0.5]))
+    def test_bits_equal_dense_formula(self, g, scheme, laziness):
+        """Built over the edges, the kernel keeps every bit of the dense
+        formula, signed zeros included."""
+        tm = topo.build_transition_matrix(g, scheme, laziness)
+        ref = dense_kernel(g.adj, scheme, laziness)
+        assert np.array_equal(tm.P.view(np.uint64), ref.view(np.uint64))
+
     @settings(max_examples=60, deadline=None)
     @given(kernels)
     def test_rows_sum_to_one(self, tm):
