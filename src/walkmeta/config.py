@@ -7,7 +7,6 @@ file is a complete, runnable configuration. Unknown keys are a hard error.
 
 from __future__ import annotations
 
-import math
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -18,10 +17,9 @@ from .errors import ConfigError, ParameterError
 from .model import HEAD_MSE, HEAD_XENT, Arch
 from .optimizer import HyperParams
 from .privacy import PrivacyParams
-from .tasks import KIND_BLOB, KIND_SINE, TaskConfig, assign_clients
+from .tasks import KIND_SINE, TaskConfig, assign_clients
 
-FAMILIES = ("small_world", "regular", "ring", "star", "complete")
-_SCHEMES = (topo.SCHEME_UNIFORM, topo.SCHEME_METROPOLIS)
+FAMILIES = topo.FAMILIES  # re-exported: the families a config may name
 
 
 @dataclass(frozen=True)
@@ -73,6 +71,9 @@ class TopologySpec:
     laziness: float = 0.1
     scheme: str = topo.SCHEME_METROPOLIS
 
+    def __post_init__(self):
+        topo.check_kernel(self.scheme, self.laziness)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -105,9 +106,7 @@ class ExperimentConfig:
             return topo.gen_ring(t.n)
         if t.family == "star":
             return topo.gen_star(t.n)
-        if t.family == "complete":
-            return topo.gen_complete(t.n)
-        raise ConfigError(f"topology.family: unknown family {t.family!r}")
+        return topo.gen_complete(t.n)
 
     def build_transition(self, graph: topo.Graph | None = None) -> topo.TransitionMatrix:
         """The walk kernel on `graph`, one that build_graph made, or on a new
@@ -133,8 +132,8 @@ class ExperimentConfig:
         return Arch(self.task.dim, hidden, out, head)
 
     def validate(self) -> "ExperimentConfig":
-        """Checks _BOUNDS and the rules that tie fields together; section
-        types check their own fields when constructed."""
+        """Checks _BOUNDS, check_family and the rules that tie fields together;
+        TopologySpec, TaskConfig, HyperParams and PrivacyParams check themselves."""
         for key, ok, bound in _BOUNDS:
             value = reduce(getattr, _KEYS[key][0], self)
             if not ok(value):
@@ -159,19 +158,8 @@ class ExperimentConfig:
         return self
 
 
-# The single-field bounds that no section type checks on construction:
-# (key, test, bound as the error states it).
+# ExperimentConfig's own bounds: (key, test, bound as the error states it).
 _BOUNDS = (
-    ("topology.family", lambda v: v in FAMILIES, f"one of {FAMILIES}"),
-    ("topology.laziness", lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
-    ("topology.scheme", lambda v: v in _SCHEMES, f"one of {_SCHEMES}"),
-    ("task.kind", lambda v: v in (KIND_SINE, KIND_BLOB), "sine or blob"),
-    ("task.shots", lambda v: v >= 1, ">= 1"),
-    ("task.query_size", lambda v: v >= 1, ">= 1"),
-    ("task.ways", lambda v: v >= 2, ">= 2"),
-    ("task.query_per_class", lambda v: v >= 1, ">= 1"),
-    ("task.dim", lambda v: v >= 2, ">= 2"),
-    ("task.spread", lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
     ("clients.n_training", lambda v: v >= 1, ">= 1"),
     ("clients.n_unseen", lambda v: v >= 0, ">= 0"),
     ("privacy.delta_hat", lambda v: 0.0 < v < 1.0, "in (0, 1)"),

@@ -37,6 +37,16 @@ class TaskConfig:
     dim: int = 2                  # blob input dimension
     spread: float = 0.5           # blob within-class noise std
 
+    def __post_init__(self):
+        if self.kind not in (KIND_SINE, KIND_BLOB):
+            raise ParameterError(f"kind: must be sine or blob, got {self.kind!r}")
+        for name, least in (("shots", 1), ("query_size", 1), ("ways", 2),
+                            ("query_per_class", 1), ("dim", 2)):
+            if (value := getattr(self, name)) < least:
+                raise ParameterError(f"{name}: must be >= {least}, got {value!r}")
+        if not (0.0 <= self.spread < np.inf):
+            raise ParameterError(f"spread: must be finite and >= 0, got {self.spread!r}")
+
 
 @dataclass(frozen=True)
 class ClientAssignment:
@@ -54,8 +64,7 @@ class ClientAssignment:
 
 def gen_sine_task(rng: np.random.Generator, shots: int, query_size: int) -> TaskInstance:
     """Sine regression task y = A sin(x + phase), A ~ U[0.1, 5], phase ~ U[0, pi]."""
-    if shots < 1 or query_size < 1:
-        raise ParameterError("shots and query_size must be >= 1")
+    TaskConfig(KIND_SINE, shots, query_size)  # checks shots and query_size
     amplitude = rng.uniform(0.1, 5.0)
     phase = rng.uniform(0.0, np.pi)
 
@@ -73,10 +82,8 @@ def gen_sine_task(rng: np.random.Generator, shots: int, query_size: int) -> Task
 def gen_blob_task(rng: np.random.Generator, ways: int, shots: int,
                   query_per_class: int, dim: int, spread: float) -> TaskInstance:
     """N-way classification of Gaussian blobs around random centroids."""
-    if ways < 2:
-        raise ParameterError("ways must be >= 2")
-    if dim < 2:
-        raise ParameterError("dim must be >= 2")
+    TaskConfig(KIND_BLOB, shots, ways=ways, query_per_class=query_per_class,
+               dim=dim, spread=spread)  # checks every argument but rng
     centroids = 2.0 * rng.standard_normal((ways, dim))
 
     def draw(per_class):
@@ -95,10 +102,7 @@ def gen_blob_task(rng: np.random.Generator, ways: int, shots: int,
 def _gen_task(cfg: TaskConfig, rng: np.random.Generator) -> TaskInstance:
     if cfg.kind == KIND_SINE:
         return gen_sine_task(rng, cfg.shots, cfg.query_size)
-    if cfg.kind == KIND_BLOB:
-        return gen_blob_task(rng, cfg.ways, cfg.shots, cfg.query_per_class,
-                             cfg.dim, cfg.spread)
-    raise ParameterError(f"unknown task kind {cfg.kind!r}")
+    return gen_blob_task(rng, cfg.ways, cfg.shots, cfg.query_per_class, cfg.dim, cfg.spread)
 
 
 def client_rng(seed: int, client_id: int) -> np.random.Generator:

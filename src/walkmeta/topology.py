@@ -23,6 +23,8 @@ from .errors import DiagnosticError, GenerationError, ParameterError
 
 SCHEME_UNIFORM = "uniform"
 SCHEME_METROPOLIS = "metropolis"
+SCHEMES = (SCHEME_UNIFORM, SCHEME_METROPOLIS)
+FAMILIES = ("small_world", "regular", "ring", "star", "complete")
 
 _MAX_GEN_ATTEMPTS = 100
 # largest |pi_i P_ij - pi_j P_ji| accepted as detailed balance
@@ -37,6 +39,8 @@ class Graph:
     adj: np.ndarray  # (n, n) bool, symmetric, zero diagonal
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ParameterError(f"n: must be >= 1, got {self.n}")
         a = self.adj
         if a.shape != (self.n, self.n):
             raise ParameterError(f"adjacency shape {a.shape} does not match n={self.n}")
@@ -79,15 +83,20 @@ class Graph:
 
     @staticmethod
     def from_edgelist(text: str) -> "Graph":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("n "):
-            raise ParameterError("edge-list must start with 'n <count>'")
-        n = int(lines[0].split()[1])
+        """The graph of a line "n <count>", then one line "i j" with
+        0 <= i < j < count per edge; raises ParameterError naming the first
+        line that breaks this."""
+        lines = [ln for ln in text.splitlines() if ln.strip()] or [""]
+        head = lines[0].split()
+        if not (len(head) == 2 and head[0] == "n" and head[1].isdecimal()):
+            raise ParameterError(f"edge-list must start with 'n <count>', got {lines[0]!r}")
+        n = int(head[1])
         adj = np.zeros((n, n), dtype=bool)
         for ln in lines[1:]:
-            i, j = map(int, ln.split())
-            if not (0 <= i < j < n):
+            ij = [int(w) if w.isdecimal() else -1 for w in ln.split()]
+            if len(ij) != 2 or not (0 <= ij[0] < ij[1] < n):
                 raise ParameterError(f"bad edge line {ln!r}")
+            i, j = ij
             adj[i, j] = adj[j, i] = True
         return Graph(n, adj)
 
@@ -101,6 +110,7 @@ class TransitionMatrix:
     laziness: float
 
     def __post_init__(self):
+        check_kernel(self.scheme, self.laziness)
         self.P.flags.writeable = False
 
     @cached_property
@@ -150,6 +160,8 @@ def check_family(family: str, n: int, k: int = 2, degree: int = 1,
     """The bounds of a family's generator, declared once for the generators
     and the config: raises ParameterError "<key>: <reason>", naming the
     [topology] key at fault. Keys the family does not use go unchecked."""
+    if family not in FAMILIES:
+        raise ParameterError(f"family: must be one of {FAMILIES}, got {family!r}")
     if family == "small_world":
         if not (n > k >= 2):
             raise ParameterError(f"k: need n > k >= 2, got n={n}, k={k}")
@@ -164,6 +176,14 @@ def check_family(family: str, n: int, k: int = 2, degree: int = 1,
             raise ParameterError(f"degree: n*degree must be even, got n={n}, degree={degree}")
     elif n < _MIN_N[family]:
         raise ParameterError(f"n: {family} needs n >= {_MIN_N[family]}, got {n}")
+
+
+def check_kernel(scheme: str, laziness: float) -> None:
+    """Raises ParameterError "<field>: <reason>" for a scheme or laziness out of bounds."""
+    if scheme not in SCHEMES:
+        raise ParameterError(f"scheme: must be one of {SCHEMES}, got {scheme!r}")
+    if not (0.0 <= laziness < 1.0):
+        raise ParameterError(f"laziness: must be in [0, 1), got {laziness!r}")
 
 
 def _attempt_rng(seed: int, attempt: int) -> np.random.Generator:
@@ -252,8 +272,7 @@ def build_transition_matrix(g: Graph, scheme: str = SCHEME_METROPOLIS,
     uniform on any connected graph. laziness mixes in self-transitions,
     removing periodicity.
     """
-    if not (0.0 <= laziness < 1.0):
-        raise ParameterError(f"laziness must be in [0, 1), got {laziness}")
+    check_kernel(scheme, laziness)  # first: P's arithmetic warns on an infinite laziness
     if not g.is_connected():
         raise ParameterError("graph must be connected")
     n = g.n
@@ -264,12 +283,10 @@ def build_transition_matrix(g: Graph, scheme: str = SCHEME_METROPOLIS,
         if not deg.all():
             raise ParameterError(f"uniform kernel: node {np.argmin(deg)} has no neighbour")
         P[ii, jj] = 1.0 / deg[ii]
-    elif scheme == SCHEME_METROPOLIS:
+    else:
         P[ii, jj] = 1.0 / np.maximum(deg[ii], deg[jj])  # = min(1/deg_i, 1/deg_j)
         # dense row sums: their pairwise order sets the diagonal's bits
         np.fill_diagonal(P, 1.0 - P.sum(axis=1))
-    else:
-        raise ParameterError(f"unknown scheme {scheme!r}")
     P *= 1.0 - laziness  # then the diagonal: the bits of laziness*I + (1-laziness)*P
     np.fill_diagonal(P, P.diagonal() + laziness)
     return TransitionMatrix(P=P, scheme=scheme, laziness=laziness)
@@ -283,11 +300,9 @@ def _closed_form_pi(tm: TransitionMatrix) -> np.ndarray:
     ii, jj = divmod(np.flatnonzero(P != 0), tm.n)  # P_ij = P_ji = 0 elsewhere
     if tm.scheme == SCHEME_METROPOLIS:
         pi = np.full(tm.n, 1.0 / tm.n)
-    elif tm.scheme == SCHEME_UNIFORM:
+    else:
         deg = np.bincount(ii[ii != jj], minlength=tm.n)
         pi = deg / deg.sum()
-    else:
-        raise ParameterError(f"unknown scheme {tm.scheme!r}")
     imbalance = pi[ii] * P[ii, jj] - pi[jj] * P[jj, ii]
     if not (pi > 0).all() or np.max(np.abs(imbalance), initial=0.0) > _BALANCE_TOL:
         raise DiagnosticError(f"kernel is not reversible with respect to the "

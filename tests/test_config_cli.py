@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import os
@@ -51,6 +52,18 @@ def file_keys(text: str) -> list[str]:
         elif line:
             keys.append(f"{section}.{line.split(' = ')[0]}")
     return keys
+
+
+def file_values(text: str) -> dict[str, object]:
+    """The section.key -> parsed value a config text sets."""
+    values, section = {}, ""
+    for line in text.splitlines():
+        if line.startswith("["):
+            section = line[1:-1]
+        elif line:
+            name, _, value = line.partition(" = ")
+            values[f"{section}.{name}"] = config.parse_value(f"{section}.{name}", value)
+    return values
 
 
 def unit_floats(lo=0.0, hi=1.0, **kw):
@@ -149,6 +162,11 @@ OUT_OF_RANGE = [
     ("privacy.m_meta", "[privacy]\nm_meta = inf\n"),
 ]
 
+# the task and topology rows that break one parameter's own bound; the row
+# with n = 10 breaks validate's rule that topology.n equals clients.n_training
+OWN_BOUND_ROWS = [(k, t) for k, t in OUT_OF_RANGE if k.startswith(("task.", "topology."))
+                  and t != "[topology]\nn = 10\n"]
+
 
 class TestParse:
     def test_empty_file_gives_defaults(self):
@@ -233,6 +251,34 @@ class TestParse:
     def test_out_of_range_names_key(self, key, text):
         with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: "):
             parse_config_text(text)
+
+    @pytest.mark.parametrize("key,text", OWN_BOUND_ROWS,
+                             ids=[f"{k}-{i}" for i, (k, _) in enumerate(OWN_BOUND_ROWS)])
+    def test_library_bound_reads_as_config_bound(self, key, text):
+        """One declaration per bound: the library entry point raises the
+        config's error less its section prefix."""
+        with pytest.raises(ConfigError) as from_config:
+            parse_config_text(text)
+        section, _, name = key.partition(".")
+        values = {k.partition(".")[2]: v for k, v in file_values(text).items()
+                  if k.startswith(f"{section}.")}
+        with pytest.raises(ParameterError) as from_library:
+            if section == "task":
+                config.TaskConfig(**values)
+            elif name in ("scheme", "laziness"):
+                topology.build_transition_matrix(topology.gen_ring(3), **values)
+            else:
+                spec = {**dataclasses.asdict(config.TopologySpec()), **values}
+                topology.check_family(spec["family"], spec["n"], spec["k"],
+                                      spec["degree"], spec["p_rewire"])
+        assert str(from_library.value) == str(from_config.value).removeprefix(f"{section}.")
+
+    def test_bounds_table_holds_only_top_level_fields(self):
+        """Section types declare their own bounds; _BOUNDS keeps no copy."""
+        top = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        for key, _, _ in config._BOUNDS:
+            path = config._KEYS[key][0]
+            assert len(path) == 1 and path[0] in top, key
 
     @settings(max_examples=150, deadline=None)
     @given(valid_configs())

@@ -26,8 +26,9 @@ class TestSineTask:
         assert t.query[0].shape == (15, 1)
 
     def test_bad_sizes(self):
-        with pytest.raises(ParameterError):
-            tasks.gen_sine_task(np.random.default_rng(0), shots=0, query_size=5)
+        for shots, query_size, name in ((0, 5, "shots"), (5, 0, "query_size")):
+            with pytest.raises(ParameterError, match=rf"^{name}: must be >= 1, got 0$"):
+                tasks.gen_sine_task(np.random.default_rng(0), shots, query_size)
 
 
 class TestBlobTask:
@@ -52,12 +53,12 @@ class TestBlobTask:
 
     def test_bad_params(self):
         rng = np.random.default_rng(0)
-        with pytest.raises(ParameterError):
-            tasks.gen_blob_task(rng, ways=1, shots=1, query_per_class=5,
-                                dim=2, spread=0.5)
-        with pytest.raises(ParameterError):
-            tasks.gen_blob_task(rng, ways=3, shots=1, query_per_class=5,
-                                dim=1, spread=0.5)
+        good = dict(ways=3, shots=1, query_per_class=5, dim=2, spread=0.5)
+        for bad in ({"ways": 1}, {"dim": 1}, {"shots": 0}, {"query_per_class": 0},
+                    {"spread": np.nan}, {"spread": -0.5}):
+            (name,) = bad
+            with pytest.raises(ParameterError, match=rf"^{name}: "):
+                tasks.gen_blob_task(rng, **{**good, **bad})
 
 
 class TestAssignClients:

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -232,6 +233,10 @@ class TestFixedTopologies:
         with pytest.raises(ParameterError):
             topo.gen_star(1)
 
+    def test_unknown_family(self):
+        with pytest.raises(ParameterError, match=r"^family: must be one of \("):
+            topo.check_family("torus", 5)
+
 
 class TestTransitionMatrix:
     def test_k3_uniform(self):
@@ -292,6 +297,13 @@ class TestTransitionMatrix:
                 topo.build_transition_matrix(g, topo.SCHEME_UNIFORM, 0.1)
             tm = topo.build_transition_matrix(g, topo.SCHEME_METROPOLIS, 0.1)
         assert tm.P.tolist() == [[1.0]]
+
+    @pytest.mark.parametrize("scheme, laziness, name", [
+        ("foo", 0.0, "scheme"), (topo.SCHEME_UNIFORM, 1.0, "laziness")])
+    def test_hand_built_kernel_checked_when_built(self, scheme, laziness, name):
+        P = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(ParameterError, match=rf"^{name}: "):
+            topo.TransitionMatrix(P, scheme, laziness)
 
     def test_graph_keeps_read_only_adjacency(self):
         g = topo.gen_ring(5)
@@ -589,3 +601,18 @@ class TestSerialization:
     def test_format(self):
         text = topo.gen_ring(3).to_edgelist()
         assert text == "n 3\n0 1\n0 2\n1 2\n"
+
+    def test_no_nodes_rejected(self):
+        with pytest.raises(ParameterError, match=r"^n: must be >= 1, got 0$"):
+            topo.Graph(0, np.zeros((0, 0), dtype=bool))
+        with pytest.raises(ParameterError, match=r"^n: must be >= 1, got 0$"):
+            topo.Graph.from_edgelist("n 0\n")
+
+    @pytest.mark.parametrize("text", [
+        "n -1\n", "n x\n", "", "0 1\n", "n 3 4\n", "n 3\n0 1 2\n",
+        "n 3\n0 x\n", "n 3\n-1 2\n", "n 3\n0 3\n", "n 3\n1 0\n"])
+    def test_bad_input_names_line(self, text):
+        """Each text's last line is its first bad one."""
+        bad = (text.splitlines() or [""])[-1]
+        with pytest.raises(ParameterError, match=re.escape(repr(bad))):
+            topo.Graph.from_edgelist(text)
