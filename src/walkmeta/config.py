@@ -98,15 +98,7 @@ class ExperimentConfig:
 
     def build_graph(self) -> topo.Graph:
         t = self.topology
-        if t.family == "small_world":
-            return topo.gen_small_world(t.n, t.k, t.p_rewire, self.seed)
-        if t.family == "regular":
-            return topo.gen_regular_expander(t.n, t.degree, self.seed)
-        if t.family == "ring":
-            return topo.gen_ring(t.n)
-        if t.family == "star":
-            return topo.gen_star(t.n)
-        return topo.gen_complete(t.n)
+        return topo.gen_graph(t.family, t.n, t.k, t.degree, t.p_rewire, self.seed)
 
     def build_transition(self, graph: topo.Graph | None = None) -> topo.TransitionMatrix:
         """The walk kernel on `graph`, one that build_graph made, or on a new

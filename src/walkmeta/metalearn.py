@@ -29,11 +29,12 @@ class Workspace:
     K and step size alpha, with `rows` leading rows: K support tapes, which
     read one support input, and one query tape. Their scratch is used by
     one pass at a time, so all share the scratch of the tape over the most
-    examples. A call with n <= rows clients uses the first n rows, and a
-    lone (d,) vector uses row 0; on a cut's first use `programs` makes its
-    tapes (views of the full ones) and binds its `Programs`, the one way a
-    workspace is run. The owner keeps it for as long as its batches keep
-    their sizes."""
+    examples. A block of n <= rows clients uses the cut of the first n
+    rows, and a lone (d,) vector the cut () of row 0; on a cut's first use
+    `programs` makes its tapes (views of the full ones) and binds its
+    `Programs`, the one way a workspace is run, into whose rows `load`
+    copies each client's own batches. The owner keeps it for as long as
+    its batches keep their sizes."""
 
     def __init__(self, arch: model.Arch, m_support: int, m_query: int, K: int,
                  alpha: float, rows: int):
@@ -69,6 +70,8 @@ class Programs:
     support tape's HVP pass, last to first, in the query tape's `dir`;
     `step` is both. Their ops, operands and order are those of the per-pass
     reference (`trajectory`, `exact_from_trajectory`), so the bits are too.
+    `load` is the one way clients reach the tapes: one per row of the cut,
+    each copied into its row through views bound here.
 
     The checks of the reference (each forward output, each inner state and
     the meta-gradient) write one slot each of `flags` with one BLAS
@@ -80,7 +83,11 @@ class Programs:
     def __init__(self, support: list[model.Tape], query: model.Tape, alpha: float):
         self.support, self.query = support, query
         quadratic = query.arch.head == model.HEAD_QUADRATIC
-        self._inputs = [] if quadratic else [support[0], query]
+        lead = query.point.shape[:-1]
+        # per row: views of its support x, t and query x, t; none for the quadratic head
+        self._rows = [()] * math.prod(lead) if quadratic else list(zip(*(
+            a.reshape((-1,) + a.shape[len(lead):])
+            for a in (support[0].x, support[0].t, query.x, query.t))))
         flags, messages = np.empty(2 * len(support) + 2), []
 
         def check(ops, a, zeros, message):
@@ -111,13 +118,16 @@ class Programs:
         self.exact = _Program(exact, flags[split:end], messages[split:])
         self.step = _Program(adapt + exact, flags[:end], messages)
 
-    def load(self, w: np.ndarray, support, query):
-        """Copies w into the first support tape's point (K >= 1), and the
-        checked batches into the support and query inputs, after checking
-        every shape."""
+    def load(self, w: np.ndarray, clients):
+        """Copies w into the first support tape's point (K >= 1), and client
+        i's checked (support, query) batches into row i of the support and
+        query inputs, after checking the client count and every shape."""
+        if len(clients) != len(self._rows):
+            raise ParameterError(f"{len(clients)} clients do not match the workspace "
+                                 f"cut's {len(self._rows)} rows")
         pairs = [(self.support[0].point, w)]
-        for tape, batch in zip(self._inputs, [support, query]):
-            pairs += zip((tape.x, tape.t), batch)
+        for bufs, (support, query, *_) in zip(self._rows, clients):
+            pairs += zip(bufs, (*support, *query))
         for buf, a in pairs:
             if a.shape != buf.shape:
                 raise ParameterError(f"shape {a.shape} does not match the workspace's "

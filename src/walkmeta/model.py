@@ -169,12 +169,6 @@ def check_batch(arch: Arch, batch) -> tuple[np.ndarray, np.ndarray | None]:
     return x, labels
 
 
-def stack_batches(batches) -> tuple[np.ndarray, np.ndarray | None]:
-    """Checked batches of equal shapes as one batch with a leading client axis."""
-    xs, ts = zip(*batches)
-    return np.stack(xs), None if ts[0] is None else np.stack(ts)
-
-
 def _layer_views(a: np.ndarray, arch: Arch) -> tuple[list, list]:
     """Per-layer weight views (..., out, inp) and bias views (..., 1, out)
     of a (..., d): the core's one view builder, called when a tape is built."""

@@ -11,6 +11,7 @@ too, 2 per active client for centralized download+upload.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -96,11 +97,11 @@ def read_run_csv(text: str) -> tuple[dict, list[EvalRow]]:
 _CLIENT_BLOCK = 4
 
 
-class _Clients:
+class Clients:
     """A set of clients prepared once for many adaptations: each client's
     checked (support, query) batches and the workspace for their sizes (one
-    per distinct pair of sizes, normally one), keyed by client id, and the
-    evaluation blocks."""
+    per distinct pair of sizes, normally one); `training` by client id,
+    `unseen` as a list."""
 
     def __init__(self, assignment: ClientAssignment, arch: model.Arch,
                  h: optimizer.HyperParams):
@@ -116,38 +117,27 @@ class _Clients:
             return support, query, workspaces[sizes]
 
         self.training = {cid: prepare(t) for cid, t in assignment.training.items()}
-        self.training_blocks = list(_client_blocks(list(self.training.values())))
-        self.unseen_blocks = list(_client_blocks([prepare(t) for t in
-                                                  assignment.unseen.values()]))
+        self.unseen = [prepare(t) for t in assignment.unseen.values()]
 
 
-def _client_blocks(clients: list):
-    """Prepared clients stacked in runs of at most _CLIENT_BLOCK whose batch
-    shapes agree; yields (support, query, workspace) per run."""
-    def shapes(c):
-        return [a.shape for batch in c[:2] for a in batch if a is not None]
-
-    start = 0
-    while start < len(clients):
-        stop = start + 1
-        while (stop < len(clients) and stop - start < _CLIENT_BLOCK
-               and shapes(clients[stop]) == shapes(clients[start])):
-            stop += 1
-        yield (model.stack_batches([c[0] for c in clients[start:stop]]),
-               model.stack_batches([c[1] for c in clients[start:stop]]),
-               clients[start][2])
-        start = stop
+def _client_blocks(clients):
+    """Runs of at most _CLIENT_BLOCK consecutive prepared clients that share
+    a workspace, as lists."""
+    for _, shared in groupby(clients, key=lambda c: c[2]):
+        shared = list(shared)
+        for start in range(0, len(shared), _CLIENT_BLOCK):
+            yield shared[start:start + _CLIENT_BLOCK]
 
 
-def _adapt_block(w: np.ndarray, support, query, ws: metalearn.Workspace,
-                 metrics: list | None = None, gsum: np.ndarray | None = None):
-    """Adapts a block of clients from w (d,). When given, appends each
-    client's adapted query metric to `metrics` and adds each client's exact
-    meta-gradient to `gsum`, in client order; one inner trajectory per
-    client serves both."""
-    n = len(support[0])
-    programs = ws.programs((n,))
-    programs.load(np.broadcast_to(w, (n, w.size)), support, query)
+def _adapt_block(w: np.ndarray, block: list, metrics: list | None = None,
+                 gsum: np.ndarray | None = None):
+    """Adapts a block of prepared clients that share a workspace from w (d,).
+    When given, appends each client's adapted query metric to `metrics` and
+    adds each client's exact meta-gradient to `gsum`, in client order; one
+    inner trajectory per client serves both."""
+    n = len(block)
+    programs = block[0][2].programs((n,))
+    programs.load(np.broadcast_to(w, (n, w.size)), block)
     programs.adapt()
     if metrics is not None:
         metrics += _query_metrics(programs.query)
@@ -159,17 +149,16 @@ def _adapt_block(w: np.ndarray, support, query, ws: metalearn.Workspace,
 
 def _mean_meta_gradient(w: np.ndarray, clients: list) -> np.ndarray:
     """The exact meta-gradient at w (d,) averaged over prepared clients;
-    several run in client blocks, one as a lone vector without stacking."""
+    several run in client blocks, one in the lone cut."""
     with model.quiet():
         if len(clients) == 1:
-            support, query, ws = clients[0]
-            programs = ws.programs(())
-            programs.load(w, support, query)
+            programs = clients[0][2].programs(())
+            programs.load(w, clients)
             programs.step()
             return programs.query.dir.copy()
         gsum = np.zeros_like(w)
         for block in _client_blocks(clients):
-            _adapt_block(w, *block, gsum=gsum)
+            _adapt_block(w, block, gsum=gsum)
     return gsum / len(clients)
 
 
@@ -181,25 +170,20 @@ def _query_metrics(q: model.Tape) -> list[float]:
     return model.head_losses(q.arch, q.point, q.z, q.t)
 
 
-def evaluate(w: np.ndarray, arch: model.Arch, assignment: ClientAssignment,
-             h: optimizer.HyperParams, clients: _Clients | None = None
-             ) -> tuple[float, float, float]:
+def evaluate(w: np.ndarray, clients: Clients) -> tuple[float, float, float]:
     """(mean adapted query metric on training clients, same on unseen
-    clients, squared norm of the averaged exact meta-gradient) at w (d,).
-    `clients` is assignment prepared once by the caller; without it the
-    batches are checked and a workspace made for this call."""
+    clients, squared norm of the averaged exact meta-gradient) at w (d,)."""
     def mean(vals):
         return float(np.mean(vals)) if vals else float("nan")
 
-    clients = clients or _Clients(assignment, arch, h)
     train, unseen = [], []
     gsum = np.zeros_like(w)
     with model.quiet():
-        for block in clients.training_blocks:
-            _adapt_block(w, *block, train, gsum)
-        for block in clients.unseen_blocks:
-            _adapt_block(w, *block, unseen)
-        gmean = gsum / assignment.n_training
+        for block in _client_blocks(clients.training.values()):
+            _adapt_block(w, block, train, gsum)
+        for block in _client_blocks(clients.unseen):
+            _adapt_block(w, block, unseen)
+        gmean = gsum / len(clients.training)
         gnorm_sq = float(gmean @ gmean)
     if not np.isfinite(gnorm_sq):
         raise NumericalError("non-finite meta-gradient norm")
@@ -228,7 +212,7 @@ def run(cfg: ExperimentConfig, assignment: ClientAssignment | None = None) -> Ru
     noise_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _NOISE_STREAM]))
     w = model.init_params(arch, init_ss).values
     d = arch.param_count
-    prepared = _Clients(assignment, arch, h)
+    prepared = Clients(assignment, arch, h)
 
     per_iter = comm_cost(MethodKind(cfg.method, cfg.n_active))
     noisy = spec.noise and cfg.privacy.enabled
@@ -239,7 +223,7 @@ def run(cfg: ExperimentConfig, assignment: ClientAssignment | None = None) -> Ru
     current = int(walk_rng.integers(n)) if spec.walks else -1
     comm = 0
     trace = Trace(w=[w.copy()]) if cfg.record_trace else None
-    rows = [EvalRow(0, 0, current, *evaluate(w, arch, assignment, h, prepared))]
+    rows = [EvalRow(0, 0, current, *evaluate(w, prepared))]
     dp_report = None
     if noisy and cfg.T >= 1:  # the report covers only the chain that adds noise
         dp_report = privacy.account_network_dp(cfg.privacy.epsilon, cfg.privacy.delta,
@@ -277,7 +261,7 @@ def run(cfg: ExperimentConfig, assignment: ClientAssignment | None = None) -> Ru
                 trace.w.append(w.copy())
             if (t + 1) % cfg.eval_every == 0 or t + 1 == cfg.T:
                 rows.append(EvalRow(t + 1, comm, current,
-                                    *evaluate(w, arch, assignment, h, prepared)))
+                                    *evaluate(w, prepared)))
         except NumericalError as e:
             record.aborted = True
             record.abort_reason = str(e)

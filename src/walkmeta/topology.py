@@ -24,11 +24,13 @@ from .errors import DiagnosticError, GenerationError, ParameterError
 SCHEME_UNIFORM = "uniform"
 SCHEME_METROPOLIS = "metropolis"
 SCHEMES = (SCHEME_UNIFORM, SCHEME_METROPOLIS)
-FAMILIES = ("small_world", "regular", "ring", "star", "complete")
 
 _MAX_GEN_ATTEMPTS = 100
 # largest |pi_i P_ij - pi_j P_ji| accepted as detailed balance
 _BALANCE_TOL = 1e-12
+# largest |row sum - 1|, and largest negative entry, accepted in a walk
+# kernel: a Metropolis diagonal, 1 minus its row's moves, can round to -2e-16
+_STOCHASTIC_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -111,7 +113,15 @@ class TransitionMatrix:
 
     def __post_init__(self):
         check_kernel(self.scheme, self.laziness)
-        self.P.flags.writeable = False
+        P = self.P
+        if P.ndim != 2 or P.shape[0] != P.shape[1] or P.size == 0:
+            raise ParameterError(f"P: must be a square (n, n) matrix, got shape {P.shape}")
+        # NaN fails both tests
+        if not (P.min() >= -_STOCHASTIC_TOL
+                and np.abs(P.sum(axis=1) - 1).max() <= _STOCHASTIC_TOL):
+            raise ParameterError(f"P: must be non-negative with every row summing to 1, "
+                                 f"to within {_STOCHASTIC_TOL}")
+        P.flags.writeable = False
 
     @cached_property
     def cdf(self) -> np.ndarray:
@@ -261,6 +271,24 @@ def gen_complete(n: int) -> Graph:
     check_family("complete", n)
     adj = ~np.eye(n, dtype=bool)
     return Graph(n, adj)
+
+
+# each family's generator over (n, k, degree, p_rewire, seed)
+_GENERATORS = {
+    "small_world": lambda n, k, degree, p_rewire, seed: gen_small_world(n, k, p_rewire, seed),
+    "regular": lambda n, k, degree, p_rewire, seed: gen_regular_expander(n, degree, seed),
+    "ring": lambda n, *_: gen_ring(n),
+    "star": lambda n, *_: gen_star(n),
+    "complete": lambda n, *_: gen_complete(n),
+}
+FAMILIES = tuple(_GENERATORS)
+
+
+def gen_graph(family: str, n: int, k: int, degree: int, p_rewire: float,
+              seed: int) -> Graph:
+    """The graph of `family` on n nodes, from the parameters its generator reads."""
+    check_family(family, n, k, degree, p_rewire)   # an unknown family raises here
+    return _GENERATORS[family](n, k, degree, p_rewire, seed)
 
 
 def build_transition_matrix(g: Graph, scheme: str = SCHEME_METROPOLIS,

@@ -228,8 +228,8 @@ def test_c07_end_to_end_convergence(default_runs):
         assignment = cfg.build_assignment()
         rand_w = model.init_params(cfg.build_arch(),
                                    np.random.SeedSequence([seed, 999]))
-        _, rand_unseen, _ = simulator.evaluate(rand_w.values, rand_w.arch, assignment,
-                                               cfg.hyper)
+        clients = simulator.Clients(assignment, rand_w.arch, cfg.hyper)
+        _, rand_unseen, _ = simulator.evaluate(rand_w.values, clients)
         unseen_ratios.append(rec.rows[-1].unseen_metric / rand_unseen)
     train_ok = all(r <= 0.5 for r in ratios)
     unseen_ok = float(np.mean(unseen_ratios)) <= 0.5

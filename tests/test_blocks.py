@@ -50,16 +50,19 @@ def random_rows(rng, arch, n):
 
 
 def stacked(arch, batches):
-    return model.stack_batches([model.check_batch(arch, b) for b in batches])
+    """Batches of equal shapes, checked, as one batch with a leading client
+    axis, for the per-pass reference."""
+    xs, ts = zip(*[model.check_batch(arch, b) for b in batches])
+    return np.stack(xs), None if ts[0] is None else np.stack(ts)
 
 
-def run_programs(ws, w, support, query):
-    """ws's programs for w's leading axes: `adapt`, after which the tapes
-    hold u_1 .. u_K and the query tape the adapted query losses, then
-    `exact`. Returns u_0 .. u_K, those losses and the meta-gradient, copied
-    out."""
+def run_programs(ws, w, clients):
+    """ws's programs for w's leading axes, loaded with one checked
+    (support, query) per row: `adapt`, after which the tapes hold u_1 .. u_K
+    and the query tape the adapted query losses, then `exact`. Returns u_0
+    .. u_K, those losses and the meta-gradient, copied out."""
     programs = ws.programs(w.shape[:-1])
-    programs.load(w, support, query)
+    programs.load(w, clients)
     programs.adapt()
     q = programs.query
     states = [w] + [t.point.copy() for t in programs.support[1:] + [q]]
@@ -145,8 +148,9 @@ def per_client_evaluate(w, assignment, h):
     return group(assignment.training), group(assignment.unseen), float(gmean @ gmean)
 
 
-@pytest.mark.parametrize("kind,hidden", [("sine", (8, 8)), ("blob", (6,))])
-def test_evaluate_equals_per_client_reference(kind, hidden):
+def mixed_clients(kind, hidden):
+    """Nine training and six unseen clients, training client 4 with other
+    batch sizes; their arch, a starting point and the step sizes."""
     cfg = tasks.TaskConfig(kind=kind, shots=4, query_size=7, ways=3,
                            query_per_class=2)
     assignment = tasks.assign_clients(9, 6, cfg, seed=2)
@@ -157,10 +161,33 @@ def test_evaluate_equals_per_client_reference(kind, hidden):
     dim = 1 if kind == "sine" else 2
     arch = model.Arch(dim, hidden, 1 if kind == "sine" else 3,
                       model.HEAD_MSE if kind == "sine" else model.HEAD_XENT)
-    w = model.init_params(arch, seed=1)
-    h = HyperParams(alpha=0.05, K=3)
-    assert (simulator.evaluate(w.values, arch, assignment, h)
+    return assignment, arch, model.init_params(arch, seed=1), HyperParams(alpha=0.05, K=3)
+
+
+MIXED = pytest.mark.parametrize("kind,hidden", [("sine", (8, 8)), ("blob", (6,))])
+
+
+@MIXED
+def test_evaluate_equals_per_client_reference(kind, hidden):
+    assignment, arch, w, h = mixed_clients(kind, hidden)
+    assert (simulator.evaluate(w.values, simulator.Clients(assignment, arch, h))
             == per_client_evaluate(w, assignment, h))
+
+
+@MIXED
+def test_training_step_over_mixed_workspaces(kind, hidden):
+    """A centralized round over clients 2 .. 6, client 4 in a workspace of
+    its own, averages their per-client exact meta-gradients bit for bit,
+    summed in client order."""
+    assignment, arch, w, h = mixed_clients(kind, hidden)
+    clients = simulator.Clients(assignment, arch, h)
+    ids = range(2, 7)
+    assert len({clients.training[i][2] for i in ids}) == 2
+    gsum = np.zeros_like(w.values)
+    for i in ids:
+        gsum += metalearn.meta_gradient_exact(w, assignment.training[i], h.alpha, h.K).values
+    g = simulator._mean_meta_gradient(w.values, [clients.training[i] for i in ids])
+    assert np.array_equal(g, gsum / 5)
 
 
 @st.composite
@@ -189,16 +216,11 @@ def test_reused_workspace_equals_fresh_single_calls(case):
         rows = random_rows(rng, arch, n)
         tasks_ = [tasks.TaskInstance("sine", random_batch(rng, arch, m_s),
                                      random_batch(rng, arch, m_q)) for _ in range(n)]
-        if lead:
-            w = rows
-            support = stacked(arch, [tk.support for tk in tasks_])
-            query = stacked(arch, [tk.query for tk in tasks_])
-        else:
-            w = rows[0]
-            support = model.check_batch(arch, tasks_[0].support)
-            query = model.check_batch(arch, tasks_[0].query)
+        w = rows if lead else rows[0]
+        clients = [(model.check_batch(arch, tk.support), model.check_batch(arch, tk.query))
+                   for tk in tasks_]
         with model.quiet():
-            states, metrics, g = run_programs(workspaces[which], w, support, query)
+            states, metrics, g = run_programs(workspaces[which], w, clients)
         for i, tk in enumerate(tasks_):
             p = model.ParamVector(rows[i], arch)
             u = metalearn.adapt_unseen(p, tk.support, 0.05, K)
@@ -221,7 +243,7 @@ def test_lone_equals_block_row_at_run_shapes(cfg):
     and exact meta-gradient from its programs, equal row 0 of a 1-row and a
     4-row block bit for bit."""
     arch, h = cfg.build_arch(), cfg.hyper
-    clients = simulator._Clients(tasks.assign_clients(4, 0, cfg.task, seed=0), arch, h)
+    clients = simulator.Clients(tasks.assign_clients(4, 0, cfg.task, seed=0), arch, h)
     prepared = [clients.training[i] for i in range(4)]
     ws = prepared[0][2]
     rng = np.random.default_rng(5)
@@ -231,15 +253,13 @@ def test_lone_equals_block_row_at_run_shapes(cfg):
     def row0(lead):
         n = lead[0] if lead else 1
         if lead:
-            w, v = rows[:n], dirs[:n]
-            support = model.stack_batches([c[0] for c in prepared[:n]])
-            query = model.stack_batches([c[1] for c in prepared[:n]])
+            w, v, support = rows[:n], dirs[:n], stacked(arch, [c[0] for c in prepared[:n]])
         else:
-            w, v, (support, query, _) = rows[0], dirs[0], prepared[0]
+            w, v, support = rows[0], dirs[0], prepared[0][0]
         with model.quiet():
             g, tape = model.taped_grads(w, arch, *support)
             hv = model.hvps(tape, v)
-            states, _, mg = run_programs(ws, w, support, query)
+            states, _, mg = run_programs(ws, w, prepared[:n])
             taped_hv = model.hvps(ws.programs(lead).support[0], v)
         return [a.reshape(n, -1)[0] for a in [g, hv, taped_hv, *states[1:], mg]]
 
@@ -269,10 +289,13 @@ def test_results_do_not_alias_the_workspace():
 
 
 def test_warm_block_meta_gradient_allocates_little():
-    """The tapes live in the run's workspace, so a warm call allocates little
-    beyond what it returns or keeps. Over a 4-client blob block (d=517, 50
-    support and 75 query examples) that is its states and gradients, about
-    0.2 MB, where fresh tapes took 1.9 MB. A lone client's walk step runs
+    """The tapes live in the run's workspace, and each client's batches are
+    copied straight into its row, so a warm call allocates little beyond
+    what it returns or keeps. Over a 4-client blob block (d=517, 50 support
+    and 75 query examples) the peak is 58 kB, 52 kB of it numpy's transient
+    iterator buffer for the bias add of the (4, 50, 64) hidden layer. The
+    bound, 64 kB, sits below the 70 kB a block took when it stacked its
+    clients' batches on every call; fresh tapes took 1.9 MB. A lone client's walk step runs
     its cut's bound program and copies out only the meta-gradient, so its
     peak is that (d,) array plus 2.6 kB: the call's Python objects and
     numpy's own transient iterator buffers for broadcast and reduce ops (at
@@ -280,12 +303,12 @@ def test_warm_block_meta_gradient_allocates_little():
     d=25, where one broadcast op that allocated its (10, 8) result would
     show."""
     blob = ExperimentConfig(task=tasks.TaskConfig(kind="blob"))
-    for cfg, n_clients, bound in [(blob, 4, 0.5e6), (ExperimentConfig(), 1, None),
+    for cfg, n_clients, bound in [(blob, 4, 64e3), (ExperimentConfig(), 1, None),
                                   (ExperimentConfig(hidden=(8,)), 1, None)]:
         arch = cfg.build_arch()
         bound = bound or arch.param_count * 8 + 2.6e3
-        clients = simulator._Clients(tasks.assign_clients(n_clients, 0, cfg.task, seed=0),
-                                     arch, cfg.hyper)
+        clients = simulator.Clients(tasks.assign_clients(n_clients, 0, cfg.task, seed=0),
+                                    arch, cfg.hyper)
         block = list(clients.training.values())
         w = model.init_params(arch, seed=0)
         simulator._mean_meta_gradient(w.values, block)
@@ -311,20 +334,16 @@ def test_warm_program_ops_write_only_their_operands(cfg):
     (10, 8) result beside numpy's transient iterator buffers. And `step`
     is `adapt` then `exact`, op for op."""
     arch, h = cfg.build_arch(), cfg.hyper
-    clients = simulator._Clients(tasks.assign_clients(4, 0, cfg.task, seed=0), arch, h)
+    clients = simulator.Clients(tasks.assign_clients(4, 0, cfg.task, seed=0), arch, h)
     prepared = [clients.training[i] for i in range(4)]
     ws = prepared[0][2]
     w = model.init_params(arch, seed=0).values
     for lead in [(), (4,)]:
-        if lead:
-            support = model.stack_batches([c[0] for c in prepared])
-            query = model.stack_batches([c[1] for c in prepared])
-        else:
-            support, query, _ = prepared[0]
         programs = ws.programs(lead)
         assert programs.step.ops == programs.adapt.ops + programs.exact.ops
         with model.quiet():
-            programs.load(np.broadcast_to(w, lead + w.shape), support, query)
+            programs.load(np.broadcast_to(w, lead + w.shape),
+                          prepared[:lead[0] if lead else 1])
             programs.step()
             for program in (programs.adapt, programs.exact, programs.step):
                 for f, operands in program.ops:

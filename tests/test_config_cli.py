@@ -273,6 +273,14 @@ class TestParse:
                                       spec["degree"], spec["p_rewire"])
         assert str(from_library.value) == str(from_config.value).removeprefix(f"{section}.")
 
+    def test_unvalidated_unknown_family_raises(self):
+        """build_graph dispatches through topology's family table, so even a
+        config that was never validated cannot build a family it names
+        wrongly."""
+        cfg = ExperimentConfig(topology=config.TopologySpec(family="torus"))
+        with pytest.raises(ParameterError, match=r"^family: must be one of \("):
+            cfg.build_graph()
+
     def test_bounds_table_holds_only_top_level_fields(self):
         """Section types declare their own bounds; _BOUNDS keeps no copy."""
         top = {f.name for f in dataclasses.fields(ExperimentConfig)}

@@ -150,21 +150,30 @@ class TestWorkspace:
         anything, as np.copyto would broadcast a (1, dim) batch silently."""
         arch = model.Arch(2, (6,), 1)
         rng = np.random.default_rng(2)
-        programs = metalearn.Workspace(arch, 5, 7, 2, 0.1, 4).programs(())
+        ws = metalearn.Workspace(arch, 5, 7, 2, 0.1, 4)
+        programs = ws.programs(())
         w = model.init_params(arch, 0).values
         support = rng.uniform(-2, 2, (5, 2)), rng.standard_normal((5, 1))
         query = rng.uniform(-2, 2, (7, 2)), rng.standard_normal((7, 1))
         with model.quiet():
-            programs.load(w, support, query)
+            programs.load(w, [(support, query)])
             programs.adapt()
             for bad in [(support[0][:1], support[1][:1]), (support[0][:, :1], support[1]),
                         (support[0], support[1][:, 0])]:
                 with pytest.raises(ParameterError, match="does not match the workspace"):
-                    programs.load(w, bad, query)
+                    programs.load(w, [(bad, query)])
             with pytest.raises(ParameterError, match="does not match the workspace"):
-                programs.load(w, support, support)
+                programs.load(w, [(support, support)])
             with pytest.raises(ParameterError, match="does not match the workspace"):
-                programs.load(w[:-1], support, query)
+                programs.load(w[:-1], [(support, query)])
+            # a client count other than the cut's rows; the (4,) cut's row 0
+            # is the lone cut, so a copy before the check would show below
+            other = rng.uniform(-2, 2, (5, 2)), rng.standard_normal((5, 1))
+            with pytest.raises(ParameterError, match="2 clients do not match"):
+                programs.load(w, [(other, query), (support, query)])
+            with pytest.raises(ParameterError, match="3 clients do not match"):
+                ws.programs((4,)).load(np.broadcast_to(w + 1, (4, w.size)),
+                                       [(other, query)] * 3)
             programs.exact()
         g = programs.query.dir.copy()
         task = tasks.TaskInstance("sine", support, query)
@@ -193,11 +202,15 @@ class TestWorkspace:
                 return x, rng.integers(0, out, size=lead + (m,))
             return x, rng.standard_normal(lead + (m, out))
 
+        def rows(batch):   # each client's own (x, t)
+            return zip(*(a.reshape((n,) + a.shape[len(lead):]) for a in batch))
+
         support, query = batch(m_support), batch(m_query)
+        clients = list(zip(rows(support), rows(query)))
         v = rng.standard_normal(w.shape)
         programs = metalearn.Workspace(arch, m_support, m_query, K, 0.1, 4).programs(lead)
         with model.quiet():
-            programs.load(w, support, query)
+            programs.load(w, clients)
             programs.step()
             taped = model.hvps(programs.support[0], v)
             fresh = model.hvps(model.taped_grads(w, arch, *support)[1], v)

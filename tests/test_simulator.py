@@ -254,8 +254,9 @@ class TestEvaluate:
         arch = cfg.build_arch()
         w = model.init_params(arch, seed=0)
         assignment = cfg.build_assignment()
-        a = simulator.evaluate(w.values, arch, assignment, cfg.hyper)
-        b = simulator.evaluate(w.values, arch, assignment, cfg.hyper)
+        clients = simulator.Clients(assignment, arch, cfg.hyper)
+        a = simulator.evaluate(w.values, clients)
+        b = simulator.evaluate(w.values, clients)
         assert a == b
 
     def test_quadratic_stationary_point(self):
@@ -264,7 +265,8 @@ class TestEvaluate:
         dummy = (np.zeros((1, 1)), np.zeros(1))
         task = tasks.TaskInstance("sine", dummy, dummy)
         assignment = tasks.ClientAssignment({0: task}, {})
-        _, _, gsq = simulator.evaluate(w.values, arch, assignment, HyperParams())
+        _, _, gsq = simulator.evaluate(w.values,
+                                       simulator.Clients(assignment, arch, HyperParams()))
         assert gsq < 1e-12
 
     def test_blob_accuracy_metric(self):
@@ -288,7 +290,7 @@ class TestEvaluate:
         assignment.unseen[cid] = replace(task, query=(x, task.query[1]))
         w = model.init_params(arch, seed=0).values
         with pytest.raises(NumericalError, match="non-finite forward values"):
-            simulator.evaluate(w, arch, assignment, cfg.hyper)
+            simulator.evaluate(w, simulator.Clients(assignment, arch, cfg.hyper))
 
 
 class TestMeanMetaGradient:
@@ -299,7 +301,7 @@ class TestMeanMetaGradient:
         builds none."""
         cfg = small_cfg()
         arch = cfg.build_arch()
-        clients = simulator._Clients(cfg.build_assignment(), arch, cfg.hyper)
+        clients = simulator.Clients(cfg.build_assignment(), arch, cfg.hyper)
         block = list(clients.training.values())[:n]
         w = model.init_params(arch, seed=0)
         simulator._mean_meta_gradient(w.values, block)

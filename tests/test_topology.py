@@ -305,6 +305,19 @@ class TestTransitionMatrix:
         with pytest.raises(ParameterError, match=rf"^{name}: "):
             topo.TransitionMatrix(P, scheme, laziness)
 
+    @pytest.mark.parametrize("P", [
+        np.full((2, 3), 1 / 3),                   # not square
+        np.array([0.5, 0.5]),                     # not 2-D
+        np.zeros((0, 0)),                         # no node
+        np.array([[0.5, 0.7], [0.7, 0.5]]),       # rows sum to 1.2
+        np.array([[1.5, -0.5], [0.5, 0.5]]),      # a negative entry
+        np.array([[0.5, 0.5], [0.5, np.nan]]),    # NaN
+        np.array([[0.5, 0.5 + 2e-8], [0.5, 0.5]]),  # a row off by 2e-8
+    ], ids=["2x3", "1d", "empty", "sum-1.2", "negative", "nan", "off-2e-8"])
+    def test_hand_built_non_kernel_rejected(self, P):
+        with pytest.raises(ParameterError, match=r"^P: "):
+            topo.TransitionMatrix(P, topo.SCHEME_METROPOLIS, 0.0)
+
     def test_graph_keeps_read_only_adjacency(self):
         g = topo.gen_ring(5)
         with pytest.raises(ValueError):
