@@ -44,8 +44,9 @@ def _print_summary(record: simulator.RunRecord):
         print(f"ABORTED: {record.abort_reason}", file=sys.stderr)
 
 
-def _run_and_write(cfg: ExperimentConfig, path: str) -> simulator.RunRecord:
-    record = simulator.run(cfg)
+def _run_and_write(cfg: ExperimentConfig, path: str,
+                   clients: simulator.Clients | None = None) -> simulator.RunRecord:
+    record = simulator.run(cfg, clients=clients)
     with open(path, "w", encoding="utf-8") as f:
         f.write(record.to_csv())
     return record
@@ -70,8 +71,11 @@ def _sweep_cell_config(cfg: ExperimentConfig, axis: str, value: str,
 
 
 def cmd_sweep(args) -> int:
-    """Runs the cells one at a time, in this process. A cell that raises a
-    library error counts as failed and writes no CSV; the others go on."""
+    """Runs the cells one at a time, in this process. The cells of one
+    client set share its preparation and its row 0, and one workspace per
+    batch shape serves the whole sweep. A cell that raises a library error,
+    in preparation or in its run, counts as failed and writes no CSV; the
+    others go on."""
     cfg = parse_config(args.config)
     values = [v for v in args.values.split(",") if v]
     # a repeated value would run its cells twice into the same CSVs
@@ -96,9 +100,16 @@ def cmd_sweep(args) -> int:
             cells.append((value, cell, path))
 
     finals = {value: [] for value in values}  # (train, unseen, comm) per finished cell
+    prepared, workspaces = {}, {}  # Clients by client set; workspaces by batch shape
     for value, cell, path in cells:
         try:
-            record = _run_and_write(cell, path)
+            # a client set is all that Clients reads from the cell's config
+            arch, h = cell.build_arch(), cell.hyper
+            key = (cell.seed, cell.task, cell.n_training, cell.n_unseen, arch, h.K, h.alpha)
+            if key not in prepared:
+                prepared[key] = simulator.Clients(cell.build_assignment(), arch, h,
+                                                  workspaces)
+            record = _run_and_write(cell, path, prepared[key])
         except WalkmetaError as e:
             print(f"cell {path} failed: {e}", file=sys.stderr)
             continue

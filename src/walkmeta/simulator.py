@@ -91,33 +91,49 @@ def read_run_csv(text: str) -> tuple[dict, list[EvalRow]]:
 # evaluation
 
 # Clients adapted side by side in evaluation and centralized rounds. The
-# per-client arithmetic is unchanged. Larger blocks save little more time but
-# raise peak memory: over three default runs, +2% peak RSS at 4, +4% at 8 and
-# +10% with all 26 clients in one block.
+# per-client arithmetic is unchanged. Larger blocks buy little time for their
+# memory. perfbench, one run each at blocks 4/8/26 (2-core x86, one BLAS
+# thread, numpy 2.4): sine_d1761 peak_rss_mb 40.5/41.9/47.4 and iter_ms
+# 0.94/0.97/0.93; blob_sweep peak_rss_mb 41.4/44.5/55.2 and iter_ms
+# 2.20/1.77/2.19, with a second pair at 4/8 of 2.32/2.13 ms and 41.5/44.7 MB.
 _CLIENT_BLOCK = 4
 
 
 class Clients:
-    """A set of clients prepared once for many adaptations: each client's
-    checked (support, query) batches and the workspace for their sizes (one
-    per distinct pair of sizes, normally one); `training` by client id,
-    `unseen` as a list."""
+    """A set of clients prepared once for many runs and adaptations: each
+    client's checked (support, query) batches and the workspace for their
+    sizes (one per distinct pair of sizes, normally one); `training` by
+    client id, `unseen` as a list. The workspaces come from `workspaces`
+    when given, a dict that callers share, keyed by all a workspace is
+    bound to: (arch, K, alpha, support size, query size)."""
 
     def __init__(self, assignment: ClientAssignment, arch: model.Arch,
-                 h: optimizer.HyperParams):
-        workspaces = {}
+                 h: optimizer.HyperParams, workspaces: dict | None = None):
+        workspaces = {} if workspaces is None else workspaces
+        self.arch, self.K, self.alpha = arch, h.K, h.alpha
+        self._initial = {}  # evaluate's triple by the bytes of w
 
         def prepare(task):
             support = model.check_batch(arch, task.support)
             query = model.check_batch(arch, task.query)
             sizes = (len(support[0]), len(query[0]))
-            if sizes not in workspaces:
-                workspaces[sizes] = metalearn.Workspace(arch, *sizes, h.K, h.alpha,
-                                                         _CLIENT_BLOCK)
-            return support, query, workspaces[sizes]
+            key = (arch, h.K, h.alpha, *sizes)
+            if key not in workspaces:
+                workspaces[key] = metalearn.Workspace(arch, *sizes, h.K, h.alpha,
+                                                      _CLIENT_BLOCK)
+            return support, query, workspaces[key]
 
         self.training = {cid: prepare(t) for cid, t in assignment.training.items()}
         self.unseen = [prepare(t) for t in assignment.unseen.values()]
+
+    def evaluate_initial(self, w: np.ndarray) -> tuple[float, float, float]:
+        """evaluate(w, self), worked out once per initial point w (d,), told
+        apart by its bits: every run from w on these clients has this row 0.
+        A failed evaluation is not kept, so it raises again."""
+        key = w.tobytes()
+        if key not in self._initial:
+            self._initial[key] = evaluate(w, self)
+        return self._initial[key]
 
 
 def _client_blocks(clients):
@@ -193,18 +209,25 @@ def evaluate(w: np.ndarray, clients: Clients) -> tuple[float, float, float]:
 # ---------------------------------------------------------------------
 # runs
 
-def run(cfg: ExperimentConfig, assignment: ClientAssignment | None = None) -> RunRecord:
+def run(cfg: ExperimentConfig, clients: Clients | None = None) -> RunRecord:
     """The one training loop: validates cfg and runs cfg.method, on
-    `assignment` when given, else on the one cfg builds."""
+    `clients` when given, prepared for cfg's arch, K and alpha, else on the
+    clients cfg builds."""
     cfg.validate()
     spec = METHOD_TABLE[cfg.method]
     h = cfg.hyper
     arch = cfg.build_arch()
-    assignment = assignment if assignment is not None else cfg.build_assignment()
+    if clients is None:
+        clients = Clients(cfg.build_assignment(), arch, h)
+    for name, want, got in (("arch", arch, clients.arch), ("K", h.K, clients.K),
+                            ("alpha", h.alpha, clients.alpha)):
+        if got != want:
+            raise ParameterError(f"{name}: clients must be prepared for the config's "
+                                 f"{want!r}, got {got!r}")
     n = cfg.n_training
-    if sorted(assignment.training) != list(range(n)):
+    if sorted(clients.training) != list(range(n)):
         raise ParameterError(f"assignment training ids must be 0 .. {n - 1} "
-                             f"(clients.n_training={n}), got {sorted(assignment.training)}")
+                             f"(clients.n_training={n}), got {sorted(clients.training)}")
     if spec.walks:  # a server-sampled run never builds the graph
         tm = cfg.build_transition()
     init_ss = np.random.SeedSequence([cfg.seed, _INIT_STREAM])
@@ -212,7 +235,6 @@ def run(cfg: ExperimentConfig, assignment: ClientAssignment | None = None) -> Ru
     noise_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _NOISE_STREAM]))
     w = model.init_params(arch, init_ss).values
     d = arch.param_count
-    prepared = Clients(assignment, arch, h)
 
     per_iter = comm_cost(MethodKind(cfg.method, cfg.n_active))
     noisy = spec.noise and cfg.privacy.enabled
@@ -223,7 +245,7 @@ def run(cfg: ExperimentConfig, assignment: ClientAssignment | None = None) -> Ru
     current = int(walk_rng.integers(n)) if spec.walks else -1
     comm = 0
     trace = Trace(w=[w.copy()]) if cfg.record_trace else None
-    rows = [EvalRow(0, 0, current, *evaluate(w, prepared))]
+    rows = [EvalRow(0, 0, current, *clients.evaluate_initial(w))]
     dp_report = None
     if noisy and cfg.T >= 1:  # the report covers only the chain that adds noise
         dp_report = privacy.account_network_dp(cfg.privacy.epsilon, cfg.privacy.delta,
@@ -236,12 +258,12 @@ def run(cfg: ExperimentConfig, assignment: ClientAssignment | None = None) -> Ru
         if spec.walks:
             if t > 0:
                 current = topology.sample_next(tm, current, walk_rng)
-            clients = [current]
+            active = [current]
         else:
-            clients = walk_rng.choice(n, size=cfg.n_active, replace=False)
+            active = walk_rng.choice(n, size=cfg.n_active, replace=False)
         comm += per_iter
         try:
-            g = _mean_meta_gradient(w, [prepared.training[int(i)] for i in clients])
+            g = _mean_meta_gradient(w, [clients.training[int(i)] for i in active])
             noise = 0.0
             if noisy:
                 g = optimizer.clip(g, cfg.privacy.m_meta)
@@ -261,7 +283,7 @@ def run(cfg: ExperimentConfig, assignment: ClientAssignment | None = None) -> Ru
                 trace.w.append(w.copy())
             if (t + 1) % cfg.eval_every == 0 or t + 1 == cfg.T:
                 rows.append(EvalRow(t + 1, comm, current,
-                                    *evaluate(w, prepared)))
+                                    *evaluate(w, clients)))
         except NumericalError as e:
             record.aborted = True
             record.abort_reason = str(e)

@@ -28,8 +28,9 @@ SCHEMES = (SCHEME_UNIFORM, SCHEME_METROPOLIS)
 _MAX_GEN_ATTEMPTS = 100
 # largest |pi_i P_ij - pi_j P_ji| accepted as detailed balance
 _BALANCE_TOL = 1e-12
-# largest |row sum - 1|, and largest negative entry, accepted in a walk
-# kernel: a Metropolis diagonal, 1 minus its row's moves, can round to -2e-16
+# largest |row sum - 1| accepted in a walk kernel. Its entries must be >= 0
+# exactly: build_transition_matrix clamps a Metropolis diagonal at 0, where
+# 1 minus its row's moves would round to -2.2e-16
 _STOCHASTIC_TOL = 1e-8
 
 
@@ -117,9 +118,8 @@ class TransitionMatrix:
         if P.ndim != 2 or P.shape[0] != P.shape[1] or P.size == 0:
             raise ParameterError(f"P: must be a square (n, n) matrix, got shape {P.shape}")
         # NaN fails both tests
-        if not (P.min() >= -_STOCHASTIC_TOL
-                and np.abs(P.sum(axis=1) - 1).max() <= _STOCHASTIC_TOL):
-            raise ParameterError(f"P: must be non-negative with every row summing to 1, "
+        if not (P.min() >= 0 and np.abs(P.sum(axis=1) - 1).max() <= _STOCHASTIC_TOL):
+            raise ParameterError(f"P: must be non-negative with every row summing to 1 "
                                  f"to within {_STOCHASTIC_TOL}")
         P.flags.writeable = False
 
@@ -314,7 +314,7 @@ def build_transition_matrix(g: Graph, scheme: str = SCHEME_METROPOLIS,
     else:
         P[ii, jj] = 1.0 / np.maximum(deg[ii], deg[jj])  # = min(1/deg_i, 1/deg_j)
         # dense row sums: their pairwise order sets the diagonal's bits
-        np.fill_diagonal(P, 1.0 - P.sum(axis=1))
+        np.fill_diagonal(P, np.maximum(1.0 - P.sum(axis=1), 0.0))
     P *= 1.0 - laziness  # then the diagonal: the bits of laziness*I + (1-laziness)*P
     np.fill_diagonal(P, P.diagonal() + laziness)
     return TransitionMatrix(P=P, scheme=scheme, laziness=laziness)

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from walkmeta import cli, config, simulator, topology
+from walkmeta import cli, config, metalearn, simulator, tasks, topology
 from walkmeta.config import ExperimentConfig, parse_config_text, serialize_config
 from walkmeta.errors import ConfigError, GenerationError, ParameterError
 from walkmeta.report import render_svg
@@ -409,10 +410,10 @@ class TestCmdSweep:
     def test_failing_cell_counts_as_failed(self, tmp_path, monkeypatch, capsys):
         real_run = simulator.run
 
-        def run(cfg):
+        def run(cfg, clients=None):
             if cfg.seed == 1:   # the seed-index-1 cells; FAST_CFG has seed 0
                 raise GenerationError("no connected graph")
-            return real_run(cfg)
+            return real_run(cfg, clients)
         monkeypatch.setattr(simulator, "run", run)
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(FAST_CFG)
@@ -573,6 +574,112 @@ class TestCmdSweep:
                          "--outdir", str(tmp_path / "sw")]) == 1
         assert capsys.readouterr().err == message + "\n"
         assert not (tmp_path / "sw").exists()
+
+
+def sweep(cfg_path, outdir, axis, values, seeds=2) -> int:
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(["sweep", str(cfg_path), "--axis", axis, "--values", values,
+                         "--seeds", str(seeds), "--outdir", str(outdir)])
+
+
+class TestSweepSharedPreparation:
+    """The cells of one client set share its Clients and row 0, and one
+    workspace per batch shape serves the whole sweep."""
+
+    @pytest.mark.parametrize("extra, axis, values", [
+        ("", "method", "lodmeta,lodmeta_sgd,lodmeta_basic,centralized_maml"),
+        ("\n[hyper]\nlambda = 1.0\n", "epsilon", "0.5,0.8"),
+        ("", "topology", "ring,complete,star"),
+        # lodmeta_sgd aborts; the cells after it reuse its clients and workspace
+        ("\n[hyper]\neta = 1e9\n", "method", "lodmeta_sgd,lodmeta,centralized_maml"),
+    ], ids=["method", "epsilon", "topology", "abort"])
+    def test_cells_equal_fresh_runs(self, tmp_path, extra, axis, values):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(FAST_CFG + extra)
+        assert sweep(cfg_path, tmp_path / "sw", axis, values) == 0
+        cfg = config.parse_config(str(cfg_path))
+        aborted = 0
+        for value in values.split(","):
+            for s in range(2):
+                fresh = simulator.run(cli._sweep_cell_config(cfg, axis, value, s))
+                got = (tmp_path / "sw" / f"exp_{axis}-{value}_seed{s}.csv").read_text()
+                assert got == fresh.to_csv()
+                aborted += fresh.aborted
+        assert aborted == (2 if "eta" in extra else 0)
+
+    def test_one_workspace_and_one_row_0_per_client_set(self, tmp_path, monkeypatch):
+        workspaces, assignments, evaluations = [], [], []
+        real_evaluate = simulator.evaluate
+
+        class Workspace(metalearn.Workspace):
+            def __init__(self, *args):
+                workspaces.append(args)
+                super().__init__(*args)
+
+        def assign_clients(*args):
+            assignments.append(args)
+            return tasks.assign_clients(*args)
+
+        def evaluate(w, clients):
+            evaluations.append((clients, w.tobytes()))
+            return real_evaluate(w, clients)
+
+        monkeypatch.setattr(metalearn, "Workspace", Workspace)
+        monkeypatch.setattr(config, "assign_clients", assign_clients)
+        monkeypatch.setattr(simulator, "evaluate", evaluate)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(FAST_CFG)
+        assert sweep(cfg_path, tmp_path / "sw", "method",
+                     "lodmeta,lodmeta_sgd,lodmeta_basic,centralized_maml") == 0
+        assert len(workspaces) == 1
+        assert [a[-1] for a in assignments] == [0, 1]   # one per seed
+        # rows 0, 10 and 20 of 8 cells: row 0 once per seed, no (clients, w) twice
+        assert len(evaluations) == 2 + 8 * 2
+        assert len(set(evaluations)) == len(evaluations)
+        assert len({clients for clients, _ in evaluations}) == 2
+
+    def test_failed_preparation_fails_only_its_cells(self, tmp_path, monkeypatch, capsys):
+        def assign_clients(n_training, n_unseen, task, seed):
+            if seed == 1:
+                raise ParameterError("no clients for seed 1")
+            return tasks.assign_clients(n_training, n_unseen, task, seed)
+        monkeypatch.setattr(config, "assign_clients", assign_clients)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(FAST_CFG)
+        assert cli.main(["sweep", str(cfg_path), "--axis", "method",
+                         "--values", "lodmeta,lodmeta_sgd", "--seeds", "2",
+                         "--outdir", str(tmp_path / "sw")]) == 0
+        captured = capsys.readouterr()
+        sw = tmp_path / "sw"
+        assert captured.out == "".join(
+            f"wrote {sw / name}\n" for name in ("exp_method-lodmeta_seed0.csv",
+                                                "exp_method-lodmeta_sgd_seed0.csv",
+                                                "exp_method_summary.csv"))
+        assert captured.err == "".join(
+            f"cell {sw / f'exp_method-{m}_seed1.csv'} failed: no clients for seed 1\n"
+            for m in ("lodmeta", "lodmeta_sgd"))
+
+    def test_sweep_peak_memory_near_one_cell(self, tmp_path):
+        """A two-seed method sweep's traced peak stays within 10% of a
+        one-cell sweep's: a second workspace, one per client set in place of
+        one per batch shape, about doubles it."""
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(FAST_CFG)
+
+        def peak(values, seeds, outdir):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert sweep(cfg_path, tmp_path / outdir, "method", values, seeds) == 0
+            return tracemalloc.get_traced_memory()[1] - base
+
+        tracemalloc.start()
+        try:
+            peak("lodmeta", 1, "warm")   # what a process builds once
+            one = peak("lodmeta", 1, "one")
+            two = peak("lodmeta,lodmeta_sgd,lodmeta_basic,centralized_maml", 2, "two")
+        finally:
+            tracemalloc.stop()
+        assert two <= 1.10 * one, (one, two)
 
 
 class TestCmdReport:

@@ -3,9 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walkmeta import model, metalearn, simulator, tasks
-from walkmeta.config import ExperimentConfig, TopologySpec
+from walkmeta.config import METHOD_TABLE, ExperimentConfig, TopologySpec
 from walkmeta.errors import ConfigError, NumericalError, ParameterError
 from walkmeta.optimizer import HyperParams
 from walkmeta.privacy import PrivacyParams
@@ -108,9 +110,80 @@ class TestHandBuiltAssignment:
         task = tasks.gen_sine_task(np.random.default_rng(0), 5, 10)
         assignment = tasks.ClientAssignment({i: task for i in ids}, {})
         with pytest.raises(ParameterError) as e:
-            simulator.run(cfg, assignment=assignment)
+            simulator.run(cfg, simulator.Clients(assignment, cfg.build_arch(), cfg.hyper))
         assert str(e.value) == ("assignment training ids must be 0 .. 2 "
                                 f"(clients.n_training=3), got {list(ids)}")
+
+
+class TestPreparedClients:
+    """Clients prepared once serve every run of their arch, K and alpha, and
+    evaluate each initial point once."""
+
+    @staticmethod
+    def prepared(cfg):
+        return simulator.Clients(cfg.build_assignment(), cfg.build_arch(), cfg.hyper)
+
+    @pytest.mark.parametrize("name, change", [
+        ("arch", dict(hidden=(4,))),
+        ("K", dict(hyper=HyperParams(K=3))),
+        ("alpha", dict(hyper=HyperParams(alpha=0.02))),
+    ])
+    def test_clients_for_other_arch_k_or_alpha_rejected(self, name, change):
+        cfg = small_cfg(T=2)
+        with pytest.raises(ParameterError, match=rf"^{name}: clients must be prepared "):
+            simulator.run(replace(cfg, **change), self.prepared(cfg))
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 2**16))
+    def test_row_0_same_for_every_method(self, seed):
+        """Every method starts from the same point on the same clients, so
+        row 0's metrics are one triple, bit for bit, with or without
+        sharing the clients."""
+        cfg = small_cfg(seed=seed, T=0)
+        clients = self.prepared(cfg)
+        fresh, shared = [], []
+        for method in METHOD_TABLE:
+            fresh.append(simulator.run(replace(cfg, method=method)).rows[0])
+            shared.append(simulator.run(replace(cfg, method=method), clients).rows[0])
+        assert list(map(repr, shared)) == list(map(repr, fresh))
+        triples = {np.array([r.train_metric, r.unseen_metric, r.grad_norm_sq]).tobytes()
+                   for r in fresh}
+        assert len(triples) == 1
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The points simulator.evaluate is called at, in order."""
+        calls = []
+        real_evaluate = simulator.evaluate
+
+        def evaluate(w, clients):
+            calls.append(w.copy())
+            return real_evaluate(w, clients)
+        monkeypatch.setattr(simulator, "evaluate", evaluate)
+        return calls
+
+    def test_initial_evaluation_kept_by_bits(self, calls):
+        cfg = small_cfg()
+        clients = self.prepared(cfg)
+        w = model.init_params(cfg.build_arch(), np.random.SeedSequence(0)).values
+        first = clients.evaluate_initial(w)
+        assert clients.evaluate_initial(w.copy()) is first
+        assert len(calls) == 1 and np.array_equal(calls[0], w)
+        zero = np.zeros_like(w)
+        signed = zero.copy()
+        signed[0] = -0.0
+        clients.evaluate_initial(zero)
+        clients.evaluate_initial(signed)   # equal to zero, but not in its bits
+        assert len(calls) == 3 and np.signbit(calls[2][0])
+
+    def test_failed_initial_evaluation_not_kept(self, calls):
+        cfg = small_cfg()
+        clients = self.prepared(cfg)
+        w = np.full(cfg.build_arch().param_count, np.nan)
+        for _ in range(2):
+            with pytest.raises(NumericalError):
+                clients.evaluate_initial(w)
+        assert len(calls) == 2
 
 
 class TestWalkValidity:
@@ -182,7 +255,8 @@ class TestProtocolCollapse:
                         T=25, record_trace=True)
         task = tasks.gen_sine_task(np.random.default_rng(42), 5, 10)
         assignment = tasks.ClientAssignment({0: task, 1: task, 2: task}, {})
-        rec = simulator.run(replace(cfg, method="lodmeta"), assignment=assignment)
+        rec = simulator.run(replace(cfg, method="lodmeta"),
+                            simulator.Clients(assignment, cfg.build_arch(), cfg.hyper))
 
         h = cfg.hyper
         w = model.ParamVector(rec.trace.w[0].copy(), cfg.build_arch())

@@ -7,6 +7,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from walkmeta import topology as topo
+from walkmeta.config import ExperimentConfig, TopologySpec
 from walkmeta.errors import DiagnosticError, GenerationError, ParameterError
 
 
@@ -81,7 +82,7 @@ def dense_kernel(adj, scheme, laziness):
     else:
         inv = 1.0 / deg
         base = np.where(adj, np.minimum(inv[:, None], inv[None, :]), 0.0)
-        np.fill_diagonal(base, 1.0 - base.sum(axis=1))
+        np.fill_diagonal(base, np.maximum(1.0 - base.sum(axis=1), 0.0))
     return laziness * np.eye(n) + (1.0 - laziness) * base
 
 
@@ -274,6 +275,19 @@ class TestTransitionMatrix:
             if laziness == 0 and scheme == topo.SCHEME_UNIFORM:
                 assert np.all(np.diag(tm.P) == 0)
 
+    def test_config_built_metropolis_entries_non_negative(self):
+        """At laziness 0 a Metropolis diagonal, 1 minus its row's moves,
+        would round to -2.2e-16 on some graphs; it is clamped at 0."""
+        families = {"ring": {}, "star": {}, "complete": {}, "small_world": {"k": 4},
+                    "regular": {"degree": 3}}
+        for family, kw in families.items():
+            for n in (6, 20, 100, 300):
+                for seed in range(10):
+                    spec = TopologySpec(family=family, n=n, laziness=0.0, **kw)
+                    tm = ExperimentConfig(topology=spec, n_training=n,
+                                          seed=seed).build_transition()
+                    assert tm.P.min() >= 0, (family, n, seed)
+
     def test_mh_uniform_stationary(self):
         g = topo.gen_small_world(15, 4, 0.4, seed=2)
         tm = topo.build_transition_matrix(g, topo.SCHEME_METROPOLIS, 0.1)
@@ -313,7 +327,8 @@ class TestTransitionMatrix:
         np.array([[1.5, -0.5], [0.5, 0.5]]),      # a negative entry
         np.array([[0.5, 0.5], [0.5, np.nan]]),    # NaN
         np.array([[0.5, 0.5 + 2e-8], [0.5, 0.5]]),  # a row off by 2e-8
-    ], ids=["2x3", "1d", "empty", "sum-1.2", "negative", "nan", "off-2e-8"])
+        np.array([[1.0 + 1e-12, -1e-12], [0.5, 0.5]]),  # an entry of -1e-12
+    ], ids=["2x3", "1d", "empty", "sum-1.2", "negative", "nan", "off-2e-8", "minus-1e-12"])
     def test_hand_built_non_kernel_rejected(self, P):
         with pytest.raises(ParameterError, match=r"^P: "):
             topo.TransitionMatrix(P, topo.SCHEME_METROPOLIS, 0.0)
