@@ -30,7 +30,9 @@ class Arch:
     output_dim: int
     head: str = HEAD_MSE
     # (out, inp, weight slice, bias slice) per layer of the flat vector,
-    # worked out once here so the array core never recomputes them
+    # worked out once here so the array core never recomputes them. The
+    # weight slice holds W transposed, (inp, out) row-major, and the bias
+    # follows it, so a layer is one (inp + 1, out) block [W^T; b]
     layers: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -77,14 +79,16 @@ class ParamVector:
 
 
 def init_params(arch: Arch, seed) -> ParamVector:
-    """Glorot-uniform weights, zero biases. `seed` may be an int or SeedSequence."""
+    """Glorot-uniform weights, zero biases. `seed` may be an int or
+    SeedSequence. Each W (out, inp) is drawn row-major and stored
+    transposed, the layout of Arch.layers."""
     rng = np.random.default_rng(seed)
     if arch.head == HEAD_QUADRATIC:
         return ParamVector(rng.uniform(-1.0, 1.0, arch.param_count), arch)
     chunks = []
     for out, inp in arch.layer_dims():
         bound = np.sqrt(6.0 / (inp + out))
-        chunks.append(rng.uniform(-bound, bound, out * inp))
+        chunks.append(rng.uniform(-bound, bound, out * inp).reshape(out, inp).T.ravel())
         chunks.append(np.zeros(out))
     return ParamVector(np.concatenate(chunks), arch)
 
@@ -101,7 +105,12 @@ def init_params(arch: Arch, seed) -> ParamVector:
 # core: OpenBLAS picks its kernels for the CPU (or OPENBLAS_CORETYPE), and
 # under some cores a block row and the lone call differ in the last bits at
 # tiny shapes. Reductions that numpy would order differently along an axis
-# (means, norms) run per row.
+# (means, norms) run per row. A layer's weights and bias are one block
+# [W^T; b] of the point (see Arch.layers), and every layer input carries a
+# ones column, so each product of a pass carries its bias: the forward
+# product adds b, the backward product's last row is the bias gradient
+# (the sum of deltas over the examples), and likewise for the R-passes.
+# No pass adds a bias by broadcasting or sums over the examples itself.
 # The arrays of a pass live in a Tape. A tape binds each of its passes
 # once, as a flat list of (ufunc or product, operands) over its own buffers
 # and the views it made of them: forward when it is built, backward and the
@@ -116,7 +125,7 @@ def init_params(arch: Arch, seed) -> ParamVector:
 # steps, query pass, K HVPs) is one list over its tapes, with its
 # finiteness checks deferred to one read after the run, tested against the
 # reference bit for bit. At the sizes a walk step runs, dispatch, not
-# arithmetic, is most of its time: a d=25 walk step runs 244 ufunc and BLAS
+# arithmetic, is most of its time: a d=25 walk step runs 206 ufunc and BLAS
 # calls, a few µs or less each. So out is passed positionally (an in-place
 # operator or out= costs more), the head's divisor and the 1 of 1 - h^2 are
 # 0-d arrays, finiteness is checked with one BLAS call (`finite`), and a
@@ -170,12 +179,14 @@ def check_batch(arch: Arch, batch) -> tuple[np.ndarray, np.ndarray | None]:
 
 
 def _layer_views(a: np.ndarray, arch: Arch) -> tuple[list, list]:
-    """Per-layer weight views (..., out, inp) and bias views (..., 1, out)
-    of a (..., d): the core's one view builder, called when a tape is built."""
+    """Per-layer blocks [W^T; b] (..., inp + 1, out) of a (..., d) and
+    their W^T prefixes (..., inp, out): the core's one view builder, called
+    when a tape is built."""
     lead = a.shape[:-1]
     # the slice's last axis is contiguous, so it splits without a copy
-    return ([a[..., ws].reshape(lead + (out, inp)) for out, inp, ws, _ in arch.layers],
-            [a[..., None, bs] for *_, bs in arch.layers])
+    blocks = [a[..., ws.start:bs.stop].reshape(lead + (inp + 1, out))
+              for out, inp, ws, bs in arch.layers]
+    return blocks, [blk[..., :-1, :] for blk in blocks]
 
 
 def _transposed(arrays: list) -> list:
@@ -186,33 +197,35 @@ class Tape:
     """The arrays of one gradient pass at one point over m examples with
     leading axes `lead`, their views, and the passes bound over them. The
     tape proper is what an HVP at the same point and batch reads: the
-    `point` with its per-layer views W, Wt (transposed) and b; the
-    activations hs entering each layer, hs[0] being the batch input `x`;
-    deltas[li], the loss derivative at layer li's pre-activation (the last
-    is the output `delta`); the softmax probs (xent); and, per hidden layer
-    input li, backs[li], the backward product deltas[li] @ W before tanh',
-    and dtanh[li], tanh' = 1 - hs[li]^2. The batch targets `t` sit beside
-    x. The rest is scratch: deltas[0], which no HVP reads; the HVP
-    direction `dir` and the vector `res` a gradient or HVP is written to,
-    each with its views; the output `z`; and the head and R-pass
-    temporaries. A tape may take arrays from a source tape with the same
-    leading axes over at least m examples, each as a prefix of the source's
-    array: its scratch from `share`, so tapes never written at the same
-    time pay for one scratch, its x and t from `inputs`, so tapes over one
-    batch copy it in once, or all of them from `within` (see `rows`); a
+    `point` with its per-layer blocks A = [W^T; b], their prefixes Wt = W^T
+    and W (transposed); the activations hs entering each layer, hs[0] being
+    the batch input `x`, and ins[li], hs[li] with a ones column, the
+    operand of layer li's products (x is a view of ins[0]; a hidden
+    activation is computed in hs, which elementwise ops read contiguous,
+    and copied into ins); deltas[li], the loss derivative at layer li's
+    pre-activation (the last is the output `delta`); the softmax probs
+    (xent); and, per hidden layer input li, backs[li], the backward product
+    deltas[li] @ W before tanh', and dtanh[li], tanh' = 1 - hs[li]^2. The
+    batch targets `t` sit beside x. The rest is scratch: deltas[0], which no
+    HVP reads; the HVP direction `dir` and the vector `res` a gradient or
+    HVP is written to, each with its views; the output `z`; and the head
+    and R-pass temporaries. A tape may take arrays from a source tape with
+    the same leading axes over at least m examples, each as a prefix of the
+    source's array: its scratch from `share`, so tapes never written at the
+    same time pay for one scratch, its x and t from `inputs`, so tapes over
+    one batch copy it in once, or all of them from `within` (see `rows`); a
     metalearn.Workspace builds its tapes so. A fresh tape (`fresh`) serves
     one per-pass call and the HVPs over it. Contents hold until the next
     pass that writes this tape or one sharing them.
 
     Each pass is a list of (function, operands) over these arrays, bound
-    once: `forward` (layer products, biases and tanh) when the tape is
-    built, `backward` (the loss head, whose first op reads t, then the
-    layers) and `rop` (the R-forward and R-backward passes of an HVP) on
-    first use, so a tape that only runs forward binds neither. For the
-    quadratic head, whose gradient is the point and whose Hessian is I,
-    forward is empty and backward and rop are one copy each. `zero_point`
-    and `zero_z` are zeros as many as the point and z have entries, for
-    `finite`."""
+    once: `forward` (layer products and tanh) when the tape is built,
+    `backward` (the loss head, whose first op reads t, then the layers) and
+    `rop` (the R-forward and R-backward passes of an HVP) on first use, so a
+    tape that only runs forward binds neither. For the quadratic head,
+    whose gradient is the point and whose Hessian is I, forward is empty
+    and backward and rop are one copy each. `zero_point` and `zero_z` are
+    zeros as many as the point and z have entries, for `finite`."""
 
     def __init__(self, arch: Arch, lead: tuple = (), m: int = 0,
                  share: Tape | None = None, within: Tape | None = None,
@@ -241,7 +254,10 @@ class Tape:
         hidden = outs[:-1]
         xent = arch.head == HEAD_XENT
         self.point = own(d)
-        self.x = given(m, arch.input_dim)
+        self.ins = [given(m, arch.input_dim + 1)] + [own(m, w + 1) for w in hidden]
+        for a in self.ins:   # set once: every later write goes to the prefix
+            a[..., -1] = 1.0
+        self.x = self.ins[0][..., :-1]
         self.t = (given(m, k) if arch.head == HEAD_MSE else given(m, dtype=int) if xent
                   else None)
         self.hs = hs = [self.x] + [own(m, w) for w in hidden]
@@ -254,14 +270,14 @@ class Tape:
         self.tmp = [scratch(m, w) for w in outs]               # one per layer output
         self.rhs = [None] + [scratch(m, w) for w in outs]      # R(h) entering li; R(z)
         self.rdeltas = [scratch(m, w) for w in hidden] + self.rhs[-1:]  # R(deltas)
-        self.wtmp = [None] + [scratch(out, inp) for out, inp, *_ in arch.layers[1:]]
+        self.wtmp = [None] + [scratch(inp, out) for out, inp, *_ in arch.layers[1:]]
         self.mask = scratch(m, k, dtype=bool) if xent else None
         self.col = scratch(m, 1) if xent else None   # per-example max, log-sum-exp, <p, R(z)>
         self.classes = np.arange(k)
         # what the head's mean divides by, as a 0-d float: the same double
         # as the int, for less dispatch
         self._count = np.array(float(m * k if arch.head == HEAD_MSE else m))
-        self.deltasT = _transposed(self.deltas)
+        self.insT = _transposed(self.ins)
         self.delta = self.deltas[-1] if self.deltas else None
         # read only: a source's zeros serve every tape cut from it
         self._zeros = (np.zeros(math.prod(lead) * max(d, m * k)) if share is None
@@ -269,14 +285,14 @@ class Tape:
         self.zero_point, self.zero_z = self._zeros[:self.point.size], self._zeros[:z.size]
 
         self.mm = mm = np.dot if lead == () else np.matmul   # see the array core's comment
-        self.W, self.b = W, b = _layer_views(self.point, arch)
-        self.Wt = _transposed(W)
+        self.A, self.Wt = _layer_views(self.point, arch)
+        self.W = _transposed(self.Wt)
         self.forward = fwd = []
         n = len(arch.layers)
         for li, zl in zip(range(n), hs[1:] + [z]):   # zl: layer li's pre-activation
-            fwd += [(mm, (hs[li], self.Wt[li], zl)), (np.add, (zl, b[li], zl))]
+            fwd.append((mm, (self.ins[li], self.A[li], zl)))
             if li + 1 < n:
-                fwd.append((np.tanh, (zl, zl)))
+                fwd += [(np.tanh, (zl, zl)), (np.copyto, (self.ins[li + 1][..., :-1], zl))]
 
     @cached_property
     def _res_views(self) -> tuple[list, list]:
@@ -288,7 +304,7 @@ class Tape:
         if arch.head == HEAD_QUADRATIC:
             return [(np.copyto, (self.res, self.point))]
         hs, deltas, delta, probs, col = self.hs, self.deltas, self.delta, self.probs, self.col
-        resW, resb = self._res_views
+        resA, _ = self._res_views
         if arch.head == HEAD_MSE:
             bwd = [(np.subtract, (self.z, self.t, delta)),
                    (np.multiply, (delta, 2.0, delta)),
@@ -305,10 +321,9 @@ class Tape:
                    (np.exp, (probs, probs)),
                    (np.subtract, (probs, self.mask, delta)),
                    (np.divide, (delta, self._count, delta))]
-        deltasT = self.deltasT
         for li in range(len(arch.layers) - 1, -1, -1):
-            bwd += [(mm, (deltasT[li], hs[li], resW[li])),
-                    (np.add.reduce, (deltas[li], -2, None, resb[li], True))]
+            # [h, 1]^T delta: the W^T gradient and, in its last row, b's
+            bwd.append((mm, (self.insT[li], deltas[li], resA[li])))
             if li > 0:
                 backs, dtanh = self.backs[li], self.dtanh[li]
                 bwd += [(mm, (deltas[li], self.W[li], backs)),
@@ -322,20 +337,21 @@ class Tape:
         arch, mm = self.arch, self.mm
         if arch.head == HEAD_QUADRATIC:
             return [(np.copyto, (self.res, self.dir))]
-        hs, deltas, dtanh, W, Wt = self.hs, self.deltas, self.dtanh, self.W, self.Wt
+        hs, ins, insT, deltas, dtanh = self.hs, self.ins, self.insT, self.deltas, self.dtanh
         tmp, rhs, rdeltas, probs, col = self.tmp, self.rhs, self.rdeltas, self.probs, self.col
-        VW, Vb = _layer_views(self.dir, arch)
-        VWt = _transposed(VW)
-        resW, resb = self._res_views
-        deltasT, rdeltasT = self.deltasT, _transposed(rdeltas)
+        VA, VWt = _layer_views(self.dir, arch)
+        VW = _transposed(VWt)
+        resA, resWt = self._res_views
+        rhsT = _transposed(rhs)
         n = len(arch.layers)
         rop = []
-        # R-forward: rhs[li] = R(h) entering layer li; the input x has none
+        # R-forward: rhs[li] = R(h) entering layer li; the input x has none.
+        # [h, 1] V carries Vb
         for li in range(n):
             rz = rhs[li + 1]
-            rop += [(mm, (hs[li], VWt[li], rz)), (np.add, (rz, Vb[li], rz))]
+            rop.append((mm, (ins[li], VA[li], rz)))
             if li > 0:
-                rop += [(mm, (rhs[li], Wt[li], tmp[li])), (np.add, (rz, tmp[li], rz))]
+                rop += [(mm, (rhs[li], self.Wt[li], tmp[li])), (np.add, (rz, tmp[li], rz))]
             if li + 1 < n:
                 rop.append((np.multiply, (rz, dtanh[li + 1], rz)))
         # R(z) becomes R(output delta) in place
@@ -347,15 +363,15 @@ class Tape:
                     (np.subtract, (rz, col, rz)),
                     (np.multiply, (rz, probs, rz)),
                     (np.divide, (rz, self._count, rz))]
-        # R-backward over the taped deltas
+        # R-backward over the taped deltas: [h, 1]^T R(delta), plus R(h)^T
+        # delta into the W^T rows
         for li in range(n - 1, -1, -1):
-            rop += [(mm, (rdeltasT[li], hs[li], resW[li])),
-                    (np.add.reduce, (rdeltas[li], -2, None, resb[li], True))]
+            rop.append((mm, (insT[li], rdeltas[li], resA[li])))
             if li > 0:
                 rd, r = rdeltas[li - 1], tmp[li - 1]
-                rop += [(mm, (deltasT[li], rhs[li], self.wtmp[li])),
-                        (np.add, (resW[li], self.wtmp[li], resW[li])),
-                        (mm, (rdeltas[li], W[li], rd)),
+                rop += [(mm, (rhsT[li], deltas[li], self.wtmp[li])),
+                        (np.add, (resWt[li], self.wtmp[li], resWt[li])),
+                        (mm, (rdeltas[li], self.W[li], rd)),
                         (mm, (deltas[li], VW[li], r)),
                         (np.add, (rd, r, rd)),
                         (np.multiply, (rd, dtanh[li], rd)),

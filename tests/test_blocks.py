@@ -292,18 +292,20 @@ def test_warm_block_meta_gradient_allocates_little():
     """The tapes live in the run's workspace, and each client's batches are
     copied straight into its row, so a warm call allocates little beyond
     what it returns or keeps. Over a 4-client blob block (d=517, 50 support
-    and 75 query examples) the peak is 58 kB, 52 kB of it numpy's transient
-    iterator buffer for the bias add of the (4, 50, 64) hidden layer. The
-    bound, 64 kB, sits below the 70 kB a block took when it stacked its
-    clients' batches on every call; fresh tapes took 1.9 MB. A lone client's walk step runs
-    its cut's bound program and copies out only the meta-gradient, so its
-    peak is that (d,) array plus 2.6 kB: the call's Python objects and
-    numpy's own transient iterator buffers for broadcast and reduce ops (at
-    most 2.1 kB at d=25). Checked for the default sine step (d=1761) and at
-    d=25, where one broadcast op that allocated its (10, 8) result would
-    show."""
+    and 75 query examples) the peak is 30.6 kB, 25 kB of it numpy's
+    transient iterator buffer for the one-hot `equal` of the (4, 75) query
+    labels. The bound, 38.6 kB, is that peak plus a margin of 8 kB fixed
+    before it was measured. A block took 58 kB while biases were added by
+    broadcasting (52 kB of it the bias add's iterator buffer), 70 kB when
+    it stacked its clients' batches on every call, and 1.9 MB with fresh
+    tapes. A lone client's walk step runs its cut's bound program and
+    copies out only the meta-gradient, so its peak is that (d,) array plus
+    2.6 kB: the call's Python objects and numpy's own transient iterator
+    buffers (1.1 kB in all at d=25). Checked for the default sine step
+    (d=1761) and at d=25, where one broadcast op that allocated its (10, 8)
+    result would show."""
     blob = ExperimentConfig(task=tasks.TaskConfig(kind="blob"))
-    for cfg, n_clients, bound in [(blob, 4, 64e3), (ExperimentConfig(), 1, None),
+    for cfg, n_clients, bound in [(blob, 4, 38.6e3), (ExperimentConfig(), 1, None),
                                   (ExperimentConfig(hidden=(8,)), 1, None)]:
         arch = cfg.build_arch()
         bound = bound or arch.param_count * 8 + 2.6e3
@@ -319,6 +321,44 @@ def test_warm_block_meta_gradient_allocates_little():
         finally:
             tracemalloc.stop()
         assert peak < bound, (arch.param_count, n_clients, peak, bound)
+
+
+@pytest.mark.parametrize("cfg", [
+    ExperimentConfig(),
+    ExperimentConfig(hidden=(8,)),
+    ExperimentConfig(task=tasks.TaskConfig(kind="blob")),
+], ids=["sine_d1761", "sine_d25", "blob_d517"])
+def test_bound_passes_add_no_bias_and_sum_no_examples(cfg):
+    """Biases ride in the layer products (see the array core's comment):
+    no op of a bound program, lone or in the (4,) and (2,) cuts at run
+    shapes, broadcasts an operand along the example axis of the array it
+    writes, as a bias add did, or reduces over the example axis, as a
+    bias-gradient sum did. The one-hot mask, which compares the labels with
+    the class indices, is the one broadcast over examples; it reads no
+    parameter."""
+    arch, h = cfg.build_arch(), cfg.hyper
+    clients = simulator.Clients(tasks.assign_clients(4, 0, cfg.task, seed=0), arch, h)
+    ws = clients.training[0][2]
+    for lead in [(), (4,), (2,)]:
+        programs = ws.programs(lead)
+        classes = [t.classes for t in programs.support + [programs.query]]
+        for f, operands in programs.step.ops:
+            if isinstance(getattr(f, "__self__", None), np.ufunc) and f.__name__ == "reduce":
+                a, axis = operands[:2]
+                assert axis % a.ndim == a.ndim - 1, (f, lead, a.shape, axis)
+                continue
+            if f is np.copyto:
+                out, *ins = operands
+            elif isinstance(f, np.ufunc) and f.signature is None:   # not matmul
+                *ins, out = operands
+            else:
+                continue
+            for a in ins:
+                if (not isinstance(a, np.ndarray) or a.ndim == 0 or out.ndim < 2
+                        or any(a is c for c in classes)):
+                    continue
+                stride = np.broadcast_to(a, out.shape).strides[-2]
+                assert out.shape[-2] == 1 or stride != 0, (f, lead, a.shape, out.shape)
 
 
 @pytest.mark.parametrize("cfg", [

@@ -56,6 +56,32 @@ class TestInit:
         b = model.init_params(arch, seed=11)
         assert np.array_equal(a.values, b.values)
 
+    def test_layout_stores_each_draw_transposed(self):
+        """Each layer's W (out, inp), read through the flat layout as the
+        transpose of its (inp, out) weight slice, is the draw made row-major
+        from the seed, as before the layout held W^T; its bias follows it."""
+        arch = model.Arch(3, (5, 4), 2)
+        p = model.init_params(arch, seed=7)
+        rng = np.random.default_rng(7)
+        for out, inp, ws, bs in arch.layers:
+            bound = np.sqrt(6.0 / (inp + out))
+            W = rng.uniform(-bound, bound, out * inp).reshape(out, inp)
+            assert np.array_equal(p.values[ws].reshape(inp, out).T, W)
+            assert (bs.start, bs.stop) == (ws.stop, ws.stop + out)
+
+    def test_predict_reads_the_layout(self):
+        arch = model.Arch(3, (5,), 2)
+        rng = np.random.default_rng(0)
+        W0, b0 = rng.standard_normal((5, 3)), rng.standard_normal(5)
+        W1, b1 = rng.standard_normal((2, 5)), rng.standard_normal(2)
+        values = np.empty(arch.param_count)
+        for (_, _, ws, bs), W, b in zip(arch.layers, (W0, W1), (b0, b1)):
+            values[ws], values[bs] = W.T.ravel(), b
+        x = rng.standard_normal((7, 3))
+        np.testing.assert_allclose(model.predict(model.ParamVector(values, arch), x),
+                                   np.tanh(x @ W0.T + b0) @ W1.T + b1,
+                                   rtol=1e-13, atol=1e-13)
+
     def test_glorot_bounds(self):
         arch = model.Arch(4, (10,), 3)
         p = model.init_params(arch, seed=2)
