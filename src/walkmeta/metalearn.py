@@ -46,7 +46,7 @@ class Workspace:
             first = self._tapes[0] if 0 < i < K else None
             self._tapes.append(owner if i == big else
                                model.Tape(arch, (rows,), m, share=owner, inputs=first))
-        self._lead, self._alpha = (rows,), alpha
+        self._lead, self._alpha = (rows,), model.const(alpha)
         self._programs = {}
 
     def programs(self, lead: tuple) -> Programs:
@@ -71,7 +71,7 @@ class Programs:
     `step` is both. Their ops, operands and order are those of the per-pass
     reference (`trajectory`, `exact_from_trajectory`), so the bits are too.
     `load` is the one way clients reach the tapes: one per row of the cut,
-    each copied into its row through views bound here.
+    each copied into its row through views bound here, then the label masks.
 
     The checks of the reference (each forward output, each inner state and
     the meta-gradient) write one slot each of `flags` with one BLAS
@@ -80,7 +80,7 @@ class Programs:
     reference would have raised. Ops that run on past a non-finite value
     stay inside model.quiet()."""
 
-    def __init__(self, support: list[model.Tape], query: model.Tape, alpha: float):
+    def __init__(self, support: list[model.Tape], query: model.Tape, alpha: np.ndarray):
         self.support, self.query = support, query
         quadratic = query.arch.head == model.HEAD_QUADRATIC
         lead = query.point.shape[:-1]
@@ -92,7 +92,7 @@ class Programs:
 
         def check(ops, a, zeros, message):
             slot = flags[len(messages):len(messages) + 1].reshape(1, 1)
-            ops.append((np.dot, (a.reshape(1, -1), zeros[:, None], slot)))
+            ops.append((a.reshape(1, -1).dot, (zeros[:, None], slot)))
             messages.append(message)
 
         def forward(ops, tape):
@@ -134,6 +134,8 @@ class Programs:
                                      f"{buf.shape}")
         for buf, a in pairs:
             np.copyto(buf, a)
+        for f, a in self.support[0].onehot + self.query.onehot:
+            f(*a)
 
 
 class _Program:

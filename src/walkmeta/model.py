@@ -126,15 +126,22 @@ def init_params(arch: Arch, seed) -> ParamVector:
 # finiteness checks deferred to one read after the run, tested against the
 # reference bit for bit. At the sizes a walk step runs, dispatch, not
 # arithmetic, is most of its time: a d=25 walk step runs 206 ufunc and BLAS
-# calls, a few µs or less each. So out is passed positionally (an in-place
-# operator or out= costs more), the head's divisor and the 1 of 1 - h^2 are
-# 0-d arrays, finiteness is checked with one BLAS call (`finite`), and a
-# lone tape, whose operands are all 2-D, multiplies with np.dot, which calls
-# the same BLAS routine as a block's np.matmul for less dispatch;
-# tests/test_blocks.py checks that the bits agree.
+# calls, under 1 µs each. So out is passed positionally (an in-place
+# operator or out= costs more), scalar operands are read-only 0-d arrays
+# (`const`), finiteness is checked with one BLAS call (`finite`), and a
+# lone tape, whose operands are all 2-D, multiplies with its left operand's
+# bound ndarray.dot, the routine of np.dot and of a block's np.matmul, for
+# less dispatch; tests/test_blocks.py checks that the bits agree.
 
-_ONE = np.array(1.0)   # a 0-d operand dispatches faster than a Python float
-_ONE.flags.writeable = False
+
+def const(x: float) -> np.ndarray:
+    """x as a read-only 0-d array: an op list's scalar operand."""
+    a = np.array(float(x))
+    a.flags.writeable = False
+    return a
+
+
+_ONE, _TWO = const(1.0), const(2.0)
 
 
 def quiet():
@@ -199,30 +206,31 @@ class Tape:
     tape proper is what an HVP at the same point and batch reads: the
     `point` with its per-layer blocks A = [W^T; b], their prefixes Wt = W^T
     and W (transposed); the activations hs entering each layer, hs[0] being
-    the batch input `x`, and ins[li], hs[li] with a ones column, the
-    operand of layer li's products (x is a view of ins[0]; a hidden
-    activation is computed in hs, which elementwise ops read contiguous,
-    and copied into ins); deltas[li], the loss derivative at layer li's
-    pre-activation (the last is the output `delta`); the softmax probs
-    (xent); and, per hidden layer input li, backs[li], the backward product
-    deltas[li] @ W before tanh', and dtanh[li], tanh' = 1 - hs[li]^2. The
-    batch targets `t` sit beside x. The rest is scratch: deltas[0], which no
-    HVP reads; the HVP direction `dir` and the vector `res` a gradient or
-    HVP is written to, each with its views; the output `z`; and the head
-    and R-pass temporaries. A tape may take arrays from a source tape with
-    the same leading axes over at least m examples, each as a prefix of the
-    source's array: its scratch from `share`, so tapes never written at the
-    same time pay for one scratch, its x and t from `inputs`, so tapes over
-    one batch copy it in once, or all of them from `within` (see `rows`); a
+    the batch input `x`, and ins[li], hs[li] with a ones column, the operand
+    of layer li's products (x is a view of ins[0]; a hidden activation is
+    computed in hs, which elementwise ops read contiguous, and copied into
+    ins); deltas[li], the loss derivative at layer li's pre-activation (the
+    last is the output `delta`); the softmax probs (xent); and, per hidden
+    layer input li, backs[li], the backward product deltas[li] @ W before
+    tanh', and dtanh[li], tanh' = 1 - hs[li]^2. The batch targets `t` sit
+    beside x, and for xent their one-hot `mask`, which the writer of t
+    rewrites with `onehot`. The rest is scratch: deltas[0], which no HVP
+    reads; the HVP direction `dir` and the vector `res` a gradient or HVP is
+    written to, each with its views; the output `z`; and the head and R-pass
+    temporaries. A tape may take arrays from a source tape with the same
+    leading axes over at least m examples, each as a prefix of the source's
+    array: its scratch from `share`, so tapes never written at the same time
+    pay for one scratch, its x, t and mask from `inputs`, so tapes over one
+    batch write them once, or all of them from `within` (see `rows`); a
     metalearn.Workspace builds its tapes so. A fresh tape (`fresh`) serves
     one per-pass call and the HVPs over it. Contents hold until the next
     pass that writes this tape or one sharing them.
 
     Each pass is a list of (function, operands) over these arrays, bound
     once: `forward` (layer products and tanh) when the tape is built,
-    `backward` (the loss head, whose first op reads t, then the layers) and
-    `rop` (the R-forward and R-backward passes of an HVP) on first use, so a
-    tape that only runs forward binds neither. For the quadratic head,
+    `backward` (the loss head, which reads t or its mask, then the layers)
+    and `rop` (the R-forward and R-backward passes of an HVP) on first use,
+    so a tape that only runs forward binds neither. For the quadratic head,
     whose gradient is the point and whose Hessian is I, forward is empty
     and backward and rop are one copy each. `zero_point` and `zero_z` are
     zeros as many as the point and z have entries, for `finite`."""
@@ -260,6 +268,7 @@ class Tape:
         self.x = self.ins[0][..., :-1]
         self.t = (given(m, k) if arch.head == HEAD_MSE else given(m, dtype=int) if xent
                   else None)
+        self.mask = given(m, k, dtype=bool) if xent else None
         self.hs = hs = [self.x] + [own(m, w) for w in hidden]
         self.backs = [None] + [own(m, w) for w in hidden]
         self.dtanh = [None] + [own(m, w) for w in hidden]
@@ -271,12 +280,10 @@ class Tape:
         self.rhs = [None] + [scratch(m, w) for w in outs]      # R(h) entering li; R(z)
         self.rdeltas = [scratch(m, w) for w in hidden] + self.rhs[-1:]  # R(deltas)
         self.wtmp = [None] + [scratch(inp, out) for out, inp, *_ in arch.layers[1:]]
-        self.mask = scratch(m, k, dtype=bool) if xent else None
         self.col = scratch(m, 1) if xent else None   # per-example max, log-sum-exp, <p, R(z)>
         self.classes = np.arange(k)
-        # what the head's mean divides by, as a 0-d float: the same double
-        # as the int, for less dispatch
-        self._count = np.array(float(m * k if arch.head == HEAD_MSE else m))
+        self.onehot = [(np.equal, (self.t[..., None], self.classes, self.mask))] if xent else []
+        self._count = const(m * k if arch.head == HEAD_MSE else m)   # the head's divisor
         self.insT = _transposed(self.ins)
         self.delta = self.deltas[-1] if self.deltas else None
         # read only: a source's zeros serve every tape cut from it
@@ -284,13 +291,14 @@ class Tape:
                        else share._zeros)
         self.zero_point, self.zero_z = self._zeros[:self.point.size], self._zeros[:z.size]
 
-        self.mm = mm = np.dot if lead == () else np.matmul   # see the array core's comment
+        lone = lead == ()   # a product op of a lone tape calls a's bound dot; see above
+        self.mm = mm = lambda a, b, out: (a.dot, (b, out)) if lone else (np.matmul, (a, b, out))
         self.A, self.Wt = _layer_views(self.point, arch)
         self.W = _transposed(self.Wt)
         self.forward = fwd = []
         n = len(arch.layers)
         for li, zl in zip(range(n), hs[1:] + [z]):   # zl: layer li's pre-activation
-            fwd.append((mm, (self.ins[li], self.A[li], zl)))
+            fwd.append(mm(self.ins[li], self.A[li], zl))
             if li + 1 < n:
                 fwd += [(np.tanh, (zl, zl)), (np.copyto, (self.ins[li + 1][..., :-1], zl))]
 
@@ -307,12 +315,11 @@ class Tape:
         resA, _ = self._res_views
         if arch.head == HEAD_MSE:
             bwd = [(np.subtract, (self.z, self.t, delta)),
-                   (np.multiply, (delta, 2.0, delta)),
+                   (np.multiply, (delta, _TWO, delta)),
                    (np.divide, (delta, self._count, delta))]
-        else:   # softmax cross-entropy; the one-hot mask of t reads no z
+        else:   # softmax cross-entropy
             z = self.z
-            bwd = [(np.equal, (self.t[..., None], self.classes, self.mask)),
-                   (np.maximum.reduce, (z, -1, None, col, True)),
+            bwd = [(np.maximum.reduce, (z, -1, None, col, True)),
                    (np.subtract, (z, col, z)),
                    (np.exp, (z, probs)),
                    (np.add.reduce, (probs, -1, None, col, True)),
@@ -323,10 +330,10 @@ class Tape:
                    (np.divide, (delta, self._count, delta))]
         for li in range(len(arch.layers) - 1, -1, -1):
             # [h, 1]^T delta: the W^T gradient and, in its last row, b's
-            bwd.append((mm, (self.insT[li], deltas[li], resA[li])))
+            bwd.append(mm(self.insT[li], deltas[li], resA[li]))
             if li > 0:
                 backs, dtanh = self.backs[li], self.dtanh[li]
-                bwd += [(mm, (deltas[li], self.W[li], backs)),
+                bwd += [mm(deltas[li], self.W[li], backs),
                         (np.square, (hs[li], dtanh)),
                         (np.subtract, (_ONE, dtanh, dtanh)),   # tanh' = 1 - h^2
                         (np.multiply, (backs, dtanh, deltas[li - 1]))]
@@ -349,14 +356,14 @@ class Tape:
         # [h, 1] V carries Vb
         for li in range(n):
             rz = rhs[li + 1]
-            rop.append((mm, (ins[li], VA[li], rz)))
+            rop.append(mm(ins[li], VA[li], rz))
             if li > 0:
-                rop += [(mm, (rhs[li], self.Wt[li], tmp[li])), (np.add, (rz, tmp[li], rz))]
+                rop += [mm(rhs[li], self.Wt[li], tmp[li]), (np.add, (rz, tmp[li], rz))]
             if li + 1 < n:
                 rop.append((np.multiply, (rz, dtanh[li + 1], rz)))
         # R(z) becomes R(output delta) in place
         if arch.head == HEAD_MSE:
-            rop += [(np.multiply, (rz, 2.0, rz)), (np.divide, (rz, self._count, rz))]
+            rop += [(np.multiply, (rz, _TWO, rz)), (np.divide, (rz, self._count, rz))]
         else:   # R(softmax) = p * (Rz - <p, Rz>)
             rop += [(np.multiply, (probs, rz, tmp[-1])),
                     (np.add.reduce, (tmp[-1], -1, None, col, True)),
@@ -366,17 +373,17 @@ class Tape:
         # R-backward over the taped deltas: [h, 1]^T R(delta), plus R(h)^T
         # delta into the W^T rows
         for li in range(n - 1, -1, -1):
-            rop.append((mm, (insT[li], rdeltas[li], resA[li])))
+            rop.append(mm(insT[li], rdeltas[li], resA[li]))
             if li > 0:
                 rd, r = rdeltas[li - 1], tmp[li - 1]
-                rop += [(mm, (rhsT[li], deltas[li], self.wtmp[li])),
+                rop += [mm(rhsT[li], deltas[li], self.wtmp[li]),
                         (np.add, (resWt[li], self.wtmp[li], resWt[li])),
-                        (mm, (rdeltas[li], self.W[li], rd)),
-                        (mm, (deltas[li], VW[li], r)),
+                        mm(rdeltas[li], self.W[li], rd),
+                        mm(deltas[li], VW[li], r),
                         (np.add, (rd, r, rd)),
                         (np.multiply, (rd, dtanh[li], rd)),
                         # R(tanh') = -2 h R(h)
-                        (np.multiply, (2.0, hs[li], r)),
+                        (np.multiply, (_TWO, hs[li], r)),
                         (np.multiply, (r, rhs[li], r)),
                         (np.multiply, (r, self.backs[li], r)),
                         (np.subtract, (rd, r, rd))]
@@ -452,7 +459,7 @@ def taped_grads(values: np.ndarray, arch: Arch, x, t) -> tuple[np.ndarray, Tape]
     tape = Tape.fresh(arch, x)
     _finite_forward(values, x, tape)
     np.copyto(tape.t, t)
-    for f, a in tape.backward:
+    for f, a in tape.onehot + tape.backward:
         f(*a)
     return tape.res.copy(), tape
 

@@ -10,6 +10,7 @@ too, 2 per active client for centralized download+upload.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import groupby
 
@@ -163,19 +164,19 @@ def _adapt_block(w: np.ndarray, block: list, metrics: list | None = None,
             gsum += row
 
 
-def _mean_meta_gradient(w: np.ndarray, clients: list) -> np.ndarray:
-    """The exact meta-gradient at w (d,) averaged over prepared clients;
-    several run in client blocks, one in the lone cut."""
-    with model.quiet():
-        if len(clients) == 1:
-            programs = clients[0][2].programs(())
-            programs.load(w, clients)
-            programs.step()
-            return programs.query.dir.copy()
-        gsum = np.zeros_like(w)
-        for block in _client_blocks(clients):
-            _adapt_block(w, block, gsum=gsum)
-    return gsum / len(clients)
+def _mean_meta_gradient(w: np.ndarray, clients: list, g: np.ndarray) -> np.ndarray:
+    """The exact meta-gradient at w (d,) averaged over prepared clients,
+    written to g and returned: several in client blocks, one in the lone cut."""
+    if len(clients) == 1:
+        programs = clients[0][2].programs(())
+        programs.load(w, clients)
+        programs.step()
+        np.copyto(g, programs.query.dir)
+        return g
+    g.fill(0.0)
+    for block in _client_blocks(clients):
+        _adapt_block(w, block, gsum=g)
+    return np.divide(g, len(clients), g)
 
 
 def _query_metrics(q: model.Tape) -> list[float]:
@@ -209,6 +210,59 @@ def evaluate(w: np.ndarray, clients: Clients) -> tuple[float, float, float]:
 # ---------------------------------------------------------------------
 # runs
 
+class _Tail:
+    """A step after its meta-gradient `g` (d,), bound once per run over
+    buffers: with `private`, g is clipped to its m_meta and noise drawn;
+    Adam over the m/v of each owner (`aux`, a client or -1 for the token or
+    server, bound on first use), or SGD, writes `delta`; `w` moves by it.
+    The ops are those of optimizer.clip, privacy.sample_perturbation and
+    adam_step or sgd_step, in order, so the bits are theirs: the factor
+    M / max(|g|, M) is 1.0 when |g| <= M, and noise is 0 + sigma * z."""
+
+    def __init__(self, w: np.ndarray, h: optimizer.HyperParams, adam: bool,
+                 private: privacy.PrivacyParams | None = None, rng=None):
+        c, d, g, zero = model.const, w.size, np.empty(w.size), model.const(0.0)
+        self.w, self.g, self.delta, self._tmp, self._h = w, g, np.empty(d), np.empty(d), h
+        self.aux, self._ops, self._flags = {}, {}, np.zeros(2)   # g's and w's checks
+        zeros, (gslot, wslot) = np.zeros((d, 1)), self._flags.reshape(2, 1, 1)
+        self._pre, self._noise = [], zero
+        if private is not None:   # |g|^2, |g|, max(|g|, M), factor: 0-d ops are slow in place
+            bound, sigma2 = c(private.m_meta), privacy.noise_sigma(private)
+            sq, n, mx, f = (a.reshape(()) for a in np.empty((4, 1, 1)))
+            self._pre += [(g.reshape(1, -1).dot, (g[:, None], sq.reshape(1, 1))),
+                          (np.sqrt, (sq, n)), (np.fmax, (n, bound, mx)),
+                          (np.divide, (bound, mx, f)), (np.multiply, (g, f, g))]
+            if sigma2 > 0:   # as Generator.normal; sample_perturbation draws none for 0
+                self._noise = z = np.empty(d)
+                self._pre += [(rng.standard_normal, (None, np.float64, z)),
+                              (np.multiply, (c(math.sqrt(sigma2)), z, z)), (np.add, (zero, z, z))]
+        self._check_g = [(g.reshape(1, -1).dot, (zeros, gslot))] if adam else None
+        self._move = [(np.add, (w, self.delta, w)), (w.reshape(1, -1).dot, (zeros, wslot))]
+
+    def _bind(self, owner: int) -> list:
+        h, c, g, delta, tmp = self._h, model.const, self.g, self.delta, self._tmp
+        if self._check_g is None:
+            return self._pre + [(np.multiply, (c(-h.eta), g, delta))]
+        m, v = self.aux[owner] = np.zeros(g.size), np.zeros(g.size)
+        return self._pre + self._check_g + [
+            (np.multiply, (c(h.theta), m, m)), (np.multiply, (c(1.0 - h.theta), g, tmp)),
+            (np.add, (m, tmp, m)), (np.multiply, (c(h.beta), v, v)),
+            (np.multiply, (c(1.0 - h.beta), g, tmp)), (np.multiply, (tmp, g, tmp)),
+            (np.add, (v, tmp, v)), (np.add, (m, self._noise, delta)),
+            (np.multiply, (c(-h.eta), delta, delta)), (np.add, (v, c(h.lam), tmp)),
+            (np.sqrt, (tmp, tmp)), (np.divide, (delta, tmp, delta))]
+
+    def __call__(self, owner: int) -> bool:
+        """One update by `owner`'s m/v; False if w is then non-finite."""
+        for f, a in self._ops.get(owner) or self._ops.setdefault(owner, self._bind(owner)):
+            f(*a)
+        if math.isnan(self._flags[0]):
+            raise NumericalError("non-finite gradient passed to adam_step")
+        for f, a in self._move:
+            f(*a)
+        return not math.isnan(self._flags[1])
+
+
 def run(cfg: ExperimentConfig, clients: Clients | None = None) -> RunRecord:
     """The one training loop: validates cfg and runs cfg.method, on
     `clients` when given, prepared for cfg's arch, K and alpha, else on the
@@ -234,13 +288,10 @@ def run(cfg: ExperimentConfig, clients: Clients | None = None) -> RunRecord:
     walk_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _WALK_STREAM]))
     noise_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _NOISE_STREAM]))
     w = model.init_params(arch, init_ss).values
-    d = arch.param_count
 
     per_iter = comm_cost(MethodKind(cfg.method, cfg.n_active))
     noisy = spec.noise and cfg.privacy.enabled
-    sigma2 = privacy.noise_sigma(cfg.privacy) if noisy else 0.0
-    aux = {}  # m/v state by owner: a client index, or -1 for the token/server
-    zero_aux = optimizer.AuxState.zeros(d)
+    tail = _Tail(w, h, spec.aux is not None, cfg.privacy if noisy else None, noise_rng)
 
     current = int(walk_rng.integers(n)) if spec.walks else -1
     comm = 0
@@ -254,41 +305,31 @@ def run(cfg: ExperimentConfig, clients: Clients | None = None) -> RunRecord:
     record = RunRecord(rows=rows, header={**config_echo(cfg), "method.resolved": cfg.method},
                        dp_report=dp_report, trace=trace)
 
-    for t in range(cfg.T):
-        if spec.walks:
-            if t > 0:
-                current = topology.sample_next(tm, current, walk_rng)
-            active = [current]
-        else:
-            active = walk_rng.choice(n, size=cfg.n_active, replace=False)
-        comm += per_iter
-        try:
-            g = _mean_meta_gradient(w, [clients.training[int(i)] for i in active])
-            noise = 0.0
-            if noisy:
-                g = optimizer.clip(g, cfg.privacy.m_meta)
-                noise = privacy.sample_perturbation(sigma2, d, noise_rng)
-            if spec.aux is None:
-                delta = optimizer.sgd_step(g, h.eta)
+    with model.quiet():
+        for t in range(cfg.T):
+            if spec.walks:
+                if t > 0:
+                    current = topology.sample_next(tm, current, walk_rng)
+                active = [current]
             else:
-                owner = current if spec.aux == "client" else -1
-                aux[owner], delta = optimizer.adam_step(aux.get(owner, zero_aux), g,
-                                                        noise, h)
-            w = w + delta
-            if not np.logical_and.reduce(np.isfinite(w), axis=None):
-                step = "iteration" if spec.walks else "round"
-                raise NumericalError(f"non-finite parameters at {step} {t}")
-            if trace is not None:
-                trace.active.append(current)
-                trace.w.append(w.copy())
-            if (t + 1) % cfg.eval_every == 0 or t + 1 == cfg.T:
-                rows.append(EvalRow(t + 1, comm, current,
-                                    *evaluate(w, clients)))
-        except NumericalError as e:
-            record.aborted = True
-            record.abort_reason = str(e)
-            rows.append(EvalRow(t + 1, comm, current, *[float("nan")] * 3))
-            break
+                active = walk_rng.choice(n, size=cfg.n_active, replace=False)
+            comm += per_iter
+            try:
+                _mean_meta_gradient(w, [clients.training[int(i)] for i in active], tail.g)
+                if not tail(current if spec.aux == "client" else -1):
+                    step = "iteration" if spec.walks else "round"
+                    raise NumericalError(f"non-finite parameters at {step} {t}")
+                if trace is not None:
+                    trace.active.append(current)
+                    trace.w.append(w.copy())
+                if (t + 1) % cfg.eval_every == 0 or t + 1 == cfg.T:
+                    rows.append(EvalRow(t + 1, comm, current,
+                                        *evaluate(w, clients)))
+            except NumericalError as e:
+                record.aborted = True
+                record.abort_reason = str(e)
+                rows.append(EvalRow(t + 1, comm, current, *[float("nan")] * 3))
+                break
     record.final_params = ParamVector(w, arch)
     return record
 

@@ -186,7 +186,8 @@ def test_training_step_over_mixed_workspaces(kind, hidden):
     gsum = np.zeros_like(w.values)
     for i in ids:
         gsum += metalearn.meta_gradient_exact(w, assignment.training[i], h.alpha, h.K).values
-    g = simulator._mean_meta_gradient(w.values, [clients.training[i] for i in ids])
+    g = simulator._mean_meta_gradient(w.values, [clients.training[i] for i in ids],
+                                      np.empty(arch.param_count))
     assert np.array_equal(g, gsum / 5)
 
 
@@ -278,7 +279,8 @@ def test_results_do_not_alias_the_workspace():
         clients = [(model.check_batch(arch, random_batch(rng, arch, 5)),
                     model.check_batch(arch, random_batch(rng, arch, 7)), ws)
                    for _ in range(n)]
-        return simulator._mean_meta_gradient(random_rows(rng, arch, 1)[0], clients)
+        return simulator._mean_meta_gradient(random_rows(rng, arch, 1)[0], clients,
+                                             np.empty(arch.param_count))
     returned = [meta_gradient(1), meta_gradient(4)]
     kept = [a.copy() for a in returned]
     meta_gradient(1)
@@ -299,11 +301,11 @@ def test_warm_block_meta_gradient_allocates_little():
     broadcasting (52 kB of it the bias add's iterator buffer), 70 kB when
     it stacked its clients' batches on every call, and 1.9 MB with fresh
     tapes. A lone client's walk step runs its cut's bound program and
-    copies out only the meta-gradient, so its peak is that (d,) array plus
-    2.6 kB: the call's Python objects and numpy's own transient iterator
-    buffers (1.1 kB in all at d=25). Checked for the default sine step
-    (d=1761) and at d=25, where one broadcast op that allocated its (10, 8)
-    result would show."""
+    copies only the meta-gradient out, into the (d,) array g made inside
+    the traced call, so its peak is that array plus 2.6 kB: the call's
+    Python objects and numpy's own transient iterator buffers (1.1 kB in
+    all at d=25). Checked for the default sine step (d=1761) and at d=25,
+    where one broadcast op that allocated its (10, 8) result would show."""
     blob = ExperimentConfig(task=tasks.TaskConfig(kind="blob"))
     for cfg, n_clients, bound in [(blob, 4, 38.6e3), (ExperimentConfig(), 1, None),
                                   (ExperimentConfig(hidden=(8,)), 1, None)]:
@@ -313,10 +315,10 @@ def test_warm_block_meta_gradient_allocates_little():
                                     arch, cfg.hyper)
         block = list(clients.training.values())
         w = model.init_params(arch, seed=0)
-        simulator._mean_meta_gradient(w.values, block)
+        simulator._mean_meta_gradient(w.values, block, np.empty(arch.param_count))
         tracemalloc.start()
         try:
-            simulator._mean_meta_gradient(w.values, block)
+            simulator._mean_meta_gradient(w.values, block, np.empty(arch.param_count))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -333,15 +335,14 @@ def test_bound_passes_add_no_bias_and_sum_no_examples(cfg):
     no op of a bound program, lone or in the (4,) and (2,) cuts at run
     shapes, broadcasts an operand along the example axis of the array it
     writes, as a bias add did, or reduces over the example axis, as a
-    bias-gradient sum did. The one-hot mask, which compares the labels with
-    the class indices, is the one broadcast over examples; it reads no
-    parameter."""
+    bias-gradient sum did. The one-hot label mask, which broadcasts the
+    class indices over the examples, is written by `load`, not by a
+    program."""
     arch, h = cfg.build_arch(), cfg.hyper
     clients = simulator.Clients(tasks.assign_clients(4, 0, cfg.task, seed=0), arch, h)
     ws = clients.training[0][2]
     for lead in [(), (4,), (2,)]:
         programs = ws.programs(lead)
-        classes = [t.classes for t in programs.support + [programs.query]]
         for f, operands in programs.step.ops:
             if isinstance(getattr(f, "__self__", None), np.ufunc) and f.__name__ == "reduce":
                 a, axis = operands[:2]
@@ -354,8 +355,7 @@ def test_bound_passes_add_no_bias_and_sum_no_examples(cfg):
             else:
                 continue
             for a in ins:
-                if (not isinstance(a, np.ndarray) or a.ndim == 0 or out.ndim < 2
-                        or any(a is c for c in classes)):
+                if not isinstance(a, np.ndarray) or a.ndim == 0 or out.ndim < 2:
                     continue
                 stride = np.broadcast_to(a, out.shape).strides[-2]
                 assert out.shape[-2] == 1 or stride != 0, (f, lead, a.shape, out.shape)

@@ -378,12 +378,12 @@ class TestMeanMetaGradient:
         clients = simulator.Clients(cfg.build_assignment(), arch, cfg.hyper)
         block = list(clients.training.values())[:n]
         w = model.init_params(arch, seed=0)
-        simulator._mean_meta_gradient(w.values, block)
+        simulator._mean_meta_gradient(w.values, block, np.empty(arch.param_count))
         calls = []
         real = model._layer_views
         monkeypatch.setattr(model, "_layer_views",
                             lambda *args: calls.append(args) or real(*args))
-        simulator._mean_meta_gradient(w.values, block)
+        simulator._mean_meta_gradient(w.values, block, np.empty(arch.param_count))
         assert calls == []
         metalearn.Workspace(arch, 5, 10, cfg.hyper.K, 0.1, 1)  # the wrapper does count
         assert calls
