@@ -32,7 +32,7 @@ class Workspace:
     examples. A block of n <= rows clients uses the cut of the first n
     rows, and a lone (d,) vector the cut () of row 0; on a cut's first use
     `programs` makes its tapes (views of the full ones) and binds its
-    `Programs`, the one way a workspace is run, into whose rows `load`
+    `Programs`, the one way a workspace is run, into whose rows a bound load
     copies each client's own batches. The owner keeps it for as long as
     its batches keep their sizes."""
 
@@ -70,12 +70,12 @@ class Programs:
     support tape's HVP pass, last to first, in the query tape's `dir`;
     `step` is both. Their ops, operands and order are those of the per-pass
     reference (`trajectory`, `exact_from_trajectory`), so the bits are too.
-    `load` is the one way clients reach the tapes: one per row of the cut,
-    each copied into its row through views bound here, then the label masks.
+    A load, bound by `bind`, is the one way clients reach the tapes: each
+    row's client copied in through views bound here, then the label masks.
 
     The checks of the reference (each forward output, each inner state and
     the meta-gradient) write one slot each of `flags` with one BLAS
-    product, as `model.finite` does; one sum after a run reads them, and a
+    product, as `model.finite` does; one BLAS dot after a run reads them; a
     failure raises the message of the first failing slot, the one the
     reference would have raised. Ops that run on past a non-finite value
     stay inside model.quiet()."""
@@ -108,7 +108,7 @@ class Programs:
             check(adapt, nxt.point, tape.zero_point, f"non-finite inner state at step {k + 1}")
         forward(adapt, query)
         split = len(messages)
-        exact = query.backward + [(np.copyto, (query.dir, query.res))]
+        exact = query.backward + [(query.dir.__setitem__, (..., query.res))]
         for tape in reversed(support):
             exact += tape.rop + [(np.multiply, (tape.res, alpha, tape.res)),
                                  (np.subtract, (tape.dir, tape.res, tape.dir))]
@@ -117,24 +117,41 @@ class Programs:
         self.adapt = _Program(adapt, flags[:split], messages[:split])
         self.exact = _Program(exact, flags[split:end], messages[split:])
         self.step = _Program(adapt + exact, flags[:end], messages)
+        self._masks, self._w, self._kept = support[0].onehot + query.onehot, None, {}
 
-    def load(self, w: np.ndarray, clients):
-        """Copies w into the first support tape's point (K >= 1), and client
-        i's checked (support, query) batches into row i of the support and
-        query inputs, after checking the client count and every shape."""
+    def bind(self, w: np.ndarray, clients) -> list:
+        """The ops of a load, each copy a bound __setitem__: w (the cut's shape
+        or (d,)) into the first support point, client i's checked batches into
+        row i, then the label masks. Count, shapes and dtypes are checked here,
+        once: __setitem__ would broadcast and cast where np.copyto raises."""
         if len(clients) != len(self._rows):
             raise ParameterError(f"{len(clients)} clients do not match the workspace "
                                  f"cut's {len(self._rows)} rows")
-        pairs = [(self.support[0].point, w)]
+        point = self.support[0].point
+        pairs = [(point, w)]
         for bufs, (support, query, *_) in zip(self._rows, clients):
             pairs += zip(bufs, (*support, *query))
         for buf, a in pairs:
-            if a.shape != buf.shape:
-                raise ParameterError(f"shape {a.shape} does not match the workspace's "
-                                     f"{buf.shape}")
-        for buf, a in pairs:
-            np.copyto(buf, a)
-        for f, a in self.support[0].onehot + self.query.onehot:
+            ok = a.dtype == buf.dtype or np.can_cast(a.dtype, buf.dtype, "same_kind")
+            if not ok or a.shape != buf.shape and (buf is not point or a.shape != buf.shape[-1:]):
+                raise ParameterError(f"{a.dtype} shape {a.shape} does not match the "
+                                     f"workspace's {buf.dtype} {buf.shape}")
+        return [(buf.__setitem__, (..., a)) for buf, a in pairs] + self._masks
+
+    def load(self, w: np.ndarray, clients):
+        """Binds a load of w and clients and runs it."""
+        for f, a in self.bind(w, clients):
+            f(*a)
+
+    def load_kept(self, w: np.ndarray, client):
+        """load(w, [client]) by a binding kept while w is the same array (a
+        run's parameters): a walk binds each client's on its first step."""
+        if w is not self._w:
+            self._w, self._kept = w, {}
+        key = id(client[0]), id(client[1])   # held by the entry, so never another's
+        kept = self._kept.get(key) or self._kept.setdefault(
+            key, (client[0], client[1], self.bind(w, [client])))
+        for f, a in kept[2]:
             f(*a)
 
 
@@ -143,11 +160,12 @@ class _Program:
 
     def __init__(self, ops: list, flags: np.ndarray, messages: list[str]):
         self.ops, self.flags, self.messages = ops, flags, messages
+        self._read, self._zeros = flags.dot, np.zeros(flags.size)   # NaN iff a slot is
 
     def __call__(self):
         for f, a in self.ops:
             f(*a)
-        if math.isnan(self.flags.sum()):
+        if math.isnan(self._read(self._zeros)):
             raise NumericalError(self.messages[int(np.isnan(self.flags).argmax())])
 
 

@@ -111,27 +111,26 @@ def init_params(arch: Arch, seed) -> ParamVector:
 # product adds b, the backward product's last row is the bias gradient
 # (the sum of deltas over the examples), and likewise for the R-passes.
 # No pass adds a bias by broadcasting or sums over the examples itself.
-# The arrays of a pass live in a Tape. A tape binds each of its passes
-# once, as a flat list of (ufunc or product, operands) over its own buffers
-# and the views it made of them: forward when it is built, backward and the
-# HVP pass on first use. These are the same operations as on fresh arrays,
-# so the same bits, without allocating, building a view or deciding
-# anything per layer. There are two ways to run them. The per-pass
-# functions here (`losses`, `taped_grads`, then `hvps` over the tape
-# `taped_grads` returned) build a fresh tape per call, copy the point,
-# batch and HVP direction in, run one pass at a time and copy results out
-# as new arrays: the reference. A metalearn.Workspace keeps a run's tapes,
-# and only its Programs run them: a cut's whole meta-gradient (K inner
-# steps, query pass, K HVPs) is one list over its tapes, with its
-# finiteness checks deferred to one read after the run, tested against the
-# reference bit for bit. At the sizes a walk step runs, dispatch, not
-# arithmetic, is most of its time: a d=25 walk step runs 206 ufunc and BLAS
-# calls, under 1 µs each. So out is passed positionally (an in-place
-# operator or out= costs more), scalar operands are read-only 0-d arrays
-# (`const`), finiteness is checked with one BLAS call (`finite`), and a
-# lone tape, whose operands are all 2-D, multiplies with its left operand's
-# bound ndarray.dot, the routine of np.dot and of a block's np.matmul, for
-# less dispatch; tests/test_blocks.py checks that the bits agree.
+# The arrays of a pass live in a Tape, which binds each pass once as a flat
+# list of (function, operands) over its buffers and their views: forward
+# when it is built, backward and the HVP pass on first use. These are the
+# operations on fresh arrays, so the same bits, with nothing allocated,
+# viewed or decided per layer. The per-pass functions here (`losses`,
+# `taped_grads`, then `hvps` over its tape) build a fresh tape per call,
+# copy the inputs in, run one pass at a time and copy results out as new
+# arrays: the reference. A metalearn.Workspace keeps a run's tapes, and only
+# its Programs run them: a cut's whole meta-gradient (K inner steps, query
+# pass, K HVPs) is one list, its finiteness checks read once after it,
+# tested against the reference bit for bit. At a walk step's sizes
+# dispatch, not arithmetic, is most of the time: a d=25 step runs 195 ufunc
+# and BLAS calls, under 1 µs each. So out is positional (an in-place
+# operator or out= costs more), scalars are read-only 0-d arrays (`const`),
+# a copy is its destination's bound __setitem__, finiteness is one BLAS call
+# (`finite`), a lone tape (its operands all 2-D) multiplies with its left
+# operand's bound ndarray.dot, the routine of np.dot and of a block's
+# np.matmul (tests/test_blocks.py checks the bits agree), and the mse head's
+# 2 (z - t) / (m k) is (z - t) / (m k / 2): doubling is exact, so both are
+# one rounding of the same quotient, the same bits unless 2 (z - t) overflows.
 
 
 def const(x: float) -> np.ndarray:
@@ -283,7 +282,7 @@ class Tape:
         self.col = scratch(m, 1) if xent else None   # per-example max, log-sum-exp, <p, R(z)>
         self.classes = np.arange(k)
         self.onehot = [(np.equal, (self.t[..., None], self.classes, self.mask))] if xent else []
-        self._count = const(m * k if arch.head == HEAD_MSE else m)   # the head's divisor
+        self._count = const(m * k / 2 if arch.head == HEAD_MSE else m)   # the head's divisor
         self.insT = _transposed(self.ins)
         self.delta = self.deltas[-1] if self.deltas else None
         # read only: a source's zeros serve every tape cut from it
@@ -300,7 +299,7 @@ class Tape:
         for li, zl in zip(range(n), hs[1:] + [z]):   # zl: layer li's pre-activation
             fwd.append(mm(self.ins[li], self.A[li], zl))
             if li + 1 < n:
-                fwd += [(np.tanh, (zl, zl)), (np.copyto, (self.ins[li + 1][..., :-1], zl))]
+                fwd += [(np.tanh, (zl, zl)), (self.ins[li + 1][..., :-1].__setitem__, (..., zl))]
 
     @cached_property
     def _res_views(self) -> tuple[list, list]:
@@ -310,12 +309,11 @@ class Tape:
     def backward(self) -> list:
         arch, mm = self.arch, self.mm
         if arch.head == HEAD_QUADRATIC:
-            return [(np.copyto, (self.res, self.point))]
+            return [(self.res.__setitem__, (..., self.point))]
         hs, deltas, delta, probs, col = self.hs, self.deltas, self.delta, self.probs, self.col
         resA, _ = self._res_views
         if arch.head == HEAD_MSE:
             bwd = [(np.subtract, (self.z, self.t, delta)),
-                   (np.multiply, (delta, _TWO, delta)),
                    (np.divide, (delta, self._count, delta))]
         else:   # softmax cross-entropy
             z = self.z
@@ -343,7 +341,7 @@ class Tape:
     def rop(self) -> list:
         arch, mm = self.arch, self.mm
         if arch.head == HEAD_QUADRATIC:
-            return [(np.copyto, (self.res, self.dir))]
+            return [(self.res.__setitem__, (..., self.dir))]
         hs, ins, insT, deltas, dtanh = self.hs, self.ins, self.insT, self.deltas, self.dtanh
         tmp, rhs, rdeltas, probs, col = self.tmp, self.rhs, self.rdeltas, self.probs, self.col
         VA, VWt = _layer_views(self.dir, arch)
@@ -363,7 +361,7 @@ class Tape:
                 rop.append((np.multiply, (rz, dtanh[li + 1], rz)))
         # R(z) becomes R(output delta) in place
         if arch.head == HEAD_MSE:
-            rop += [(np.multiply, (rz, _TWO, rz)), (np.divide, (rz, self._count, rz))]
+            rop.append((np.divide, (rz, self._count, rz)))
         else:   # R(softmax) = p * (Rz - <p, Rz>)
             rop += [(np.multiply, (probs, rz, tmp[-1])),
                     (np.add.reduce, (tmp[-1], -1, None, col, True)),

@@ -126,6 +126,11 @@ class Clients:
 
         self.training = {cid: prepare(t) for cid, t in assignment.training.items()}
         self.unseen = [prepare(t) for t in assignment.unseen.values()]
+        self.point = np.empty(arch.param_count)   # evaluate's w, which its blocks load
+        # evaluation's (programs, load, training) blocks, each load bound once
+        self.blocks = [(p := b[0][2].programs((len(b),)), p.bind(self.point, b), not unseen)
+                       for unseen, group in enumerate((self.training.values(), self.unseen))
+                       for b in _client_blocks(group)]
 
     def evaluate_initial(self, w: np.ndarray) -> tuple[float, float, float]:
         """evaluate(w, self), worked out once per initial point w (d,), told
@@ -146,15 +151,13 @@ def _client_blocks(clients):
             yield shared[start:start + _CLIENT_BLOCK]
 
 
-def _adapt_block(w: np.ndarray, block: list, metrics: list | None = None,
+def _adapt_block(programs: metalearn.Programs, load: list, metrics: list | None = None,
                  gsum: np.ndarray | None = None):
-    """Adapts a block of prepared clients that share a workspace from w (d,).
-    When given, appends each client's adapted query metric to `metrics` and
-    adds each client's exact meta-gradient to `gsum`, in client order; one
-    inner trajectory per client serves both."""
-    n = len(block)
-    programs = block[0][2].programs((n,))
-    programs.load(np.broadcast_to(w, (n, w.size)), block)
+    """Runs a block's `load` (bound by `programs`) and adapts its clients,
+    appending each one's adapted query metric to `metrics` and adding its exact
+    meta-gradient to `gsum` when given, in order: one trajectory serves both."""
+    for f, a in load:
+        f(*a)
     programs.adapt()
     if metrics is not None:
         metrics += _query_metrics(programs.query)
@@ -166,16 +169,18 @@ def _adapt_block(w: np.ndarray, block: list, metrics: list | None = None,
 
 def _mean_meta_gradient(w: np.ndarray, clients: list, g: np.ndarray) -> np.ndarray:
     """The exact meta-gradient at w (d,) averaged over prepared clients,
-    written to g and returned: several in client blocks, one in the lone cut."""
+    written to g and returned: several in client blocks, bound per call, one in
+    the lone cut by its kept load (Programs.load_kept)."""
     if len(clients) == 1:
         programs = clients[0][2].programs(())
-        programs.load(w, clients)
+        programs.load_kept(w, clients[0])
         programs.step()
-        np.copyto(g, programs.query.dir)
+        g[...] = programs.query.dir
         return g
     g.fill(0.0)
     for block in _client_blocks(clients):
-        _adapt_block(w, block, gsum=g)
+        programs = block[0][2].programs((len(block),))
+        _adapt_block(programs, programs.bind(w, block), gsum=g)
     return np.divide(g, len(clients), g)
 
 
@@ -193,13 +198,14 @@ def evaluate(w: np.ndarray, clients: Clients) -> tuple[float, float, float]:
     def mean(vals):
         return float(np.mean(vals)) if vals else float("nan")
 
+    if w.shape != clients.point.shape:
+        raise ParameterError(f"w: expected shape {clients.point.shape}, got {w.shape}")
     train, unseen = [], []
     gsum = np.zeros_like(w)
+    clients.point[...] = w
     with model.quiet():
-        for block in _client_blocks(clients.training.values()):
-            _adapt_block(w, block, train, gsum)
-        for block in _client_blocks(clients.unseen):
-            _adapt_block(w, block, unseen)
+        for programs, load, training in clients.blocks:   # training blocks come first
+            _adapt_block(programs, load, *((train, gsum) if training else (unseen,)))
         gmean = gsum / len(clients.training)
         gnorm_sq = float(gmean @ gmean)
     if not np.isfinite(gnorm_sq):
@@ -310,12 +316,13 @@ def run(cfg: ExperimentConfig, clients: Clients | None = None) -> RunRecord:
             if spec.walks:
                 if t > 0:
                     current = topology.sample_next(tm, current, walk_rng)
-                active = [current]
+                active = [clients.training[current]]
             else:
-                active = walk_rng.choice(n, size=cfg.n_active, replace=False)
+                active = [clients.training[int(i)]
+                          for i in walk_rng.choice(n, size=cfg.n_active, replace=False)]
             comm += per_iter
             try:
-                _mean_meta_gradient(w, [clients.training[int(i)] for i in active], tail.g)
+                _mean_meta_gradient(w, active, tail.g)
                 if not tail(current if spec.aux == "client" else -1):
                     step = "iteration" if spec.walks else "round"
                     raise NumericalError(f"non-finite parameters at {step} {t}")

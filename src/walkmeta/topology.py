@@ -14,6 +14,7 @@ is then symmetric, so the spectrum comes from one `eigvalsh`.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -125,14 +126,15 @@ class TransitionMatrix:
 
     @cached_property
     def cdf(self) -> np.ndarray:
-        """Each row's running sum, worked out on the first walk step and kept
-        for sample_next; a kernel that never walks never pays for it."""
+        """Each row's running sum, worked out on the first walk step and kept."""
         return np.cumsum(self.P, axis=1)
 
     @cached_property
-    def last_move(self) -> np.ndarray:
-        """Each row's last positive entry: where a draw past its CDF total lands."""
-        return self.n - 1 - np.argmax(self.P[:, ::-1] > 0, axis=1)
+    def walk_rows(self) -> list[tuple[list[float], int]]:
+        """Per row: its CDF as a list, to bisect, and its last positive entry,
+        where a draw past the CDF's total lands."""
+        last = self.n - 1 - np.argmax(self.P[:, ::-1] > 0, axis=1)
+        return list(zip(self.cdf.tolist(), last.tolist()))
 
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, float]:
@@ -357,5 +359,5 @@ def stationary_distribution(tm: TransitionMatrix) -> np.ndarray:
 
 def sample_next(tm: TransitionMatrix, current: int, rng: np.random.Generator) -> int:
     """Draw the next walk position from row `current` by inverse CDF."""
-    idx = int(tm.cdf[current].searchsorted(rng.random(), "right"))
-    return min(idx, int(tm.last_move[current]))
+    cdf, last = tm.walk_rows[current]
+    return min(bisect_right(cdf, rng.random()), last)

@@ -180,6 +180,48 @@ class TestWorkspace:
         p = model.ParamVector(w, arch)
         assert np.array_equal(g, metalearn.meta_gradient_exact(p, task, 0.1, 2).values)
 
+    @pytest.mark.parametrize("lead", [(), (4,)])
+    def test_bind_refuses_what_setitem_would_cast(self, lead):
+        """A load's copies are bound __setitem__, which casts float labels
+        to int and complex to float where np.copyto raises: binding checks
+        each dtype, before anything is copied, as it checks each shape.
+        Integer inputs into float buffers are a safe cast, and load."""
+        arch = model.Arch(2, (6,), 3, model.HEAD_XENT)
+        rng = np.random.default_rng(4)
+        programs = metalearn.Workspace(arch, 5, 7, 2, 0.1, 4).programs(lead)
+        n = lead[0] if lead else 1
+        w = model.init_params(arch, 0).values
+        support = rng.uniform(-2, 2, (5, 2)), rng.integers(0, 3, 5)
+        query = rng.uniform(-2, 2, (7, 2)), rng.integers(0, 3, 7)
+        programs.load(w, [(support, query)] * n)
+        before = programs.support[0].t.copy()
+        for bad in [(support[0], support[1] + 0.5), (support[0] + 0j, support[1])]:
+            with pytest.raises(ParameterError, match="does not match the workspace"):
+                programs.load(w, [(bad, query)] * n)
+        with pytest.raises(ParameterError, match="does not match the workspace"):
+            programs.load(w + 0j, [(support, query)] * n)
+        assert np.array_equal(programs.support[0].t, before)
+        programs.load(w, [((support[0].astype(int), support[1]), query)] * n)
+        assert np.array_equal(programs.support[0].x, np.broadcast_to(
+            support[0].astype(int), programs.support[0].x.shape))
+
+    def test_kept_load_is_the_clients_and_the_points(self):
+        """load_kept reuses a binding only for the same w array and the same
+        support and query batches: a client sharing another's support gets
+        its own query, and a new w array (a new run) is copied in, not the
+        last one's."""
+        arch = model.Arch(2, (6,), 1)
+        rng = np.random.default_rng(6)
+        programs = metalearn.Workspace(arch, 5, 7, 2, 0.1, 4).programs(())
+        support = rng.uniform(-2, 2, (5, 2)), rng.standard_normal((5, 1))
+        queries = [(rng.uniform(-2, 2, (7, 2)), rng.standard_normal((7, 1))) for _ in range(2)]
+        for w in (np.zeros(arch.param_count), np.ones(arch.param_count)):
+            for query in queries + queries:
+                programs.load_kept(w, (support, query))
+                assert np.array_equal(programs.query.x, query[0])
+                assert np.array_equal(programs.support[0].point, w)
+        assert len(programs._kept) == 2
+
     @pytest.mark.parametrize("head", [model.HEAD_MSE, model.HEAD_XENT])
     @pytest.mark.parametrize("hidden", [(6,), (5, 7)])
     @pytest.mark.parametrize("lead", [(), (4,)])

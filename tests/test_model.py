@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from walkmeta import model
@@ -344,3 +344,33 @@ class TestLazyPasses:
                                           rng.standard_normal((4, 2))))
         assert len(tapes) == 1
         assert [p for p in ("backward", "rop") if p in vars(tapes[0])] == bound
+
+
+def bits(x):
+    return np.float64(x).tobytes()
+
+
+class TestMseFold:
+    """The mse head writes 2 (z - t) / c, c = m k, as (z - t) / (c / 2).
+    Doubling is exact, and c / 2 is exact for an integer c, so both are one
+    correctly rounded division of the same real quotient: the same bits,
+    except where 2 (z - t) overflows."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(c=st.integers(1, 10**4),
+           a=st.floats(-2.0**1022, 2.0**1022, allow_nan=False, allow_subnormal=True))
+    @example(c=3, a=5e-324)
+    @example(c=10**4, a=-2.0**-1022)
+    @example(c=7, a=2.0**1022)
+    def test_folded_divisor_has_the_same_bits(self, c, a):
+        doubled = np.divide(np.multiply(np.float64(a), 2.0), np.float64(c))
+        folded = np.divide(np.float64(a), np.float64(c / 2))
+        assert bits(doubled) == bits(folded), (a, c)
+
+    def test_where_doubling_overflows_the_fold_stays_finite(self):
+        """|z - t| >= 2^1023: doubling first gives inf, the fold a finite
+        quotient. This is the one input where the two forms differ."""
+        a, c = np.float64(2.0**1023), np.float64(4)
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.divide(np.multiply(a, 2.0), c))
+        assert np.divide(a, c / 2) == 2.0**1022

@@ -6,7 +6,10 @@ on fresh arrays, bit for bit: `optimizer.clip`,
 tail for `ReferenceTail`, which calls those functions, and compare whole
 records, aborts included. A last group guards the mechanism: no op a walk
 step runs has a Python-float operand, a lone cut's products are bound
-`ndarray.dot` calls, and no op list calls `np.dot` or `np.vdot`."""
+`ndarray.dot` calls, no op list calls `np.dot`, `np.vdot` or `np.copyto`
+(copies are bound `__setitem__`), the mse heads divide by m k / 2 with no
+doubling op, a walk draws its T - 1 moves by `topology.sample_next`, and
+its clients share the lone `step` and keep only their own loads."""
 
 import math
 from dataclasses import replace
@@ -16,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from walkmeta import model, optimizer, privacy, simulator, tasks
+from walkmeta import metalearn, model, optimizer, privacy, simulator, tasks, topology
 from walkmeta.config import METHOD_TABLE, ExperimentConfig, TopologySpec
 from walkmeta.errors import NumericalError
 from walkmeta.optimizer import AuxState, HyperParams
@@ -302,3 +305,85 @@ def test_pass_products_are_bound_dots_when_lone():
         dots, matmuls = (sum(1 for f, _ in ops if test(f))
                          for test in (is_bound_dot, lambda f: f is np.matmul))
         assert (dots > 0, matmuls > 0) == (lone, not lone)
+
+
+def is_copy(f):
+    """Whether f is an array's bound __setitem__, the copy of an op list."""
+    return isinstance(getattr(f, "__self__", None), np.ndarray) and f.__name__ == "__setitem__"
+
+
+@pytest.mark.parametrize("cfg", RUN_SHAPES, ids=RUN_SHAPE_IDS)
+def test_no_walk_or_block_op_calls_copyto(cfg):
+    """A walk iteration (a client's kept load, the lone step and the tail)
+    and a block (its load, bound per round or kept for evaluation, and
+    programs) copy by bound __setitem__ only: no op calls np.copyto."""
+    cfg = replace(cfg, T=6, eval_every=3)
+    arch, h = cfg.build_arch(), cfg.hyper
+    clients = simulator.Clients(cfg.build_assignment(), arch, h)
+    simulator.run(cfg, clients)
+    ws = clients.training[0][2]
+    lone = ws.programs(())
+    w = np.zeros(arch.param_count)
+    lists = [lone.step.ops, *(ops for *_, ops in lone._kept.values())]
+    lists += [load for _, load, _ in clients.blocks]
+    for lead in [(4,), (2,)]:
+        programs = ws.programs(lead)
+        lists += [programs.step.ops, programs.bind(w, list(clients.training.values())[:lead[0]])]
+    lists += list(bound_tails(cfg))
+    assert len(lone._kept) > 1
+    for ops in lists:
+        assert all(f is not np.copyto for f, _ in ops)
+    assert sum(is_copy(f) for ops in lists for f, _ in ops) > 0
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_mse_heads_divide_by_half_count_with_no_doubling(lead):
+    """The mse head's 2 (z - t) / (m k) and its R-head's 2 R(z) / (m k)
+    are each one division by m k / 2: no op of either multiplies by 2. The
+    only doubling left is R(tanh') = -2 h R(h), one per hidden layer."""
+    arch = model.Arch(2, (5, 4), 3)
+    m = 7
+    tape = model.Tape(arch, lead, m)
+    for ops in (tape.backward, tape.rop):
+        divides = [a for f, a in ops if f is np.divide]
+        assert divides and all(float(a[1]) == m * 3 / 2 for a in divides)
+
+    def doubling(ops):
+        return [a for _, a in ops if any(x is model._TWO for x in a)]
+    assert doubling(tape.backward) == []
+    hidden = range(len(arch.hidden), 0, -1)   # R-backward's order
+    assert [a[1] for a in doubling(tape.rop)] == [tape.hs[li] for li in hidden]
+
+
+def test_walk_of_T_steps_draws_T_minus_1_moves(monkeypatch):
+    """The loop moves the token by topology.sample_next, once per step after
+    the first, so a tracer wrapping it counts T - 1 calls."""
+    calls = []
+    real = topology.sample_next
+    monkeypatch.setattr(topology, "sample_next",
+                        lambda *args: calls.append(1) or real(*args))
+    rec = simulator.run(small_cfg(T=12))
+    assert not rec.aborted and len(calls) == 11
+
+
+def test_walk_clients_share_the_step_and_keep_only_their_copies(monkeypatch):
+    """Every iteration of a walk, whatever its client, runs the one lone
+    `step` list; what a client keeps is its load alone: the copies of w and
+    its batches and, for xent, the label masks."""
+    for task in (tasks.TaskConfig(kind="sine", shots=5, query_size=10),
+                 tasks.TaskConfig(kind="blob")):
+        cfg = small_cfg(task=task)
+        clients = simulator.Clients(cfg.build_assignment(), cfg.build_arch(), cfg.hyper)
+        ran = []
+        real = metalearn._Program.__call__
+        monkeypatch.setattr(metalearn._Program, "__call__",
+                            lambda self: ran.append(self.ops) or real(self))
+        simulator.run(cfg, clients)
+        monkeypatch.undo()
+        lone = clients.training[0][2].programs(())
+        assert sum(ops is lone.step.ops for ops in ran) == cfg.T
+        kept = [ops for *_, ops in lone._kept.values()]
+        assert len(kept) > 1 and len({id(ops) for ops in kept}) == len(kept)
+        for ops in kept:
+            assert all(is_copy(f) or f is np.equal for f, _ in ops)
+            assert len(ops) == 5 + 2 * (task.kind == "blob")

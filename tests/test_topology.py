@@ -109,6 +109,16 @@ class LargestDraw:
         return 1.0 - 2.0 ** -53
 
 
+class FixedDraw:
+    """Stub rng whose every draw is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
 def dense_sigma2(P):
     """Oracle: eigenvalue magnitudes minus one Perron eigenvalue."""
     vals = np.linalg.eigvals(P)
@@ -603,6 +613,55 @@ class TestSampleNext:
             p = tm.P[3, j]
             sd = np.sqrt(max(p * (1 - p) / N, 1e-12))
             assert abs(counts[j] / N - p) <= 3 * sd + 1e-9
+
+    @staticmethod
+    def searchsorted_next(tm, rows, draws):
+        """The reference: each draw's position in its row's CDF array by
+        np.searchsorted, clamped to the row's last positive entry."""
+        last = tm.n - 1 - np.argmax(tm.P[:, ::-1] > 0, axis=1)
+        out = np.empty(rows.size, dtype=int)
+        for r in np.unique(rows):
+            at = rows == r
+            out[at] = np.minimum(tm.cdf[r].searchsorted(draws[at], "right"), last[r])
+        return out
+
+    # seeds fixed before any result was seen
+    @pytest.mark.parametrize("family", ["ring", "star", "small_world"])
+    @pytest.mark.parametrize("scheme", topo.SCHEMES)
+    @pytest.mark.parametrize("laziness", [0.0, 0.2])
+    def test_bisect_equals_searchsorted_position_for_position(self, family, scheme,
+                                                             laziness):
+        """10^5 steps of a walk by sample_next land where np.searchsorted
+        over the kernel's CDF array puts the same draws (read from a twin
+        of the walk's generator); so do draws of 0, of each of a row's CDF
+        values (where bisecting left would differ) and the largest draw."""
+        g = topo.gen_graph(family, 12, k=4, degree=1, p_rewire=0.3, seed=3)
+        tm = topo.build_transition_matrix(g, scheme, laziness)
+        rng, twin = np.random.default_rng(11), np.random.default_rng(11)
+        starts, ends = [], [0]
+        for _ in range(100_000):
+            starts.append(ends[-1])
+            ends.append(topo.sample_next(tm, ends[-1], rng))
+        ref = self.searchsorted_next(tm, np.array(starts), twin.random(len(starts)))
+        assert np.array_equal(ends[1:], ref)
+        rows = np.repeat(np.arange(tm.n), tm.n + 2)
+        draws = np.column_stack([np.zeros(tm.n), tm.cdf,
+                                 np.full(tm.n, LargestDraw().random())]).ravel()
+        got = [topo.sample_next(tm, r, FixedDraw(u))
+               for r, u in zip(rows.tolist(), draws.tolist())]
+        assert got == list(self.searchsorted_next(tm, rows, draws))
+
+    def test_bisect_clamps_a_short_row_as_searchsorted(self):
+        """Row 4's CDF ends below 1 (see above): draws past its total, the
+        largest among them, land as in the searchsorted reference."""
+        g = topo.gen_small_world(20, 4, 0.3, seed=1)
+        tm = topo.build_transition_matrix(g, topo.SCHEME_METROPOLIS, 0.0)
+        total = tm.cdf[4, -1]
+        draws = np.array([0.0, total, np.nextafter(total, 1.0), LargestDraw().random()])
+        rows = np.full(draws.size, 4)
+        got = [topo.sample_next(tm, 4, FixedDraw(u)) for u in draws.tolist()]
+        assert got == list(self.searchsorted_next(tm, rows, draws))
+        assert got[1:] == [15, 15, 15]
 
     def test_walk_determinism(self):
         g = topo.gen_small_world(10, 4, 0.3, seed=9)
