@@ -32,8 +32,8 @@ class Workspace:
     examples. A block of n <= rows clients uses the cut of the first n
     rows, and a lone (d,) vector the cut () of row 0; on a cut's first use
     `programs` makes its tapes (views of the full ones) and binds its
-    `Programs`, the one way a workspace is run, into whose rows a bound load
-    copies each client's own batches. The owner keeps it for as long as
+    `Programs`, the one way a workspace is run, into whose rows a load's
+    rows copy each client's own batches. The owner keeps it for as long as
     its batches keep their sizes."""
 
     def __init__(self, arch: model.Arch, m_support: int, m_query: int, K: int,
@@ -70,8 +70,9 @@ class Programs:
     support tape's HVP pass, last to first, in the query tape's `dir`;
     `step` is both. Their ops, operands and order are those of the per-pass
     reference (`trajectory`, `exact_from_trajectory`), so the bits are too.
-    A load, bound by `bind`, is the one way clients reach the tapes: each
-    row's client copied in through views bound here, then the label masks.
+    A load is the one way clients reach the tapes: w written into the first
+    support point by the caller, then the rows `rows` binds (each row's
+    client copied in through views bound here, then the label masks).
 
     The checks of the reference (each forward output, each inner state and
     the meta-gradient) write one slot each of `flags` with one BLAS
@@ -117,42 +118,37 @@ class Programs:
         self.adapt = _Program(adapt, flags[:split], messages[:split])
         self.exact = _Program(exact, flags[split:end], messages[split:])
         self.step = _Program(adapt + exact, flags[:end], messages)
-        self._masks, self._w, self._kept = support[0].onehot + query.onehot, None, {}
+        self._masks = support[0].onehot + query.onehot
 
-    def bind(self, w: np.ndarray, clients) -> list:
-        """The ops of a load, each copy a bound __setitem__: w (the cut's shape
-        or (d,)) into the first support point, client i's checked batches into
-        row i, then the label masks. Count, shapes and dtypes are checked here,
-        once: __setitem__ would broadcast and cast where np.copyto raises."""
+    def rows(self, clients) -> list:
+        """A load's ops after w, each copy a bound __setitem__: client i's batches
+        into row i, then the label masks. Count, shapes and dtypes are checked
+        here, once: __setitem__ would broadcast and cast where np.copyto raises."""
         if len(clients) != len(self._rows):
             raise ParameterError(f"{len(clients)} clients do not match the workspace "
                                  f"cut's {len(self._rows)} rows")
-        point = self.support[0].point
-        pairs = [(point, w)]
-        for bufs, (support, query, *_) in zip(self._rows, clients):
-            pairs += zip(bufs, (*support, *query))
+        pairs = [pair for bufs, (support, query, *_) in zip(self._rows, clients)
+                 for pair in zip(bufs, (*support, *query))]
         for buf, a in pairs:
-            ok = a.dtype == buf.dtype or np.can_cast(a.dtype, buf.dtype, "same_kind")
-            if not ok or a.shape != buf.shape and (buf is not point or a.shape != buf.shape[-1:]):
-                raise ParameterError(f"{a.dtype} shape {a.shape} does not match the "
-                                     f"workspace's {buf.dtype} {buf.shape}")
+            _check_copy(buf, a)
         return [(buf.__setitem__, (..., a)) for buf, a in pairs] + self._masks
 
     def load(self, w: np.ndarray, clients):
-        """Binds a load of w and clients and runs it."""
-        for f, a in self.bind(w, clients):
+        """Checks w (the cut's shape or (d,)) and the clients, then writes w
+        into the first support point and runs the clients' rows."""
+        point, rows = self.support[0].point, self.rows(clients)
+        _check_copy(point, w, point.shape[-1:])
+        point[...] = w
+        for f, a in rows:
             f(*a)
 
-    def load_kept(self, w: np.ndarray, client):
-        """load(w, [client]) by a binding kept while w is the same array (a
-        run's parameters): a walk binds each client's on its first step."""
-        if w is not self._w:
-            self._w, self._kept = w, {}
-        key = id(client[0]), id(client[1])   # held by the entry, so never another's
-        kept = self._kept.get(key) or self._kept.setdefault(
-            key, (client[0], client[1], self.bind(w, [client])))
-        for f, a in kept[2]:
-            f(*a)
+
+def _check_copy(buf: np.ndarray, a: np.ndarray, shape: tuple | None = None):
+    """Raises unless buf[...] = a copies as np.copyto would, a of `shape` or buf's."""
+    ok = a.dtype == buf.dtype or np.can_cast(a.dtype, buf.dtype, "same_kind")
+    if not ok or a.shape not in (buf.shape, shape):
+        raise ParameterError(f"{a.dtype} shape {a.shape} does not match the "
+                             f"workspace's {buf.dtype} {buf.shape}")
 
 
 class _Program:

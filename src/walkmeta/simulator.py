@@ -103,10 +103,11 @@ _CLIENT_BLOCK = 4
 class Clients:
     """A set of clients prepared once for many runs and adaptations: each
     client's checked (support, query) batches and the workspace for their
-    sizes (one per distinct pair of sizes, normally one); `training` by
-    client id, `unseen` as a list. The workspaces come from `workspaces`
-    when given, a dict that callers share, keyed by all a workspace is
-    bound to: (arch, K, alpha, support size, query size)."""
+    sizes (one per distinct pair of sizes, normally one); `training` by id,
+    each with its lone cut's rows, `unseen` as a list, and evaluation's
+    (programs, rows, training) `blocks`, all rows bound once, here: whoever
+    runs them writes w. The workspaces come from `workspaces` when given, a
+    dict callers share, keyed by (arch, K, alpha, support size, query size)."""
 
     def __init__(self, assignment: ClientAssignment, arch: model.Arch,
                  h: optimizer.HyperParams, workspaces: dict | None = None):
@@ -114,7 +115,7 @@ class Clients:
         self.arch, self.K, self.alpha = arch, h.K, h.alpha
         self._initial = {}  # evaluate's triple by the bytes of w
 
-        def prepare(task):
+        def prepare(task, lone):
             support = model.check_batch(arch, task.support)
             query = model.check_batch(arch, task.query)
             sizes = (len(support[0]), len(query[0]))
@@ -122,13 +123,12 @@ class Clients:
             if key not in workspaces:
                 workspaces[key] = metalearn.Workspace(arch, *sizes, h.K, h.alpha,
                                                       _CLIENT_BLOCK)
-            return support, query, workspaces[key]
+            client = support, query, workspaces[key]
+            return (*client, client[2].programs(()).rows([client])) if lone else client
 
-        self.training = {cid: prepare(t) for cid, t in assignment.training.items()}
-        self.unseen = [prepare(t) for t in assignment.unseen.values()]
-        self.point = np.empty(arch.param_count)   # evaluate's w, which its blocks load
-        # evaluation's (programs, load, training) blocks, each load bound once
-        self.blocks = [(p := b[0][2].programs((len(b),)), p.bind(self.point, b), not unseen)
+        self.training = {cid: prepare(t, True) for cid, t in assignment.training.items()}
+        self.unseen = [prepare(t, False) for t in assignment.unseen.values()]
+        self.blocks = [(p := b[0][2].programs((len(b),)), p.rows(b), not unseen)
                        for unseen, group in enumerate((self.training.values(), self.unseen))
                        for b in _client_blocks(group)]
 
@@ -151,12 +151,13 @@ def _client_blocks(clients):
             yield shared[start:start + _CLIENT_BLOCK]
 
 
-def _adapt_block(programs: metalearn.Programs, load: list, metrics: list | None = None,
-                 gsum: np.ndarray | None = None):
-    """Runs a block's `load` (bound by `programs`) and adapts its clients,
-    appending each one's adapted query metric to `metrics` and adding its exact
-    meta-gradient to `gsum` when given, in order: one trajectory serves both."""
-    for f, a in load:
+def _adapt_block(programs: metalearn.Programs, w: np.ndarray, rows: list,
+                 metrics: list | None = None, gsum: np.ndarray | None = None):
+    """Writes w (d,) and runs a block's `rows` (bound by `programs`), then adapts
+    its clients, appending each one's adapted query metric to `metrics` and
+    adding its exact meta-gradient to `gsum` when given: one trajectory, both."""
+    programs.support[0].point[...] = w
+    for f, a in rows:
         f(*a)
     programs.adapt()
     if metrics is not None:
@@ -168,19 +169,22 @@ def _adapt_block(programs: metalearn.Programs, load: list, metrics: list | None 
 
 
 def _mean_meta_gradient(w: np.ndarray, clients: list, g: np.ndarray) -> np.ndarray:
-    """The exact meta-gradient at w (d,) averaged over prepared clients,
-    written to g and returned: several in client blocks, bound per call, one in
-    the lone cut by its kept load (Programs.load_kept)."""
+    """The exact meta-gradient at w (d,) averaged over prepared clients, written
+    to g and returned: several in client blocks, their rows bound per call, one
+    in the lone cut by its rows kept in `Clients` (bound here if it has none)."""
     if len(clients) == 1:
-        programs = clients[0][2].programs(())
-        programs.load_kept(w, clients[0])
+        client = clients[0]
+        programs = client[2].programs(())
+        programs.support[0].point[...] = w
+        for f, a in client[3] if len(client) > 3 else programs.rows(clients):
+            f(*a)
         programs.step()
         g[...] = programs.query.dir
         return g
     g.fill(0.0)
     for block in _client_blocks(clients):
         programs = block[0][2].programs((len(block),))
-        _adapt_block(programs, programs.bind(w, block), gsum=g)
+        _adapt_block(programs, w, programs.rows(block), gsum=g)
     return np.divide(g, len(clients), g)
 
 
@@ -198,14 +202,13 @@ def evaluate(w: np.ndarray, clients: Clients) -> tuple[float, float, float]:
     def mean(vals):
         return float(np.mean(vals)) if vals else float("nan")
 
-    if w.shape != clients.point.shape:
-        raise ParameterError(f"w: expected shape {clients.point.shape}, got {w.shape}")
+    if w.shape != (d := clients.arch.param_count,):
+        raise ParameterError(f"w: expected shape {(d,)}, got {w.shape}")
     train, unseen = [], []
     gsum = np.zeros_like(w)
-    clients.point[...] = w
     with model.quiet():
-        for programs, load, training in clients.blocks:   # training blocks come first
-            _adapt_block(programs, load, *((train, gsum) if training else (unseen,)))
+        for programs, rows, training in clients.blocks:   # training blocks come first
+            _adapt_block(programs, w, rows, *((train, gsum) if training else (unseen,)))
         gmean = gsum / len(clients.training)
         gnorm_sq = float(gmean @ gmean)
     if not np.isfinite(gnorm_sq):

@@ -205,23 +205,6 @@ class TestWorkspace:
         assert np.array_equal(programs.support[0].x, np.broadcast_to(
             support[0].astype(int), programs.support[0].x.shape))
 
-    def test_kept_load_is_the_clients_and_the_points(self):
-        """load_kept reuses a binding only for the same w array and the same
-        support and query batches: a client sharing another's support gets
-        its own query, and a new w array (a new run) is copied in, not the
-        last one's."""
-        arch = model.Arch(2, (6,), 1)
-        rng = np.random.default_rng(6)
-        programs = metalearn.Workspace(arch, 5, 7, 2, 0.1, 4).programs(())
-        support = rng.uniform(-2, 2, (5, 2)), rng.standard_normal((5, 1))
-        queries = [(rng.uniform(-2, 2, (7, 2)), rng.standard_normal((7, 1))) for _ in range(2)]
-        for w in (np.zeros(arch.param_count), np.ones(arch.param_count)):
-            for query in queries + queries:
-                programs.load_kept(w, (support, query))
-                assert np.array_equal(programs.query.x, query[0])
-                assert np.array_equal(programs.support[0].point, w)
-        assert len(programs._kept) == 2
-
     @pytest.mark.parametrize("head", [model.HEAD_MSE, model.HEAD_XENT])
     @pytest.mark.parametrize("hidden", [(6,), (5, 7)])
     @pytest.mark.parametrize("lead", [(), (4,)])

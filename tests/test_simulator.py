@@ -150,6 +150,38 @@ class TestPreparedClients:
                    for r in fresh}
         assert len(triples) == 1
 
+    def test_rows_bound_once_per_client_set(self, monkeypatch):
+        """A Clients binds each training client's lone rows and each
+        evaluation block's rows when it is prepared, and nothing after: two
+        walk runs on it, their steps and evaluations included, bind no rows,
+        and their CSVs are those of runs on fresh clients, byte for byte."""
+        cfg, methods = small_cfg(T=12, eval_every=4), ("lodmeta", "lodmeta_basic")
+        bound = []
+        real = metalearn.Programs.rows
+        monkeypatch.setattr(metalearn.Programs, "rows",
+                            lambda self, clients: bound.append(len(clients)) or real(self, clients))
+        clients = self.prepared(cfg)
+        assert len(bound) == cfg.n_training + len(clients.blocks)
+        shared = []
+        for method in methods:
+            shared.append(simulator.run(replace(cfg, method=method), clients).to_csv())
+            assert len(bound) == cfg.n_training + len(clients.blocks)
+        monkeypatch.undo()
+        assert shared == [simulator.run(replace(cfg, method=m)).to_csv() for m in methods]
+
+    @pytest.mark.parametrize("kind", ["sine", "blob"])
+    def test_evaluation_leaves_no_point_behind(self, kind):
+        """Whoever runs a block writes its w, so evaluating w1, w2 and w1
+        again on one Clients gives, bit for bit, the evaluations of each
+        point on fresh clients."""
+        cfg = small_cfg(task=tasks.TaskConfig(kind=kind))
+        w1, w2 = (model.init_params(cfg.build_arch(), seed).values for seed in (0, 1))
+        clients = self.prepared(cfg)
+        shared = [simulator.evaluate(w, clients) for w in (w1, w2, w1)]
+        fresh = [simulator.evaluate(w, self.prepared(cfg)) for w in (w1, w2, w1)]
+        assert np.array(shared).tobytes() == np.array(fresh).tobytes()
+        assert shared[0] != shared[1]
+
     @pytest.fixture
     def calls(self, monkeypatch):
         """The points simulator.evaluate is called at, in order."""

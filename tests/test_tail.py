@@ -314,8 +314,8 @@ def is_copy(f):
 
 @pytest.mark.parametrize("cfg", RUN_SHAPES, ids=RUN_SHAPE_IDS)
 def test_no_walk_or_block_op_calls_copyto(cfg):
-    """A walk iteration (a client's kept load, the lone step and the tail)
-    and a block (its load, bound per round or kept for evaluation, and
+    """A walk iteration (a client's kept rows, the lone step and the tail)
+    and a block (its rows, bound per round or kept for evaluation, and
     programs) copy by bound __setitem__ only: no op calls np.copyto."""
     cfg = replace(cfg, T=6, eval_every=3)
     arch, h = cfg.build_arch(), cfg.hyper
@@ -323,14 +323,13 @@ def test_no_walk_or_block_op_calls_copyto(cfg):
     simulator.run(cfg, clients)
     ws = clients.training[0][2]
     lone = ws.programs(())
-    w = np.zeros(arch.param_count)
-    lists = [lone.step.ops, *(ops for *_, ops in lone._kept.values())]
-    lists += [load for _, load, _ in clients.blocks]
+    lists = [lone.step.ops, *(ops for *_, ops in clients.training.values())]
+    lists += [rows for _, rows, _ in clients.blocks]
     for lead in [(4,), (2,)]:
         programs = ws.programs(lead)
-        lists += [programs.step.ops, programs.bind(w, list(clients.training.values())[:lead[0]])]
+        lists += [programs.step.ops, programs.rows(list(clients.training.values())[:lead[0]])]
     lists += list(bound_tails(cfg))
-    assert len(lone._kept) > 1
+    assert len(clients.training) > 1
     for ops in lists:
         assert all(f is not np.copyto for f, _ in ops)
     assert sum(is_copy(f) for ops in lists for f, _ in ops) > 0
@@ -368,8 +367,8 @@ def test_walk_of_T_steps_draws_T_minus_1_moves(monkeypatch):
 
 def test_walk_clients_share_the_step_and_keep_only_their_copies(monkeypatch):
     """Every iteration of a walk, whatever its client, runs the one lone
-    `step` list; what a client keeps is its load alone: the copies of w and
-    its batches and, for xent, the label masks."""
+    `step` list; what a client keeps is its rows alone: the copies of its
+    batches and, for xent, the label masks."""
     for task in (tasks.TaskConfig(kind="sine", shots=5, query_size=10),
                  tasks.TaskConfig(kind="blob")):
         cfg = small_cfg(task=task)
@@ -382,8 +381,8 @@ def test_walk_clients_share_the_step_and_keep_only_their_copies(monkeypatch):
         monkeypatch.undo()
         lone = clients.training[0][2].programs(())
         assert sum(ops is lone.step.ops for ops in ran) == cfg.T
-        kept = [ops for *_, ops in lone._kept.values()]
+        kept = [ops for *_, ops in clients.training.values()]
         assert len(kept) > 1 and len({id(ops) for ops in kept}) == len(kept)
         for ops in kept:
             assert all(is_copy(f) or f is np.equal for f, _ in ops)
-            assert len(ops) == 5 + 2 * (task.kind == "blob")
+            assert len(ops) == 4 + 2 * (task.kind == "blob")
