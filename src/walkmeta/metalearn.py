@@ -27,7 +27,7 @@ from .tasks import TaskInstance
 class Workspace:
     """The tapes of a meta-gradient for one arch, support size, query size,
     K and step size alpha, with `rows` leading rows: K support tapes, which
-    read one support input, and one query tape. Their scratch is used by
+    read one support input and carry alpha, and one query tape. Their scratch is used by
     one pass at a time, so all share the scratch of the tape over the most
     examples. A block of n <= rows clients uses the cut of the first n
     rows, and a lone (d,) vector the cut () of row 0; on a cut's first use
@@ -38,15 +38,16 @@ class Workspace:
 
     def __init__(self, arch: model.Arch, m_support: int, m_query: int, K: int,
                  alpha: float, rows: int):
-        sizes = [m_support] * K + [m_query]
+        sizes, alphas = [m_support] * K + [m_query], [alpha] * K + [None]
         big = sizes.index(max(sizes))
-        owner = model.Tape(arch, (rows,), sizes[big])
+        owner = model.Tape(arch, (rows,), sizes[big], alpha=alphas[big])
         self._tapes = []
         for i, m in enumerate(sizes):
             first = self._tapes[0] if 0 < i < K else None
             self._tapes.append(owner if i == big else
-                               model.Tape(arch, (rows,), m, share=owner, inputs=first))
-        self._lead, self._alpha = (rows,), model.const(alpha)
+                               model.Tape(arch, (rows,), m, share=owner, inputs=first,
+                                          alpha=alphas[i]))
+        self._lead = (rows,)
         self._programs = {}
 
     def programs(self, lead: tuple) -> Programs:
@@ -55,7 +56,7 @@ class Workspace:
         if programs is None:
             tapes = (self._tapes if lead == self._lead else
                      [t.rows(lead) for t in self._tapes])
-            programs = self._programs[lead] = Programs(tapes[:-1], tapes[-1], self._alpha)
+            programs = self._programs[lead] = Programs(tapes[:-1], tapes[-1])
         return programs
 
 
@@ -68,8 +69,11 @@ class Programs:
     then holds the adapted query loss; `exact` runs the query tape's loss
     head and backward pass, then pulls the query gradient back through each
     support tape's HVP pass, last to first, in the query tape's `dir`;
-    `step` is both. Their ops, operands and order are those of the per-pass
-    reference (`trajectory`, `exact_from_trajectory`), so the bits are too.
+    `step` is both. The support tapes carry alpha in their heads (see
+    model.Tape), so a support tape's gradient is alpha * grad and its HVP
+    alpha * H v, each subtracted as it comes. Their ops, operands and order
+    are those of the per-pass reference (`trajectory`, `exact_from_trajectory`,
+    whose tapes carry alpha alike), so the bits are too.
     A load is the one way clients reach the tapes: w written into the first
     support point by the caller, then the rows `rows` binds (each row's
     client copied in through views bound here, then the label masks).
@@ -81,7 +85,7 @@ class Programs:
     reference would have raised. Ops that run on past a non-finite value
     stay inside model.quiet()."""
 
-    def __init__(self, support: list[model.Tape], query: model.Tape, alpha: np.ndarray):
+    def __init__(self, support: list[model.Tape], query: model.Tape):
         self.support, self.query = support, query
         quadratic = query.arch.head == model.HEAD_QUADRATIC
         lead = query.point.shape[:-1]
@@ -104,15 +108,13 @@ class Programs:
         adapt = []
         for k, (tape, nxt) in enumerate(zip(support, support[1:] + [query])):
             forward(adapt, tape)
-            adapt += tape.backward + [(np.multiply, (tape.res, alpha, tape.res)),
-                                      (np.subtract, (tape.point, tape.res, nxt.point))]
+            adapt += tape.backward + [(np.subtract, (tape.point, tape.res, nxt.point))]
             check(adapt, nxt.point, tape.zero_point, f"non-finite inner state at step {k + 1}")
         forward(adapt, query)
         split = len(messages)
         exact = query.backward + [(query.dir.__setitem__, (..., query.res))]
         for tape in reversed(support):
-            exact += tape.rop + [(np.multiply, (tape.res, alpha, tape.res)),
-                                 (np.subtract, (tape.dir, tape.res, tape.dir))]
+            exact += tape.rop + [(np.subtract, (tape.dir, tape.res, tape.dir))]
         check(exact, query.dir, query.zero_point, "non-finite meta-gradient")
         end = len(messages)
         self.adapt = _Program(adapt, flags[:split], messages[:split])
@@ -169,13 +171,13 @@ def trajectory(w: np.ndarray, arch: model.Arch, support, alpha: float,
                K: int) -> tuple[list[np.ndarray], list[model.Tape]]:
     """u_0 .. u_K as raw arrays: K full-batch gradient steps on the checked
     support batch, starting from w (..., d), one row per client; and the
-    gradient tapes at u_0 .. u_{K-1}, fresh. The states after u_0 are new
+    gradient tapes at u_0 .. u_{K-1}, fresh, which carry alpha (their
+    gradients and HVPs come out times alpha). The states after u_0 are new
     arrays. alpha and K are the caller's to check."""
     states, tapes = [w], []
     for k in range(K):
-        u, tape = model.taped_grads(states[-1], arch, *support)
+        u, tape = model.taped_grads(states[-1], arch, *support, alpha)
         tapes.append(tape)
-        np.multiply(u, alpha, u)
         np.subtract(states[-1], u, u)
         if not model.finite(u, tape.zero_point):
             raise NumericalError(f"non-finite inner state at step {k + 1}")
@@ -184,15 +186,13 @@ def trajectory(w: np.ndarray, arch: model.Arch, support, alpha: float,
 
 
 def exact_from_trajectory(states: list[np.ndarray], tapes: list, arch: model.Arch,
-                          query, alpha: float) -> np.ndarray:
+                          query) -> np.ndarray:
     """Exact meta-gradient rows: the query gradient at u_K pulled back
     through the (I - alpha * Hessian) factors of the trajectory, one exact
-    HVP over each of its tapes. The result is a new array."""
+    HVP over each of its tapes, which carry alpha. The result is a new array."""
     g, qtape = model.taped_grads(states[-1], arch, *query)
     for tape in reversed(tapes):
-        hv = model.hvps(tape, g)
-        np.multiply(hv, alpha, hv)
-        np.subtract(g, hv, g)
+        np.subtract(g, model.hvps(tape, g), g)
     if not model.finite(g, qtape.zero_point):
         raise NumericalError("non-finite meta-gradient")
     return g
@@ -219,7 +219,7 @@ def meta_gradient_exact(w: ParamVector, task: TaskInstance, alpha: float,
     """Exact derivative of the adapted query loss with respect to w."""
     query = model.check_batch(w.arch, task.query)
     with _adapting(w, task.support, alpha, K) as (states, tapes):
-        return w.with_values(exact_from_trajectory(states, tapes, w.arch, query, alpha))
+        return w.with_values(exact_from_trajectory(states, tapes, w.arch, query))
 
 
 def meta_loss(w: ParamVector, task: TaskInstance, alpha: float, K: int) -> float:

@@ -131,6 +131,10 @@ def init_params(arch: Arch, seed) -> ParamVector:
 # np.matmul (tests/test_blocks.py checks the bits agree), and the mse head's
 # 2 (z - t) / (m k) is (z - t) / (m k / 2): doubling is exact, so both are
 # one rounding of the same quotient, the same bits unless 2 (z - t) overflows.
+# A support tape's head divisor carries the inner step size alpha (count /
+# alpha, inf at 0), so its gradient and HVP come out times alpha. The xent
+# head's max runs over a class-major copy of z (a reduce along the short last
+# axis is slower), its class sums are products with a ones column, p = e / sum(e).
 
 
 def const(x: float) -> np.ndarray:
@@ -215,15 +219,16 @@ class Tape:
     beside x, and for xent their one-hot `mask`, which the writer of t
     rewrites with `onehot`. The rest is scratch: deltas[0], which no HVP
     reads; the HVP direction `dir` and the vector `res` a gradient or HVP is
-    written to, each with its views; the output `z`; and the head and R-pass
-    temporaries. A tape may take arrays from a source tape with the same
-    leading axes over at least m examples, each as a prefix of the source's
-    array: its scratch from `share`, so tapes never written at the same time
-    pay for one scratch, its x, t and mask from `inputs`, so tapes over one
-    batch write them once, or all of them from `within` (see `rows`); a
-    metalearn.Workspace builds its tapes so. A fresh tape (`fresh`) serves
-    one per-pass call and the HVPs over it. Contents hold until the next
-    pass that writes this tape or one sharing them.
+    written to, each with its views; the output `z`; the head and R-pass
+    temporaries; and for xent z's class-major copy `zc`. A tape may take
+    arrays from a source tape with the same leading axes over at least m
+    examples, each as a prefix of the source's array: its scratch from
+    `share`, so tapes never written at the same time pay for one scratch,
+    its x, t and mask from `inputs`, so tapes over one batch write them
+    once, or all of them from `within` (see `rows`); a metalearn.Workspace
+    builds its tapes so. A fresh tape (`fresh`) serves one per-pass call and
+    the HVPs over it. Contents hold until the next pass that writes this
+    tape or one sharing them.
 
     Each pass is a list of (function, operands) over these arrays, bound
     once: `forward` (layer products and tanh) when the tape is built,
@@ -231,14 +236,16 @@ class Tape:
     and `rop` (the R-forward and R-backward passes of an HVP) on first use,
     so a tape that only runs forward binds neither. For the quadratic head,
     whose gradient is the point and whose Hessian is I, forward is empty
-    and backward and rop are one copy each. `zero_point` and `zero_z` are
-    zeros as many as the point and z have entries, for `finite`."""
+    and backward and rop are one copy each (a multiply, with alpha). A tape
+    built with `alpha` is an inner step's support tape: its gradient and HVP
+    come out times alpha. `zero_point` and `zero_z` are zeros as many as the
+    point and z have entries, for `finite`."""
 
     def __init__(self, arch: Arch, lead: tuple = (), m: int = 0,
                  share: Tape | None = None, within: Tape | None = None,
-                 inputs: Tape | None = None):
+                 inputs: Tape | None = None, alpha: float | None = None):
         share, inputs = within or share, within or inputs
-        self.arch, self.m = arch, m
+        self.arch, self.m, self.alpha = arch, m, alpha
         self._own, self._scratch, self._inputs = [], [], []
 
         def taker(store, source):
@@ -279,10 +286,13 @@ class Tape:
         self.rhs = [None] + [scratch(m, w) for w in outs]      # R(h) entering li; R(z)
         self.rdeltas = [scratch(m, w) for w in hidden] + self.rhs[-1:]  # R(deltas)
         self.wtmp = [None] + [scratch(inp, out) for out, inp, *_ in arch.layers[1:]]
-        self.col = scratch(m, 1) if xent else None   # per-example max, log-sum-exp, <p, R(z)>
+        self.col = scratch(m, 1) if xent else None   # per-example max, sum of e^z, <p, R(z)>
+        self.zc = scratch(k, m) if xent else None     # z class-major, for the max
+        self.ones = np.ones((k, 1)) if xent else None  # class sums as products
         self.classes = np.arange(k)
         self.onehot = [(np.equal, (self.t[..., None], self.classes, self.mask))] if xent else []
-        self._count = const(m * k / 2 if arch.head == HEAD_MSE else m)   # the head's divisor
+        count = m * k / 2 if arch.head == HEAD_MSE else m   # the head's divisor, over alpha
+        self._count = const(count if alpha is None else count / alpha if alpha else math.inf)
         self.insT = _transposed(self.ins)
         self.delta = self.deltas[-1] if self.deltas else None
         # read only: a source's zeros serve every tape cut from it
@@ -305,11 +315,15 @@ class Tape:
     def _res_views(self) -> tuple[list, list]:
         return _layer_views(self.res, self.arch)
 
+    def _quadratic(self, a: np.ndarray) -> list:   # a into res, times alpha if given
+        return [(self.res.__setitem__, (..., a)) if self.alpha is None else
+                (np.multiply, (a, const(self.alpha), self.res))]
+
     @cached_property
     def backward(self) -> list:
         arch, mm = self.arch, self.mm
         if arch.head == HEAD_QUADRATIC:
-            return [(self.res.__setitem__, (..., self.point))]
+            return self._quadratic(self.point)
         hs, deltas, delta, probs, col = self.hs, self.deltas, self.delta, self.probs, self.col
         resA, _ = self._res_views
         if arch.head == HEAD_MSE:
@@ -317,13 +331,12 @@ class Tape:
                    (np.divide, (delta, self._count, delta))]
         else:   # softmax cross-entropy
             z = self.z
-            bwd = [(np.maximum.reduce, (z, -1, None, col, True)),
+            bwd = [(self.zc.__setitem__, (..., z.swapaxes(-1, -2))),
+                   (np.maximum.reduce, (self.zc, -2, None, col.swapaxes(-1, -2), True)),
                    (np.subtract, (z, col, z)),
                    (np.exp, (z, probs)),
-                   (np.add.reduce, (probs, -1, None, col, True)),
-                   (np.log, (col, col)),
-                   (np.subtract, (z, col, probs)),
-                   (np.exp, (probs, probs)),
+                   mm(probs, self.ones, col),
+                   (np.divide, (probs, col, probs)),   # p = e / sum(e)
                    (np.subtract, (probs, self.mask, delta)),
                    (np.divide, (delta, self._count, delta))]
         for li in range(len(arch.layers) - 1, -1, -1):
@@ -341,7 +354,7 @@ class Tape:
     def rop(self) -> list:
         arch, mm = self.arch, self.mm
         if arch.head == HEAD_QUADRATIC:
-            return [(self.res.__setitem__, (..., self.dir))]
+            return self._quadratic(self.dir)
         hs, ins, insT, deltas, dtanh = self.hs, self.ins, self.insT, self.deltas, self.dtanh
         tmp, rhs, rdeltas, probs, col = self.tmp, self.rhs, self.rdeltas, self.probs, self.col
         VA, VWt = _layer_views(self.dir, arch)
@@ -364,7 +377,7 @@ class Tape:
             rop.append((np.divide, (rz, self._count, rz)))
         else:   # R(softmax) = p * (Rz - <p, Rz>)
             rop += [(np.multiply, (probs, rz, tmp[-1])),
-                    (np.add.reduce, (tmp[-1], -1, None, col, True)),
+                    mm(tmp[-1], self.ones, col),
                     (np.subtract, (rz, col, rz)),
                     (np.multiply, (rz, probs, rz)),
                     (np.divide, (rz, self._count, rz))]
@@ -388,14 +401,14 @@ class Tape:
         return rop
 
     @classmethod
-    def fresh(cls, arch: Arch, x: np.ndarray) -> Tape:
+    def fresh(cls, arch: Arch, x: np.ndarray, alpha: float | None = None) -> Tape:
         """A tape for the batch input x (..., m, input_dim)."""
-        return cls(arch, x.shape[:-2], x.shape[-2])
+        return cls(arch, x.shape[:-2], x.shape[-2], alpha=alpha)
 
     def rows(self, lead: tuple) -> Tape:
         """A view of this (rows, ...) tape's first lead[0] rows, or of row 0
         when lead is ()."""
-        return Tape(self.arch, lead, self.m, within=self)
+        return Tape(self.arch, lead, self.m, within=self, alpha=self.alpha)
 
 
 def finite(a: np.ndarray, zeros: np.ndarray) -> bool:
@@ -449,14 +462,18 @@ def losses(values: np.ndarray, arch: Arch, x, t) -> list[float]:
     return head_losses(arch, values, _finite_forward(values, x, Tape.fresh(arch, x)), t)
 
 
-def taped_grads(values: np.ndarray, arch: Arch, x, t) -> tuple[np.ndarray, Tape]:
+def taped_grads(values: np.ndarray, arch: Arch, x, t,
+                alpha: float | None = None) -> tuple[np.ndarray, Tape]:
     """Gradient of each row's mean batch loss, shape (..., d), and its fresh
-    tape. The gradient is a new array."""
+    tape; with alpha (an inner step's support tape), the gradient and the
+    tape's HVPs come out times alpha. The gradient is a new array."""
     if arch.head == HEAD_QUADRATIC:
-        return values.copy(), Tape(arch, values.shape[:-1])
-    tape = Tape.fresh(arch, x)
-    _finite_forward(values, x, tape)
-    np.copyto(tape.t, t)
+        tape = Tape(arch, values.shape[:-1], alpha=alpha)
+        np.copyto(tape.point, values)
+    else:
+        tape = Tape.fresh(arch, x, alpha)
+        _finite_forward(values, x, tape)
+        np.copyto(tape.t, t)
     for f, a in tape.onehot + tape.backward:
         f(*a)
     return tape.res.copy(), tape

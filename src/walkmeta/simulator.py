@@ -169,14 +169,13 @@ def _adapt_block(programs: metalearn.Programs, w: np.ndarray, rows: list,
 
 
 def _mean_meta_gradient(w: np.ndarray, clients: list, g: np.ndarray) -> np.ndarray:
-    """The exact meta-gradient at w (d,) averaged over prepared clients, written
-    to g and returned: several in client blocks, their rows bound per call, one
-    in the lone cut by its rows kept in `Clients` (bound here if it has none)."""
+    """The exact meta-gradient at w (d,) averaged over clients prepared as
+    `Clients.training`, written to g and returned: several in client blocks,
+    their rows bound per call, one in the lone cut by its rows kept there."""
     if len(clients) == 1:
-        client = clients[0]
-        programs = client[2].programs(())
+        programs = clients[0][2].programs(())
         programs.support[0].point[...] = w
-        for f, a in client[3] if len(client) > 3 else programs.rows(clients):
+        for f, a in clients[0][3]:
             f(*a)
         programs.step()
         g[...] = programs.query.dir

@@ -1,41 +1,52 @@
-"""Rewrites tests/golden_rows.json from the current code and prints how far
-each golden case moved against the rows stored there.
+"""Rewrites the stored golden rows from the current code and prints how far
+each golden output moved against them: tests/golden_rows.json, the run CSVs
+of tests/test_golden.py, and tests/golden_sweep_rows.json, the outputs of
+the sweep of tests/test_config_cli.py.
 
 Run from the root of the repository:
 
     PYTHONPATH=src python tests/repin_golden_rows.py
 
-For each case of tests/test_golden.py it prints the largest relative
-movement of any CSV value against the stored rows (inf when a line that is
-not a number changed) and the case's SHA-256, then the largest movement of
-all cases, and writes the new rows. A change that moves numbers re-pins
-GOLDEN in tests/test_golden.py with those hashes and quotes the maximum in
-that file's docstring.
+For each golden case and each sweep output it prints the largest relative
+movement of any value against the stored rows (inf when a line that is not
+a number changed) and its SHA-256, then the largest movement of each set,
+and writes the new rows. A change that moves numbers re-pins GOLDEN in
+tests/test_golden.py and SWEEP_GOLDEN in tests/test_config_cli.py with
+those hashes and quotes the maxima beside them.
 """
 
 import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import test_config_cli  # noqa: E402
 import test_golden  # noqa: E402
 
 
-def main():
-    path = test_golden.ROWS_PATH
+def repin(path: Path, outputs: dict[str, bytes]):
+    """Prints each output's movement against the rows stored at path and its
+    hash, then the largest movement, and stores the outputs' rows there."""
     stored = json.loads(path.read_text()) if path.exists() else {}
     rows, worst = {}, 0.0
-    for name in sorted(test_golden.CASES):
-        text = test_golden.csv_text(name)
-        rows[name] = text.splitlines()
+    for name in sorted(outputs):
+        rows[name] = outputs[name].decode().splitlines()
         moved = (test_golden.max_movement(stored[name], rows[name]) if name in stored
                  else float("inf"))
         worst = max(worst, moved)
-        print(f"{name}: moved {moved:.3g}, sha256 {hashlib.sha256(text.encode()).hexdigest()}")
-    print(f"largest movement: {worst:.3g}")
+        print(f"{name}: moved {moved:.3g}, sha256 {hashlib.sha256(outputs[name]).hexdigest()}")
+    print(f"{path.name}: largest movement {worst:.3g}")
     path.write_text(json.dumps(rows, indent=1) + "\n")
+
+
+def main():
+    repin(test_golden.ROWS_PATH, {name: test_golden.csv_text(name).encode()
+                                  for name in test_golden.CASES})
+    with tempfile.TemporaryDirectory() as tmp:
+        repin(test_config_cli.SWEEP_ROWS_PATH, test_config_cli.sweep_outputs(Path(tmp)))
 
 
 if __name__ == "__main__":

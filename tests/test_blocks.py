@@ -105,7 +105,7 @@ def test_meta_gradient_rows_equal_single_calls(case, K):
     query = stacked(arch, [tk.query for tk in tasks_])
     with model.quiet():
         states, tapes = metalearn.trajectory(rows, arch, support, 0.05, K)
-        g = metalearn.exact_from_trajectory(states, tapes, arch, query, 0.05)
+        g = metalearn.exact_from_trajectory(states, tapes, arch, query)
     for i, tk in enumerate(tasks_):
         p = model.ParamVector(rows[i], arch)
         assert np.array_equal(g[i], metalearn.meta_gradient_exact(p, tk, 0.05, K).values)
@@ -271,15 +271,20 @@ def test_lone_equals_block_row_at_run_shapes(cfg):
 
 
 def test_results_do_not_alias_the_workspace():
+    """Clients prepared afresh for each call share one workspace through
+    `workspaces`, so every call writes the same tapes."""
     arch = model.Arch(2, (6,), 3, model.HEAD_XENT)
     rng = np.random.default_rng(3)
-    ws = metalearn.Workspace(arch, 5, 7, 2, 0.05, simulator._CLIENT_BLOCK)
+    workspaces = {}
 
     def meta_gradient(n):
-        clients = [(model.check_batch(arch, random_batch(rng, arch, 5)),
-                    model.check_batch(arch, random_batch(rng, arch, 7)), ws)
-                   for _ in range(n)]
-        return simulator._mean_meta_gradient(random_rows(rng, arch, 1)[0], clients,
+        assignment = tasks.ClientAssignment(
+            {i: tasks.TaskInstance("blob", random_batch(rng, arch, 5),
+                                   random_batch(rng, arch, 7)) for i in range(n)}, {})
+        clients = simulator.Clients(assignment, arch, HyperParams(alpha=0.05, K=2),
+                                    workspaces)
+        return simulator._mean_meta_gradient(random_rows(rng, arch, 1)[0],
+                                             list(clients.training.values()),
                                              np.empty(arch.param_count))
     returned = [meta_gradient(1), meta_gradient(4)]
     kept = [a.copy() for a in returned]
@@ -288,6 +293,7 @@ def test_results_do_not_alias_the_workspace():
     meta_gradient(2)
     for a, b in zip(returned, kept):
         assert np.array_equal(a, b)
+    assert len(workspaces) == 1
 
 
 def test_warm_block_meta_gradient_allocates_little():
@@ -335,21 +341,27 @@ def test_bound_passes_add_no_bias_and_sum_no_examples(cfg):
     no op of a bound program, lone or in the (4,) and (2,) cuts at run
     shapes, broadcasts an operand along the example axis of the array it
     writes, as a bias add did, or reduces over the example axis, as a
-    bias-gradient sum did. The one-hot label mask, which broadcasts the
-    class indices over the examples, is written by `load`, not by a
-    program."""
+    bias-gradient sum did. An array's example axis is its second last,
+    but its last in a tape's class-major copy of z (`zc`), which the xent
+    head's row max reduces over its classes. The one-hot label mask, which
+    broadcasts the class indices over the examples, is written by a load's
+    rows, not by a program."""
     arch, h = cfg.build_arch(), cfg.hyper
     clients = simulator.Clients(tasks.assign_clients(4, 0, cfg.task, seed=0), arch, h)
     ws = clients.training[0][2]
     for lead in [(), (4,), (2,)]:
         programs = ws.programs(lead)
+        tapes = programs.support + [programs.query]
+
+        def example_axis(a):
+            return a.ndim - (1 if any(a is t.zc for t in tapes) else 2)
         for f, operands in programs.step.ops:
             if isinstance(getattr(f, "__self__", None), np.ufunc) and f.__name__ == "reduce":
                 a, axis = operands[:2]
-                assert axis % a.ndim == a.ndim - 1, (f, lead, a.shape, axis)
+                assert axis % a.ndim != example_axis(a), (f, lead, a.shape, axis)
                 continue
-            if f is np.copyto:
-                out, *ins = operands
+            if getattr(f, "__name__", None) == "__setitem__":
+                out, ins = f.__self__, operands[1:]
             elif isinstance(f, np.ufunc) and f.signature is None:   # not matmul
                 *ins, out = operands
             else:
@@ -357,8 +369,33 @@ def test_bound_passes_add_no_bias_and_sum_no_examples(cfg):
             for a in ins:
                 if not isinstance(a, np.ndarray) or a.ndim == 0 or out.ndim < 2:
                     continue
-                stride = np.broadcast_to(a, out.shape).strides[-2]
-                assert out.shape[-2] == 1 or stride != 0, (f, lead, a.shape, out.shape)
+                ax = example_axis(out)
+                stride = np.broadcast_to(a, out.shape).strides[ax]
+                assert out.shape[ax] == 1 or stride != 0, (f, lead, a.shape, out.shape)
+
+
+@pytest.mark.parametrize("cfg,n_ops", [
+    (ExperimentConfig(), 308),
+    (ExperimentConfig(hidden=(8,)), 185),
+    (ExperimentConfig(task=tasks.TaskConfig(kind="blob")), 241),
+], ids=["sine_d1761", "sine_d25", "blob_d517"])
+def test_step_runs_no_alpha_multiply_and_no_sum_reduction(cfg, n_ops):
+    """The support tapes' heads carry alpha in their divisor, so no op of a
+    bound program, lone or in the (4,) cut at run shapes, multiplies by
+    alpha; the xent head's sums over the classes are products with a ones
+    column, so none runs np.add.reduce. A lone step runs n_ops ops: with K=5
+    that is 2K fewer than when each inner step and HVP multiplied by alpha
+    (318, 195), and at blob 6 fewer again, one per tape's xent head (257)."""
+    arch, h = cfg.build_arch(), cfg.hyper
+    clients = simulator.Clients(tasks.assign_clients(4, 0, cfg.task, seed=0), arch, h)
+    ws = clients.training[0][2]
+    assert len(ws.programs(()).step.ops) == n_ops
+    for lead in [(), (4,)]:
+        for f, operands in ws.programs(lead).step.ops:
+            assert not (getattr(f, "__self__", None) is np.add and f.__name__ == "reduce")
+            if f is np.multiply:
+                assert not any(a.ndim == 0 and float(a) == h.alpha for a in operands
+                               if isinstance(a, np.ndarray)), (lead, operands)
 
 
 @pytest.mark.parametrize("cfg", [

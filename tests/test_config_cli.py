@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import json
 import os
 import re
 import subprocess
@@ -9,6 +10,7 @@ import sys
 import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from walkmeta import cli, config, metalearn, simulator, tasks, topology
 from walkmeta.config import ExperimentConfig, parse_config_text, serialize_config
 from walkmeta.errors import ConfigError, GenerationError, ParameterError
 from walkmeta.report import render_svg
+
+from test_golden import ROW_TOL, max_movement
 
 FAST_CFG = """
 [topology]
@@ -358,28 +362,50 @@ class TestCmdRun:
 # while sweep cells could still run in a process pool, with --jobs 1. The
 # files were re-pinned with tests/test_golden.py's hashes when layer biases
 # moved into the layer products: their values moved by at most 5.0e-16
-# relative (the summary's means by 1.3e-15), and stdout kept its bytes
+# relative (the summary's means by 1.3e-15), and stdout kept its bytes; and
+# again when alpha moved into the support heads' divisor: at most 6.0e-16
+# (tests/repin_golden_rows.py), with stdout and lodmeta seed 0 unchanged
 SWEEP_GOLDEN = {
     "exp_method-centralized_maml_seed0.csv":
-        "c8b1282bf0fd89e8019155d76c57ef9eddd460ab4ad78455062896147d7bb176",
+        "c42ec4d9366515efee5adfbf4fc75390a809e74affa3c3108e1d82074fc4c38d",
     "exp_method-centralized_maml_seed1.csv":
-        "a0321601acbac877ee9ae6a6ab0133f682450d3bb446024cafd238b8d041ce7f",
+        "715abde857b0daa64b1bbc1f3b9f1ec8dc6dc12cea045e4ee1e68a6096fbb506",
     "exp_method-lodmeta_basic_seed0.csv":
-        "cc37104dc5c8995be242d7394a46c9e66f7b92f3f56fd00eb81245ab366c2dde",
+        "b3a6c01e07d21f2d10fed93cce3c6948c9a712f1e3e1a992f37c79a1b5559914",
     "exp_method-lodmeta_basic_seed1.csv":
-        "49603060d8c8d1bd2ff43c7a7488d55e3075eec1266aa0cf420b3c1ae6b6b48f",
+        "9d09e4b1f1d9f6a140777e8c6b5775ce4f9c9c61dbcdf3824114f53f1ab3b320",
     "exp_method-lodmeta_seed0.csv":
         "515fe655a27cae6f52e1d7281ffedb8d8f605c1ae1ce5d54b9ffb8c3b2cd83af",
     "exp_method-lodmeta_seed1.csv":
-        "7757641d681b3869f38620da28c5cb764a174be6fe071902fc0896a101bc3508",
+        "a70491f0985f7ad52dc0ba50ae2c66cf58fd5c5b9fee4f646e2d38d6b57edea8",
     "exp_method-lodmeta_sgd_seed0.csv":
-        "b86a743d3a53496cb3d713ff554f67eafe5b2df0a7407e74915df1b8a13acc8f",
+        "3895ebc138122d2c90076330c097942c24cc7ba27391a4d1ccf2123e2f69b4c1",
     "exp_method-lodmeta_sgd_seed1.csv":
-        "028b3a786113c787389995a829158202ce79422038e21d47ba982899d8d54828",
+        "cb4d5b638e92012c3f1eaf4a4c5d3e7161dfca7b7f03040d700e3f657f20f4f0",
     "exp_method_summary.csv":
-        "7393590f8ebcb9e01e5c3fa4d2b87f70f44f6836bb139a33a4409be12cd6f6f8",
+        "f2291a1129256c2d5699d64d58b334d2f9cc3eae86ecb9b8986248b9f9d91a8e",
     "stdout": "bdf64131af318f1eb6f38a895099ec3c9a1684a77856e4599e808f021adac6f4",
 }
+# every line of each of those outputs, as tests/repin_golden_rows.py last wrote them
+SWEEP_ROWS_PATH = Path(__file__).with_name("golden_sweep_rows.json")
+
+
+def sweep_outputs(tmp_path) -> dict[str, bytes]:
+    """The bytes of every file a FAST_CFG sweep over the four methods and 2
+    seeds writes into tmp_path, by name, and of its stdout, as "stdout",
+    with tmp_path written as OUT."""
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(FAST_CFG)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(["sweep", str(cfg_path), "--axis", "method", "--values",
+                       "lodmeta,lodmeta_sgd,lodmeta_basic,centralized_maml",
+                       "--seeds", "2", "--jobs", "1", "--outdir", str(tmp_path / "sw")])
+    assert (rc, err.getvalue()) == (0, "")
+    outputs = {name: (tmp_path / "sw" / name).read_bytes()
+               for name in os.listdir(tmp_path / "sw")}
+    outputs["stdout"] = out.getvalue().replace(str(tmp_path), "OUT").encode()
+    return outputs
 
 
 def test_cli_import_stays_light():
@@ -396,19 +422,21 @@ def test_cli_import_stays_light():
 
 class TestCmdSweep:
     def test_outputs_match_golden_hashes(self, tmp_path):
-        cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(FAST_CFG)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = cli.main(["sweep", str(cfg_path), "--axis", "method", "--values",
-                           "lodmeta,lodmeta_sgd,lodmeta_basic,centralized_maml",
-                           "--seeds", "2", "--jobs", "1", "--outdir", str(tmp_path / "sw")])
-        assert (rc, err.getvalue()) == (0, "")
-        hashes = {name: hashlib.sha256((tmp_path / "sw" / name).read_bytes()).hexdigest()
-                  for name in os.listdir(tmp_path / "sw")}
-        hashes["stdout"] = hashlib.sha256(
-            out.getvalue().replace(str(tmp_path), "OUT").encode()).hexdigest()
+        hashes = {name: hashlib.sha256(data).hexdigest()
+                  for name, data in sweep_outputs(tmp_path).items()}
         assert hashes == SWEEP_GOLDEN
+
+    def test_outputs_within_tolerance(self, tmp_path):
+        """Every value of every output within ROW_TOL relative of the stored
+        rows, every other field equal: a hash failure that this test passes
+        is rounding, and when it is not this test names each output that
+        moved further, with how far (inf: a line that is not a number)."""
+        stored = json.loads(SWEEP_ROWS_PATH.read_text())
+        outputs = sweep_outputs(tmp_path)
+        assert sorted(outputs) == sorted(stored)
+        moved = {name: max_movement(stored[name], data.decode().splitlines())
+                 for name, data in outputs.items()}
+        assert {name: m for name, m in moved.items() if m > ROW_TOL} == {}
 
     def test_failing_cell_counts_as_failed(self, tmp_path, monkeypatch, capsys):
         real_run = simulator.run

@@ -238,5 +238,5 @@ class TestWorkspace:
             programs.load(w, clients)
             programs.step()
             taped = model.hvps(programs.support[0], v)
-            fresh = model.hvps(model.taped_grads(w, arch, *support)[1], v)
+            fresh = model.hvps(model.taped_grads(w, arch, *support, 0.1)[1], v)
         assert np.array_equal(taped, fresh)

@@ -337,7 +337,7 @@ class TestLazyPasses:
         tapes = []
         real = model.Tape.fresh.__func__
         monkeypatch.setattr(model.Tape, "fresh", classmethod(
-            lambda cls, arch, x: tapes.append(real(cls, arch, x)) or tapes[-1]))
+            lambda cls, arch, x, *a: tapes.append(real(cls, arch, x, *a)) or tapes[-1]))
         arch = model.Arch(3, (5,), 2)
         rng = np.random.default_rng(0)
         call(model.init_params(arch, 0), (rng.standard_normal((4, 3)),

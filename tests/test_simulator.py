@@ -517,14 +517,16 @@ class TestAbort:
     # or an evaluation block after a step), its message, the number of rows
     # and the abort row's (iteration, comm_units, active_client). The values
     # are those of the per-pass meta-gradient code, kept as the reference.
+    # The alpha=50 runs fail at inner step 1: the support heads' divisor
+    # carries alpha, so their deltas overflow in the first backward pass.
     ABORTS = [
         (("blob", 1e306, 5.0, 2, 1000), "walk", "non-finite forward values", 2, (2, 2, 3)),
-        (("sine", 100.0, 50.0, 0, 1000), "walk", "non-finite inner state at step 2", 2,
+        (("sine", 100.0, 50.0, 0, 1000), "walk", "non-finite inner state at step 1", 2,
          (6, 6, 1)),
         (("sine", 1e4, 0.5, 0, 1000), "walk", "non-finite meta-gradient", 2, (13, 13, 4)),
         (("blob", 1e306, 5.0, 2, 1), "evaluate", "non-finite forward values", 2, (1, 1, 4)),
         (("sine", 1e307, 0.1, 0, 1), "evaluate", "non-finite forward values", 2, (1, 1, 4)),
-        (("sine", 100.0, 50.0, 0, 1), "evaluate", "non-finite inner state at step 2", 6,
+        (("sine", 100.0, 50.0, 0, 1), "evaluate", "non-finite inner state at step 1", 6,
          (5, 5, 2)),
         (("sine", 1e3, 0.5, 0, 1), "evaluate", "non-finite meta-gradient", 14, (13, 13, 4)),
     ]
