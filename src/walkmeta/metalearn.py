@@ -66,17 +66,17 @@ class Programs:
     forward and backward passes and writes u_{k+1} = u_k - alpha * grad
     straight into the next tape's point, then runs the forward pass at u_K
     into the query tape, whose output z (or point, for the quadratic head)
-    then holds the adapted query loss; `exact` runs the query tape's loss
-    head and backward pass, then pulls the query gradient back through each
-    support tape's HVP pass, last to first, in the query tape's `dir`;
-    `step` is both. The support tapes carry alpha in their heads (see
+    then holds the adapted query loss; `step` runs `adapt`, then the query
+    tape's loss head and backward pass, then pulls the query gradient back
+    through each support tape's HVP pass, last to first, in the query
+    tape's `dir`. The support tapes carry alpha in their heads (see
     model.Tape), so a support tape's gradient is alpha * grad and its HVP
     alpha * H v, each subtracted as it comes. Their ops, operands and order
     are those of the per-pass reference (`trajectory`, `exact_from_trajectory`,
     whose tapes carry alpha alike), so the bits are too.
-    A load is the one way clients reach the tapes: w written into the first
-    support point by the caller, then the rows `rows` binds (each row's
-    client copied in through views bound here, then the label masks).
+    A load is the one way clients reach the tapes, and `run` runs one: w
+    written into the first support point, then the rows `rows` binds (each
+    row's client copied in through views bound here, then the label masks).
 
     The checks of the reference (each forward output, each inner state and
     the meta-gradient) write one slot each of `flags` with one BLAS
@@ -111,15 +111,12 @@ class Programs:
             adapt += tape.backward + [(np.subtract, (tape.point, tape.res, nxt.point))]
             check(adapt, nxt.point, tape.zero_point, f"non-finite inner state at step {k + 1}")
         forward(adapt, query)
-        split = len(messages)
-        exact = query.backward + [(query.dir.__setitem__, (..., query.res))]
+        self.adapt = _Program(adapt, flags[:len(messages)], messages[:])
+        step = adapt + query.backward + [(query.dir.__setitem__, (..., query.res))]
         for tape in reversed(support):
-            exact += tape.rop + [(np.subtract, (tape.dir, tape.res, tape.dir))]
-        check(exact, query.dir, query.zero_point, "non-finite meta-gradient")
-        end = len(messages)
-        self.adapt = _Program(adapt, flags[:split], messages[:split])
-        self.exact = _Program(exact, flags[split:end], messages[split:])
-        self.step = _Program(adapt + exact, flags[:end], messages)
+            step += tape.rop + [(np.subtract, (tape.dir, tape.res, tape.dir))]
+        check(step, query.dir, query.zero_point, "non-finite meta-gradient")
+        self.step = _Program(step, flags[:len(messages)], messages)
         self._masks = support[0].onehot + query.onehot
 
     def rows(self, clients) -> list:
@@ -135,14 +132,19 @@ class Programs:
             _check_copy(buf, a)
         return [(buf.__setitem__, (..., a)) for buf, a in pairs] + self._masks
 
-    def load(self, w: np.ndarray, clients):
-        """Checks w (the cut's shape or (d,)) and the clients, then writes w
-        into the first support point and runs the clients' rows."""
-        point, rows = self.support[0].point, self.rows(clients)
-        _check_copy(point, w, point.shape[-1:])
-        point[...] = w
+    def run(self, w: np.ndarray, rows: list, *programs: _Program):
+        """Writes w (the cut's shape or (d,)), runs `rows`, then each program."""
+        self.support[0].point[...] = w
         for f, a in rows:
             f(*a)
+        for program in programs:
+            program()
+
+    def load(self, w: np.ndarray, clients):
+        """Checks w (the cut's shape or (d,)) and the clients, then runs their rows."""
+        point, rows = self.support[0].point, self.rows(clients)
+        _check_copy(point, w, point.shape[-1:])
+        self.run(w, rows)
 
 
 def _check_copy(buf: np.ndarray, a: np.ndarray, shape: tuple | None = None):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import groupby
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,14 +101,21 @@ def read_run_csv(text: str) -> tuple[dict, list[EvalRow]]:
 _CLIENT_BLOCK = 4
 
 
+class Client(NamedTuple):
+    """Checked batches, their sizes' workspace, and lone-cut rows bound on the first walk step."""
+    support: tuple
+    query: tuple
+    workspace: metalearn.Workspace
+    lone: list
+
+
 class Clients:
-    """A set of clients prepared once for many runs and adaptations: each
-    client's checked (support, query) batches and the workspace for their
-    sizes (one per distinct pair of sizes, normally one); `training` by id,
-    each with its lone cut's rows, `unseen` as a list, and evaluation's
-    (programs, rows, training) `blocks`, all rows bound once, here: whoever
-    runs them writes w. The workspaces come from `workspaces` when given, a
-    dict callers share, keyed by (arch, K, alpha, support size, query size)."""
+    """A set of clients prepared once for many runs and adaptations, each a
+    `Client` (one workspace per distinct pair of batch sizes, normally one):
+    `training` by id, `unseen` as a list, and evaluation's (programs, rows,
+    training) `blocks`, their rows bound once, here: whoever runs them
+    writes w. The workspaces come from `workspaces` when given, a dict
+    callers share, keyed by (arch, K, alpha, support size, query size)."""
 
     def __init__(self, assignment: ClientAssignment, arch: model.Arch,
                  h: optimizer.HyperParams, workspaces: dict | None = None):
@@ -115,7 +123,7 @@ class Clients:
         self.arch, self.K, self.alpha = arch, h.K, h.alpha
         self._initial = {}  # evaluate's triple by the bytes of w
 
-        def prepare(task, lone):
+        def prepare(task):
             support = model.check_batch(arch, task.support)
             query = model.check_batch(arch, task.query)
             sizes = (len(support[0]), len(query[0]))
@@ -123,12 +131,11 @@ class Clients:
             if key not in workspaces:
                 workspaces[key] = metalearn.Workspace(arch, *sizes, h.K, h.alpha,
                                                       _CLIENT_BLOCK)
-            client = support, query, workspaces[key]
-            return (*client, client[2].programs(()).rows([client])) if lone else client
+            return Client(support, query, workspaces[key], [])
 
-        self.training = {cid: prepare(t, True) for cid, t in assignment.training.items()}
-        self.unseen = [prepare(t, False) for t in assignment.unseen.values()]
-        self.blocks = [(p := b[0][2].programs((len(b),)), p.rows(b), not unseen)
+        self.training = {cid: prepare(t) for cid, t in assignment.training.items()}
+        self.unseen = [prepare(t) for t in assignment.unseen.values()]
+        self.blocks = [(p := b[0].workspace.programs((len(b),)), p.rows(b), not unseen)
                        for unseen, group in enumerate((self.training.values(), self.unseen))
                        for b in _client_blocks(group)]
 
@@ -145,51 +152,35 @@ class Clients:
 def _client_blocks(clients):
     """Runs of at most _CLIENT_BLOCK consecutive prepared clients that share
     a workspace, as lists."""
-    for _, shared in groupby(clients, key=lambda c: c[2]):
+    for _, shared in groupby(clients, key=lambda c: c.workspace):
         shared = list(shared)
         for start in range(0, len(shared), _CLIENT_BLOCK):
             yield shared[start:start + _CLIENT_BLOCK]
 
 
-def _adapt_block(programs: metalearn.Programs, w: np.ndarray, rows: list,
-                 metrics: list | None = None, gsum: np.ndarray | None = None):
-    """Writes w (d,) and runs a block's `rows` (bound by `programs`), then adapts
-    its clients, appending each one's adapted query metric to `metrics` and
-    adding its exact meta-gradient to `gsum` when given: one trajectory, both."""
-    programs.support[0].point[...] = w
-    for f, a in rows:
-        f(*a)
-    programs.adapt()
-    if metrics is not None:
-        metrics += _query_metrics(programs.query)
-    if gsum is not None:
-        programs.exact()
-        for row in programs.query.dir:
-            gsum += row
-
-
 def _mean_meta_gradient(w: np.ndarray, clients: list, g: np.ndarray) -> np.ndarray:
     """The exact meta-gradient at w (d,) averaged over clients prepared as
-    `Clients.training`, written to g and returned: several in client blocks,
-    their rows bound per call, one in the lone cut by its rows kept there."""
+    `Clients.training`, written to g and returned: several in client blocks, their
+    rows bound per call, one in the lone cut by its `lone` rows, bound while empty."""
     if len(clients) == 1:
-        programs = clients[0][2].programs(())
-        programs.support[0].point[...] = w
-        for f, a in clients[0][3]:
-            f(*a)
-        programs.step()
+        client = clients[0]
+        programs = client.workspace.programs(())
+        if not client.lone:
+            client.lone.extend(programs.rows([client]))
+        programs.run(w, client.lone, programs.step)
         g[...] = programs.query.dir
         return g
     g.fill(0.0)
     for block in _client_blocks(clients):
-        programs = block[0][2].programs((len(block),))
-        _adapt_block(programs, w, programs.rows(block), gsum=g)
+        programs = block[0].workspace.programs((len(block),))
+        programs.run(w, programs.rows(block), programs.step)
+        for row in programs.query.dir:
+            g += row
     return np.divide(g, len(clients), g)
 
 
 def _query_metrics(q: model.Tape) -> list[float]:
-    """Adapted query metric per row of the query tape `adapt` just wrote:
-    accuracy for xent, else the loss."""
+    """Each row's adapted query metric on the query tape: accuracy for xent, else the loss."""
     if q.arch.head == HEAD_XENT:
         return [float(np.mean(p == labels)) for p, labels in zip(q.z.argmax(axis=-1), q.t)]
     return model.head_losses(q.arch, q.point, q.z, q.t)
@@ -207,7 +198,13 @@ def evaluate(w: np.ndarray, clients: Clients) -> tuple[float, float, float]:
     gsum = np.zeros_like(w)
     with model.quiet():
         for programs, rows, training in clients.blocks:   # training blocks come first
-            _adapt_block(programs, w, rows, *((train, gsum) if training else (unseen,)))
+            programs.run(w, rows, programs.step if training else programs.adapt)
+            # read after `step` as after `adapt`: the pull-back writes no query z (mse) or point
+            # (quadratic); xent's backward moves each max to exactly 0, the rest below: same argmax
+            (train if training else unseen).extend(_query_metrics(programs.query))
+            if training:
+                for row in programs.query.dir:
+                    gsum += row
         gmean = gsum / len(clients.training)
         gnorm_sq = float(gmean @ gmean)
     if not np.isfinite(gnorm_sq):

@@ -59,7 +59,7 @@ def stacked(arch, batches):
 def run_programs(ws, w, clients):
     """ws's programs for w's leading axes, loaded with one checked
     (support, query) per row: `adapt`, after which the tapes hold u_1 .. u_K
-    and the query tape the adapted query losses, then `exact`. Returns u_0
+    and the query tape the adapted query losses, then `step`. Returns u_0
     .. u_K, those losses and the meta-gradient, copied out."""
     programs = ws.programs(w.shape[:-1])
     programs.load(w, clients)
@@ -67,7 +67,7 @@ def run_programs(ws, w, clients):
     q = programs.query
     states = [w] + [t.point.copy() for t in programs.support[1:] + [q]]
     losses = model.head_losses(q.arch, q.point, q.z, q.t)
-    programs.exact()
+    programs.step()
     return states, losses, q.dir.copy()
 
 
@@ -270,6 +270,34 @@ def test_lone_equals_block_row_at_run_shapes(cfg):
             assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("cfg", [
+    ExperimentConfig(hidden=(8,)),
+    ExperimentConfig(task=tasks.TaskConfig(kind="blob")),
+    ExperimentConfig(head=model.HEAD_QUADRATIC),
+], ids=["sine_d25", "blob_d517", "quadratic"])
+def test_query_metrics_after_step_equal_those_after_adapt(cfg):
+    """Evaluation reads a training block's adapted query metrics after
+    `step`, lone and in a 4-row block: they equal those read after `adapt`,
+    bit for bit. The pull-back leaves the query z (mse) and point
+    (quadratic) as `adapt` wrote them; the xent backward pass shifts z by
+    each example's max, which keeps its argmax, so the accuracy holds."""
+    arch, h = cfg.build_arch(), cfg.hyper
+    clients = simulator.Clients(tasks.assign_clients(4, 0, cfg.task, seed=0), arch, h)
+    prepared = [clients.training[i] for i in range(4)]
+    rng = np.random.default_rng(9)
+    for lead in [(), (4,)]:
+        n = lead[0] if lead else 1
+        programs = prepared[0].workspace.programs(lead)
+        w, rows = random_rows(rng, arch, n).reshape(lead + (-1,)), programs.rows(prepared[:n])
+        with model.quiet():
+            programs.run(w, rows, programs.adapt)
+            z, adapted = programs.query.z.copy(), simulator._query_metrics(programs.query)
+            programs.run(w, rows, programs.step)
+        after = simulator._query_metrics(programs.query)
+        assert np.array(after).tobytes() == np.array(adapted).tobytes(), lead
+        assert np.array_equal(programs.query.z, z) == (arch.head != model.HEAD_XENT)
+
+
 def test_results_do_not_alias_the_workspace():
     """Clients prepared afresh for each call share one workspace through
     `workspaces`, so every call writes the same tapes."""
@@ -405,11 +433,11 @@ def test_step_runs_no_alpha_multiply_and_no_sum_reduction(cfg, n_ops):
     ExperimentConfig(head=model.HEAD_QUADRATIC),
 ], ids=["sine_d1761", "sine_d25", "blob_d517", "quadratic"])
 def test_warm_program_ops_write_only_their_operands(cfg):
-    """Every op of a warm program (`adapt`, `exact`, `step`), lone and with
-    4 rows at run shapes, returns None or one of its own operands: none
-    allocates its result, however small. A peak-memory bound cannot see a
-    (10, 8) result beside numpy's transient iterator buffers. And `step`
-    is `adapt` then `exact`, op for op."""
+    """Every op of a warm program (`adapt`, `step`), lone and with 4 rows at
+    run shapes, returns None or one of its own operands: none allocates its
+    result, however small. A peak-memory bound cannot see a (10, 8) result
+    beside numpy's transient iterator buffers. And `step` begins with
+    `adapt`, op for op."""
     arch, h = cfg.build_arch(), cfg.hyper
     clients = simulator.Clients(tasks.assign_clients(4, 0, cfg.task, seed=0), arch, h)
     prepared = [clients.training[i] for i in range(4)]
@@ -417,12 +445,12 @@ def test_warm_program_ops_write_only_their_operands(cfg):
     w = model.init_params(arch, seed=0).values
     for lead in [(), (4,)]:
         programs = ws.programs(lead)
-        assert programs.step.ops == programs.adapt.ops + programs.exact.ops
+        assert programs.step.ops[:len(programs.adapt.ops)] == programs.adapt.ops
         with model.quiet():
             programs.load(np.broadcast_to(w, lead + w.shape),
                           prepared[:lead[0] if lead else 1])
             programs.step()
-            for program in (programs.adapt, programs.exact, programs.step):
+            for program in (programs.adapt, programs.step):
                 for f, operands in program.ops:
                     out = f(*operands)
                     assert out is None or any(out is a for a in operands), (f, operands)

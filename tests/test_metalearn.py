@@ -174,7 +174,7 @@ class TestWorkspace:
             with pytest.raises(ParameterError, match="3 clients do not match"):
                 ws.programs((4,)).load(np.broadcast_to(w + 1, (4, w.size)),
                                        [(other, query)] * 3)
-            programs.exact()
+            programs.step()
         g = programs.query.dir.copy()
         task = tasks.TaskInstance("sine", support, query)
         p = model.ParamVector(w, arch)

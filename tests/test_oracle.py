@@ -5,8 +5,10 @@ At the shapes runs use (sine d=25 and d=1761, mse; blob d=517, xent; K=5
 and real client batches) and for alpha 0.01, 0.5 and 5.0, the directional
 derivative <g, v> of the meta-gradient g of a lone `Programs.step` and of
 each row of a 4-row block, along random v, equals the oracle's complex
-step of the adapted query loss. The oracle's gradient, and model.grad and
-model.hvp (which carry no alpha), are checked against it too.
+step of the adapted query loss; so does a lone step and each row of a
+2-row block on archs drawn by hypothesis (1-3 hidden layers, mse or xent,
+K 1-3, random batches of 1-6 examples). The oracle's gradient, and
+model.grad and model.hvp (which carry no alpha), are checked against it too.
 
 Tolerances. A value a of the package agrees with the oracle's b when
 |a - b| <= REL * s + FLOOR * n:
@@ -33,11 +35,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from walkmeta import model, simulator, tasks
+from walkmeta import metalearn, model, simulator, tasks
 from walkmeta.config import ExperimentConfig
 
 import oracle
+from test_blocks import random_batch, random_rows
 
 REL, FLOOR = 1e-10, 100.0
 
@@ -64,20 +69,18 @@ def setup(name, alpha=None):
         rng.standard_normal((4, d))
 
 
-@pytest.mark.skipif(np.finfo(np.longdouble).nmant <= np.finfo(float).nmant,
-                    reason="the oracle's reference needs an extended-precision longdouble")
-@pytest.mark.parametrize("alpha", [0.01, 0.5, 5.0])
-@pytest.mark.parametrize("name", sorted(SHAPES))
-def test_meta_gradient_equals_complex_step(name, alpha):
-    arch, dims, K, prepared, rows, dirs = setup(name, alpha)
-    for lead in [(), (4,)]:
+def assert_steps_equal_complex_step(ws, arch, K, alpha, clients, rows, dirs):
+    """<g, v> of a lone step for client 0 and of each row of a block of all
+    clients, from ws, against the oracle's complex step, within the bound."""
+    dims = [arch.input_dim, *arch.hidden, arch.output_dim]
+    for lead in [(), (len(clients),)]:
         n = lead[0] if lead else 1
-        programs = prepared[0][2].programs(lead)
+        programs = ws.programs(lead)
         with model.quiet():
-            programs.load(rows[:n].reshape(lead + (-1,)), prepared[:n])
+            programs.load(rows[:n].reshape(lead + (-1,)), clients[:n])
             programs.step()
         g = programs.query.dir.reshape(n, -1)
-        for i, (support, query, *_) in enumerate(prepared[:n]):
+        for i, (support, query, *_) in enumerate(clients[:n]):
             def f(w):
                 return oracle.adapted_query_loss(w, dims, arch.head, support, query,
                                                  alpha, K)
@@ -86,6 +89,45 @@ def test_meta_gradient_equals_complex_step(name, alpha):
             got = g[i] @ dirs[i]
             bound = REL * np.abs(g[i] * dirs[i]).sum() + FLOOR * abs(double - want)
             assert abs(got - want) <= bound, (lead, i, got, want, bound)
+
+
+needs_longdouble = pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant <= np.finfo(float).nmant,
+    reason="the oracle's reference needs an extended-precision longdouble")
+
+
+@needs_longdouble
+@pytest.mark.parametrize("alpha", [0.01, 0.5, 5.0])
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_meta_gradient_equals_complex_step(name, alpha):
+    arch, _, K, prepared, rows, dirs = setup(name, alpha)
+    assert_steps_equal_complex_step(prepared[0].workspace, arch, K, alpha, prepared,
+                                    rows, dirs)
+
+
+@st.composite
+def drawn_cases(draw):
+    """An arch with 1-3 hidden layers and an mse or xent head, support and
+    query sizes, K, alpha, and the generator of its batches and points."""
+    head = draw(st.sampled_from([model.HEAD_MSE, model.HEAD_XENT]))
+    hidden = tuple(draw(st.lists(st.integers(1, 8), min_size=1, max_size=3)))
+    out = draw(st.integers(2, 4)) if head == model.HEAD_XENT else draw(st.integers(1, 2))
+    arch = model.Arch(draw(st.integers(1, 3)), hidden, out, head)
+    sizes = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    return (arch, sizes, draw(st.integers(1, 3)), draw(st.sampled_from([0.01, 0.5, 5.0])),
+            np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+
+
+@needs_longdouble
+@settings(max_examples=100, deadline=None)
+@given(drawn_cases())
+def test_meta_gradient_equals_complex_step_on_drawn_archs(case):
+    arch, (m_support, m_query), K, alpha, rng = case
+    clients = [tuple(model.check_batch(arch, random_batch(rng, arch, m))
+                     for m in (m_support, m_query)) for _ in range(2)]
+    ws = metalearn.Workspace(arch, m_support, m_query, K, alpha, 2)
+    assert_steps_equal_complex_step(ws, arch, K, alpha, clients, random_rows(rng, arch, 2),
+                                    rng.standard_normal((2, arch.param_count)))
 
 
 @pytest.mark.parametrize("name", sorted(SHAPES))

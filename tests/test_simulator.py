@@ -150,24 +150,50 @@ class TestPreparedClients:
                    for r in fresh}
         assert len(triples) == 1
 
-    def test_rows_bound_once_per_client_set(self, monkeypatch):
-        """A Clients binds each training client's lone rows and each
-        evaluation block's rows when it is prepared, and nothing after: two
-        walk runs on it, their steps and evaluations included, bind no rows,
-        and their CSVs are those of runs on fresh clients, byte for byte."""
-        cfg, methods = small_cfg(T=12, eval_every=4), ("lodmeta", "lodmeta_basic")
+    @staticmethod
+    def count_binds(monkeypatch):
+        """(cut's leading axes, clients) per call of Programs.rows, in order."""
         bound = []
         real = metalearn.Programs.rows
-        monkeypatch.setattr(metalearn.Programs, "rows",
-                            lambda self, clients: bound.append(len(clients)) or real(self, clients))
+        monkeypatch.setattr(metalearn.Programs, "rows", lambda self, clients: bound.append(
+            (self.query.point.shape[:-1], clients)) or real(self, clients))
+        return bound
+
+    def test_rows_bound_once_per_client_set(self, monkeypatch):
+        """A Clients binds each evaluation block's rows when it is prepared,
+        and a client's lone rows on its first walk step: the first walk run
+        on it binds each client it visits once, in the lone cut, and a
+        second run binds nothing; their CSVs are those of runs on fresh
+        clients, byte for byte."""
+        cfg = small_cfg(T=12, eval_every=4, record_trace=True)
+        methods = ("lodmeta", "lodmeta_basic")
+        bound = self.count_binds(monkeypatch)
         clients = self.prepared(cfg)
-        assert len(bound) == cfg.n_training + len(clients.blocks)
-        shared = []
-        for method in methods:
-            shared.append(simulator.run(replace(cfg, method=method), clients).to_csv())
-            assert len(bound) == cfg.n_training + len(clients.blocks)
+        n_blocks = len(clients.blocks)
+        assert ([lead for lead, _ in bound]
+                == [p.query.point.shape[:-1] for p, *_ in clients.blocks])
+        shared = [simulator.run(replace(cfg, method=methods[0]), clients)]
+        visited = sorted(set(shared[0].trace.active))
+        assert 1 < len(visited) < len(shared[0].trace.active)   # clients revisited
+        lone = bound[n_blocks:]
+        assert [lead for lead, _ in lone] == [()] * len(visited)
+        assert (sorted(id(c) for _, [c] in lone)
+                == sorted(id(clients.training[i]) for i in visited))
+        shared.append(simulator.run(replace(cfg, method=methods[1]), clients))
+        assert len(bound) == n_blocks + len(visited)
         monkeypatch.undo()
-        assert shared == [simulator.run(replace(cfg, method=m)).to_csv() for m in methods]
+        assert ([r.to_csv() for r in shared]
+                == [simulator.run(replace(cfg, method=m)).to_csv() for m in methods])
+
+    @pytest.mark.parametrize("change", [dict(T=0), dict(method="centralized_maml")],
+                             ids=["T0", "centralized_maml"])
+    def test_runs_that_never_walk_bind_no_lone_rows(self, monkeypatch, change):
+        """A T=0 run and a centralized run (4 active clients a round) bind
+        rows only for client blocks, never for the lone cut."""
+        bound = self.count_binds(monkeypatch)
+        rec = simulator.run(small_cfg(**{"T": 8, "eval_every": 4, **change}))
+        assert not rec.aborted and bound
+        assert [lead for lead, _ in bound if lead == ()] == []
 
     @pytest.mark.parametrize("kind", ["sine", "blob"])
     def test_evaluation_leaves_no_point_behind(self, kind):
