@@ -102,7 +102,7 @@ _CLIENT_BLOCK = 4
 
 
 class Client(NamedTuple):
-    """Checked batches, their sizes' workspace, and lone-cut rows bound on the first walk step."""
+    """Checked batches, their sizes' workspace, and [lone-cut rows] from the first walk step."""
     support: tuple
     query: tuple
     workspace: metalearn.Workspace
@@ -161,13 +161,13 @@ def _client_blocks(clients):
 def _mean_meta_gradient(w: np.ndarray, clients: list, g: np.ndarray) -> np.ndarray:
     """The exact meta-gradient at w (d,) averaged over clients prepared as
     `Clients.training`, written to g and returned: several in client blocks, their
-    rows bound per call, one in the lone cut by its `lone` rows, bound while empty."""
+    rows bound per call, one in the lone cut by its `lone` rows, bound on first use."""
     if len(clients) == 1:
         client = clients[0]
         programs = client.workspace.programs(())
-        if not client.lone:
-            client.lone.extend(programs.rows([client]))
-        programs.run(w, client.lone, programs.step)
+        if not client.lone:  # the quadratic head's rows are []
+            client.lone.append(programs.rows([client]))
+        programs.run(w, client.lone[0], programs.step)
         g[...] = programs.query.dir
         return g
     g.fill(0.0)

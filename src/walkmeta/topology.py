@@ -6,16 +6,17 @@ controls how fast the walk mixes and therefore how evenly clients are
 visited.
 
 Every kernel built here is reversible (Levin, Peres and Wilmer, *Markov
-Chains and Mixing Times*, ch. 12): the stationary distribution has a closed
-form, uniform for Metropolis-Hastings and proportional to degree for the
-uniform-neighbour walk, laziness or not. With D = diag(pi), D^1/2 P D^-1/2
-is then symmetric, so the spectrum comes from one `eigvalsh`.
+Chains and Mixing Times*, ch. 12): pi is uniform for Metropolis-Hastings and
+proportional to degree for the uniform-neighbour walk, laziness or not. With
+D = diag(pi), D^1/2 P D^-1/2 is symmetric: sigma2 is one `eigvalsh` of it, or,
+on the cycle, star and complete graph, a closed form (§12.3) no BLAS changes.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -112,6 +113,8 @@ class TransitionMatrix:
     P: np.ndarray
     scheme: str
     laziness: float
+    # "cycle", "star" or "complete": only the builder vouches that P is the scheme's kernel there
+    _graph: str = field(default="", init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_kernel(self.scheme, self.laziness)
@@ -139,9 +142,11 @@ class TransitionMatrix:
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, float]:
         """(pi, sigma2), worked out on first use and kept: the closed-form pi,
-        read-only, and one eigvalsh of D^1/2 P D^-1/2."""
+        read-only, and sigma2: closed-form on a named graph, else one eigvalsh."""
         pi = _closed_form_pi(self)
         pi.flags.writeable = False
+        if self._graph:
+            return pi, _closed_form_sigma2(self)
         r = np.sqrt(pi)
         S = r[:, None] * self.P
         S /= r
@@ -319,7 +324,27 @@ def build_transition_matrix(g: Graph, scheme: str = SCHEME_METROPOLIS,
         np.fill_diagonal(P, np.maximum(1.0 - P.sum(axis=1), 0.0))
     P *= 1.0 - laziness  # then the diagonal: the bits of laziness*I + (1-laziness)*P
     np.fill_diagonal(P, P.diagonal() + laziness)
-    return TransitionMatrix(P=P, scheme=scheme, laziness=laziness)
+    tm = TransitionMatrix(P=P, scheme=scheme, laziness=laziness)
+    # named by a connected graph's degrees, K_n first: K_3 is also C_3
+    object.__setattr__(tm, "_graph", "complete" if n > 1 and (deg == n - 1).all()
+                       else "cycle" if (deg == 2).all()
+                       else "star" if n > 2 and np.count_nonzero(deg == 1) == n - 1 else "")
+    return tm
+
+
+def _closed_form_sigma2(tm: TransitionMatrix) -> float:
+    """max |laziness + (1 - laziness) mu| over the extreme non-unit eigenvalues
+    mu of the scheme's kernel on the named graph without laziness (§12.3)."""
+    a = 1.0 / (tm.n - 1)
+    if tm._graph == "complete":  # both schemes coincide on a regular graph
+        mus = (-a,)
+    elif tm._graph == "cycle":
+        mus = (math.cos(2 * math.pi / tm.n), math.cos(2 * math.pi * (tm.n // 2) / tm.n))
+    elif tm.scheme == SCHEME_UNIFORM:  # the star is bipartite
+        mus = (-1.0, 0.0)
+    else:
+        mus = (-a, 1.0 - a)
+    return max(abs(tm.laziness + (1.0 - tm.laziness) * mu) for mu in mus)
 
 
 def _closed_form_pi(tm: TransitionMatrix) -> np.ndarray:

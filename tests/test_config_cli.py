@@ -791,9 +791,10 @@ class TestCmdTopo:
         assert cli.main(["topo", str(cfg_path)]) == 0
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("family", ["ring", "small_world"])
+    @pytest.mark.parametrize("family", ["ring", "star", "complete", "small_world", "regular"])
     def test_one_spectrum_per_case(self, family, tmp_path, monkeypatch, capsys):
-        """σ₂ and π come from one eigvalsh and one balance check."""
+        """π comes from one balance check, and σ₂ from its closed form on the
+        ring, star and complete graph, else from one eigvalsh."""
         calls = []
         real_eigvalsh, real_pi = np.linalg.eigvalsh, topology._closed_form_pi
         monkeypatch.setattr(np.linalg, "eigvalsh",
@@ -805,7 +806,8 @@ class TestCmdTopo:
                             "[clients]\nn_training = 8\n")
         assert cli.main(["topo", str(cfg_path)]) == 0
         assert "stationary=" in capsys.readouterr().out
-        assert calls == ["pi", "eigvalsh"]
+        closed = family in ("ring", "star", "complete")
+        assert calls == (["pi"] if closed else ["pi", "eigvalsh"])
 
     def test_shared_parser_matches_fresh_processes(self, tmp_path, monkeypatch):
         """main parses with one parser per process; a usage error and a

@@ -13,6 +13,8 @@ from walkmeta.optimizer import HyperParams
 from walkmeta.privacy import PrivacyParams
 from walkmeta.simulator import MethodKind, comm_cost
 
+from test_golden import QUADRATIC
+
 
 def small_cfg(**kw):
     """Fast sine config: 6 clients on a ring, tiny net."""
@@ -184,6 +186,17 @@ class TestPreparedClients:
         monkeypatch.undo()
         assert ([r.to_csv() for r in shared]
                 == [simulator.run(replace(cfg, method=m)).to_csv() for m in methods])
+
+    def test_quadratic_lone_rows_bound_once_per_client(self, monkeypatch):
+        """The quadratic head's lone rows are empty, and still bound once: the
+        golden quadratic walk binds as many lone cuts as it visits clients."""
+        cfg = replace(QUADRATIC, record_trace=True)
+        clients = self.prepared(cfg)
+        bound = self.count_binds(monkeypatch)
+        rec = simulator.run(cfg, clients)
+        assert 1 < len(set(rec.trace.active)) < len(rec.trace.active)   # clients revisited
+        assert [lead for lead, _ in bound] == [()] * len(set(rec.trace.active))
+        assert all(c.lone == [[]] for c in clients.training.values())
 
     @pytest.mark.parametrize("change", [dict(T=0), dict(method="centralized_maml")],
                              ids=["T0", "centralized_maml"])

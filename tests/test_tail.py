@@ -323,7 +323,7 @@ def test_no_walk_or_block_op_calls_copyto(cfg):
     simulator.run(cfg, clients)
     ws = clients.training[0][2]
     lone = ws.programs(())
-    lists = [lone.step.ops, *(ops for *_, ops in clients.training.values())]
+    lists = [lone.step.ops, *(ops for c in clients.training.values() for ops in c.lone)]
     lists += [rows for _, rows, _ in clients.blocks]
     for lead in [(4,), (2,)]:
         programs = ws.programs(lead)
@@ -381,7 +381,7 @@ def test_walk_clients_share_the_step_and_keep_only_their_copies(monkeypatch):
         monkeypatch.undo()
         lone = clients.training[0][2].programs(())
         assert sum(ops is lone.step.ops for ops in ran) == cfg.T
-        kept = [ops for *_, ops in clients.training.values()]
+        kept = [ops for *_, [ops] in clients.training.values()]
         assert len(kept) > 1 and len({id(ops) for ops in kept}) == len(kept)
         for ops in kept:
             assert all(is_copy(f) or f is np.equal for f, _ in ops)

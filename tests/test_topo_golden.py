@@ -11,11 +11,14 @@ The n=300 cases are the four families and two schemes that `perfbench`'s
 without laziness, so the periodic ring and star print their
 `stationary: ...` error line instead of π.
 
-`eigvalsh`'s result depends on the OpenBLAS thread count, so under
-OPENBLAS_NUM_THREADS=1 the n=300 hashes fail (see ROADMAP item 2).
-`test_topo_outputs_within_tolerance` then says how far the printed numbers
-moved: tests/golden_topo_rows.json holds every line of each output, as
-tests/repin_golden_rows.py last wrote them.
+The ring, star and complete cases take σ₂ from its closed form, so their
+bytes hold under any OpenBLAS core and thread count, which
+`test_closed_form_outputs_hold_across_blas` checks in fresh processes. The
+small-world and regular cases take it from `eigvalsh`, whose result depends
+on both: under OPENBLAS_NUM_THREADS=1 their n=300 hashes fail (see ROADMAP
+item 2). `test_topo_outputs_within_tolerance` then says how far the printed
+numbers moved: tests/golden_topo_rows.json holds every line of each output,
+as tests/repin_golden_rows.py last wrote them.
 """
 
 import contextlib
@@ -23,7 +26,10 @@ import functools
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -55,9 +61,9 @@ CASES.update({f"n20-{family}-{scheme}": (family, scheme, 20, 0.0, 2)
 
 GOLDEN = {
     "n20-complete-metropolis":
-        "9f5b0fd3fbeb660b72428911f19251455e596bb07d6cb62e2a6098d3bf7c4ed7",
+        "cca3e7f943a246884e779425cfaaffc3cdda70afc43c7bb432754339a0ecd4cf",
     "n20-complete-uniform":
-        "488af57116dd10d12a599ea6e820ca1dfe1e7e880312e0fc3b9bfd86f27dec2f",
+        "cca3e7f943a246884e779425cfaaffc3cdda70afc43c7bb432754339a0ecd4cf",
     "n20-regular-metropolis":
         "a3036cd529925191a440696f3238307a7af6025cb8ca008e7fdc68bab7412bd5",
     "n20-regular-uniform":
@@ -71,7 +77,7 @@ GOLDEN = {
     "n20-small_world-uniform":
         "129b122ef88e155686d6d420da99341836fc3de7cd8159f8c5d730e7e62a552c",
     "n20-star-metropolis":
-        "b1b62577effb0fd13f490ceb1606234d03a8f4c57e87101948f84e512e131971",
+        "d19cc0a5c8428efc5332604e035c31be7ef8995326a08400fa4b645481ed53ad",
     "n20-star-uniform":
         "367b409df60c5899ea9c974ff12b3d1c27fd8a0460f2882e26a80cdbf7130e6c",
     "n300-regular-metropolis-seed0":
@@ -83,13 +89,13 @@ GOLDEN = {
     "n300-regular-uniform-seed1":
         "e2a908280419e1e7295750654bea261d51390f719319c1b4508be655978e4fb7",
     "n300-ring-metropolis-seed0":
-        "7be05b7fd428aa7c111a63d01feae5a1d5591f63e1dd2dda560cba2996c86010",
+        "f420a1c217656f6c9e21f07889437d0a6d9ad9dcf5339d925027c308d96be2b8",
     "n300-ring-metropolis-seed1":
-        "7be05b7fd428aa7c111a63d01feae5a1d5591f63e1dd2dda560cba2996c86010",
+        "f420a1c217656f6c9e21f07889437d0a6d9ad9dcf5339d925027c308d96be2b8",
     "n300-ring-uniform-seed0":
-        "7be05b7fd428aa7c111a63d01feae5a1d5591f63e1dd2dda560cba2996c86010",
+        "f420a1c217656f6c9e21f07889437d0a6d9ad9dcf5339d925027c308d96be2b8",
     "n300-ring-uniform-seed1":
-        "7be05b7fd428aa7c111a63d01feae5a1d5591f63e1dd2dda560cba2996c86010",
+        "f420a1c217656f6c9e21f07889437d0a6d9ad9dcf5339d925027c308d96be2b8",
     "n300-small_world-metropolis-seed0":
         "bf922deb7f89143c75c561353b88fd80593aec3c70a6f4acc4da493224ea6c1b",
     "n300-small_world-metropolis-seed1":
@@ -99,13 +105,13 @@ GOLDEN = {
     "n300-small_world-uniform-seed1":
         "09fce941191bd917d26344a16f9eff637a44adee666e98619c7d1a81dbc4b97c",
     "n300-star-metropolis-seed0":
-        "cc9ce2e915ecb755e40af45c6666f2d2e1904240da77604234314e559ea1958c",
+        "5629308e04d33e2bdea7c1bcbb32d64a7890a6bf39b0d2a198b9cfe442a22790",
     "n300-star-metropolis-seed1":
-        "cc9ce2e915ecb755e40af45c6666f2d2e1904240da77604234314e559ea1958c",
+        "5629308e04d33e2bdea7c1bcbb32d64a7890a6bf39b0d2a198b9cfe442a22790",
     "n300-star-uniform-seed0":
-        "10dcab160ea6585d2f4cd3fa6d0cc968c9e004ef62272e24f0d2bfc8956746bb",
+        "17f0d4ffdb9e66c1ecfd60b344d1a05c481765e5d80f8f4ba346f10dc326bbcb",
     "n300-star-uniform-seed1":
-        "10dcab160ea6585d2f4cd3fa6d0cc968c9e004ef62272e24f0d2bfc8956746bb",
+        "17f0d4ffdb9e66c1ecfd60b344d1a05c481765e5d80f8f4ba346f10dc326bbcb",
 }
 
 
@@ -147,3 +153,26 @@ def test_topo_outputs_within_tolerance(name):
     change moves it by 0 or, where it flips a printed digit, by about 1e-6."""
     stored = json.loads(ROWS_PATH.read_text())[name]
     assert movement(stored, topo_stdout(name).splitlines()) <= ROW_TOL
+
+
+# the cases whose σ₂ has a closed form
+CLOSED_FORM = sorted(name for name, case in CASES.items()
+                     if case[0] in ("ring", "star", "complete"))
+
+
+def test_closed_form_outputs_hold_across_blas():
+    """Under one OpenBLAS thread and under the Haswell core, each in a fresh
+    process, every ring, star and complete case prints its pinned bytes."""
+    here = Path(__file__).parent
+    code = ("import hashlib, sys, test_topo_golden as t; print(*(hashlib.sha256("
+            "t.topo_stdout(name).encode()).hexdigest() for name in sys.argv[1:]))")
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    environments = [{"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_CORETYPE": "Haswell"}]
+    runs = [subprocess.Popen([sys.executable, "-c", code, *CLOSED_FORM], text=True,
+                             stdout=subprocess.PIPE,
+                             env={**os.environ, "PYTHONPATH": path, **env})
+            for env in environments]
+    for env, run in zip(environments, runs):
+        out = run.communicate(timeout=120)[0]
+        assert run.returncode == 0, env
+        assert dict(zip(CLOSED_FORM, out.split())) == {n: GOLDEN[n] for n in CLOSED_FORM}, env

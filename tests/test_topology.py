@@ -376,6 +376,64 @@ class TestSigma2:
                 assert abs(topo.sigma2(tm) - dense_sigma2(tm.P)) < 1e-8
 
 
+# the oracles' eigvalsh, which a test may patch np.linalg.eigvalsh around
+EIGVALSH = np.linalg.eigvalsh
+
+
+def eigvalsh_sigma2(tm):
+    """Oracle: the largest non-unit eigenvalue magnitude of D^1/2 P D^-1/2,
+    D = diag of the reference pi, by one eigvalsh."""
+    r = np.sqrt(dense_closed_form_pi(tm))
+    eig = EIGVALSH(r[:, None] * tm.P / r)  # ascending, 1 last
+    return float(np.max(np.abs(eig[:-1])))
+
+
+def alternating_ring6():
+    """A 6-cycle kernel with edge weights 0.6 and 0.3 in turn: symmetric, so
+    reversible under uniform pi, but not the Metropolis kernel of the ring."""
+    P = 0.1 * np.eye(6)
+    i = np.arange(6)
+    P[i, (i + 1) % 6] = P[(i + 1) % 6, i] = np.tile([0.6, 0.3], 3)
+    return P
+
+
+class TestClosedFormSigma2:
+    """The builder's kernel on a cycle, star or complete graph takes sigma2
+    from its closed form, with no eigvalsh; a hand-built kernel never does."""
+
+    @pytest.mark.parametrize("scheme", topo.SCHEMES)
+    @pytest.mark.parametrize("family", ["ring", "star", "complete"])
+    def test_matches_eigvalsh(self, family, scheme, monkeypatch):
+        def no_eigvalsh(a):
+            raise AssertionError("eigvalsh called")
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        gen = {"ring": topo.gen_ring, "star": topo.gen_star, "complete": topo.gen_complete}
+        for n in [*range(topo._MIN_N[family], 65), 299, 300, 301]:
+            g = gen[family](n)
+            for laziness in (0.0, 0.1, 0.5, 0.9):
+                tm = topo.build_transition_matrix(g, scheme, laziness)
+                assert abs(topo.sigma2(tm) - eigvalsh_sigma2(tm)) <= 1e-13, (n, laziness)
+
+    @pytest.mark.parametrize("P, scheme, laziness", [
+        (alternating_ring6(), topo.SCHEME_METROPOLIS, 0.0),
+        # a 4-node star whose leaves move to the hub at rates 0.2, 0.3 and 0.4
+        (np.array([[0.1, 0.2, 0.3, 0.4], [0.2, 0.8, 0, 0], [0.3, 0, 0.7, 0],
+                   [0.4, 0, 0, 0.6]]), topo.SCHEME_METROPOLIS, 0.0),
+        # the uniform star's kernel without laziness, labelled with laziness 0.5
+        (topo.build_transition_matrix(topo.gen_star(5), topo.SCHEME_UNIFORM, 0.0).P,
+         topo.SCHEME_UNIFORM, 0.5),
+        # the builder's own lazy ring, hand-built
+        (topo.build_transition_matrix(topo.gen_ring(7), topo.SCHEME_METROPOLIS, 0.1).P,
+         topo.SCHEME_METROPOLIS, 0.1),
+    ], ids=["ring-weights", "star-weights", "star-mislabelled", "ring-builders"])
+    def test_hand_built_kernel_takes_one_eigvalsh(self, P, scheme, laziness, monkeypatch):
+        tm = topo.TransitionMatrix(P.copy(), scheme, laziness)
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or EIGVALSH(a))
+        assert abs(topo.sigma2(tm) - dense_sigma2(P)) < 1e-10
+        assert len(calls) == 1
+
+
 class TestStationary:
     def test_mh_is_uniform(self):
         g = topo.gen_regular_expander(12, 3, seed=4)
